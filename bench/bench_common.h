@@ -78,11 +78,5 @@ inline sim::crossbar_config shared_request(const workloads::app_spec& app) {
 inline sim::crossbar_config shared_response(const workloads::app_spec& app) {
   return sim::crossbar_config::shared(app.num_initiators);
 }
-inline sim::crossbar_config full_request(const workloads::app_spec& app) {
-  return sim::crossbar_config::full(app.num_targets);
-}
-inline sim::crossbar_config full_response(const workloads::app_spec& app) {
-  return sim::crossbar_config::full(app.num_initiators);
-}
 
 }  // namespace stx::bench

@@ -28,11 +28,13 @@ int main() {
 
   const auto opts = bench::default_flow();
   for (const auto& app : workloads::all_mpsoc_apps()) {
-    // Window-based design + full reference (phases 1-4).
-    const auto report = xbar::run_design_flow(app, opts);
+    // Window-based design + full reference (phases 1-4): phase 1 runs
+    // once, its metrics are the full reference.
+    xbar::flow_stage_inputs stages;
+    const auto traces = xbar::collect_traces(app, opts, &stages.full.emplace());
+    const auto report = xbar::design_from_traces(app, traces, opts, stages);
 
     // Average-flow baseline on the same traces.
-    const auto traces = xbar::collect_traces(app, opts);
     const auto avg_req = xbar::design_average_traffic(traces.request);
     const auto avg_resp = xbar::design_average_traffic(traces.response);
     const auto avg_metrics = xbar::validate_configuration(

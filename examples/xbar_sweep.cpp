@@ -226,8 +226,9 @@ int main(int argc, char** argv) {
       for (const auto& app : spec.apps) {
         for (const auto& p : points) {
           const auto opts = explore::options_for(spec, p);
-          const auto traces = xbar::collect_traces(app, opts);
           xbar::flow_stage_inputs stages;
+          const auto traces =
+              xbar::collect_traces(app, opts, &stages.full.emplace());
           if (!spec.validate) stages.mode = xbar::validation_mode::skip;
           (void)xbar::design_from_traces(app, traces, opts, stages);
         }

@@ -107,9 +107,36 @@ std::shared_ptr<const xbar::collected_traces> trace_cache::traces(
     const std::string& app_id) {
   return get(
       traces_, trace_key(app_id, opts), app_id, /*is_trace=*/true,
-      [&] { return xbar::collect_traces(app, opts); },
+      [&] {
+        // The phase-1 run is also the full-crossbar reference: seed the
+        // full entry so a later full_metrics call does not simulate it.
+        xbar::validation_metrics full;
+        auto traces = xbar::collect_traces(app, opts, &full);
+        seed_full(full_key(app_id, opts), full);
+        return traces;
+      },
       [](const xbar::collected_traces& t) { return encode_traces(t); },
       [](const std::string& blob) { return decode_traces(blob); });
+}
+
+void trace_cache::seed_full(const cache_key& key,
+                            const xbar::validation_metrics& metrics) {
+  std::promise<std::shared_ptr<const xbar::validation_metrics>> promise;
+  promise.set_value(std::make_shared<const xbar::validation_metrics>(metrics));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // An entry already there (loaded, or a full_metrics loader in
+    // flight) holds the same value and owns its write-through.
+    if (!full_.emplace(encode(key), promise.get_future().share()).second) {
+      return;
+    }
+  }
+  if (!backing_) return;
+  try {
+    backing_->put(key, encode_metrics(metrics));
+  } catch (const std::exception&) {
+    obs::add_counter("explore.cache.put_dropped", 1);
+  }
 }
 
 std::shared_ptr<const xbar::validation_metrics> trace_cache::full_metrics(

@@ -1,8 +1,10 @@
 // Thread-safe phase-1 cache: every sweep point of one application at the
 // same simulator settings consumes the identical full-crossbar trace, so
-// the expensive collection simulation (and the full-crossbar reference
-// validation) runs exactly once per key no matter how many points or
-// worker threads request it.
+// the expensive collection simulation runs exactly once per key no matter
+// how many points or worker threads request it. That run is also the
+// full-crossbar reference validation: a simulated trace entry seeds the
+// full-metrics entry of the same key, so a cold key costs one simulation,
+// not two.
 //
 // Optionally backed by a kv_store (constructor choice): with a
 // persistent explore::disk_store behind it, results survive the process
@@ -30,6 +32,12 @@ namespace stx::explore {
 /// identified by name: two different specs sharing a name would alias,
 /// so sweep specs must keep app names unique.
 ///
+/// When traces() simulates, it also puts the run's full-crossbar metrics
+/// in memory and writes them through under the full key, exactly as a
+/// simulated full_metrics() would; a later full_metrics() for the key is
+/// then a hit. Keys no trace simulation seeded in this process (the
+/// traces came from the backing store, say) load or simulate as before.
+///
 /// Concurrency: the first requester of a key inserts a future and
 /// resolves it outside the lock; concurrent requesters for the same key
 /// block on that future. Both guarantee exactly-once evaluation per
@@ -42,7 +50,9 @@ class trace_cache {
     std::int64_t trace_hits = 0;
     std::int64_t trace_misses = 0;  ///< phase-1 collection simulations run
     std::int64_t full_hits = 0;
-    std::int64_t full_misses = 0;   ///< full-crossbar reference sims run
+    /// Full-crossbar reference sims run by full_metrics() itself (a
+    /// simulated trace entry seeds its full entry, so those are hits).
+    std::int64_t full_misses = 0;
     /// Loads served from the backing store instead of simulating (0
     /// without a backing store). A load is exactly one of: hit (served
     /// from memory), store hit, or miss (simulated).
@@ -73,8 +83,8 @@ class trace_cache {
       const workloads::app_spec& app, const xbar::flow_options& opts,
       const std::string& app_id);
 
-  /// The full-crossbar reference metrics for (app, opts); simulated on
-  /// first request.
+  /// The full-crossbar reference metrics for (app, opts): seeded by a
+  /// simulating traces() call, else loaded or simulated on first request.
   std::shared_ptr<const xbar::validation_metrics> full_metrics(
       const workloads::app_spec& app, const xbar::flow_options& opts) {
     return full_metrics(app, opts, app.name);
@@ -109,6 +119,12 @@ class trace_cache {
   std::shared_ptr<const T> get(store_t<T>& store, const cache_key& key,
                                const std::string& app_name, bool is_trace,
                                Simulate&& simulate, Enc&& enc, Dec&& dec);
+
+  /// Inserts `metrics` as the resolved full entry under `key` unless one
+  /// exists, and writes it through to the backing store. Counts no hit
+  /// or miss: the simulation was traces()'s.
+  void seed_full(const cache_key& key,
+                 const xbar::validation_metrics& metrics);
 
   std::shared_ptr<kv_store> backing_;
   mutable std::mutex mu_;

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <system_error>
 
 #include "gen/json.h"
 #include "obs/export.h"
@@ -117,12 +118,14 @@ server::server(service& svc, std::string socket_path, options opts)
 server::~server() { stop(); }
 
 void server::start() {
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  // The accept thread gets its own copy of the descriptor: stop() and
+  // drain() reset listen_fd_ from the caller's thread.
+  accept_thread_ = std::thread([this, fd = listen_fd_] { accept_loop(fd); });
 }
 
-void server::accept_loop() {
+void server::accept_loop(int listen_fd) {
   while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
@@ -140,6 +143,7 @@ void server::accept_loop() {
       }
       return;  // listening socket closed by stop()/drain()
     }
+    reap_finished_connections();
     std::lock_guard<std::mutex> lock(mu_);
     if (stopped_ || shutdown_ || draining_) {
       ::close(fd);
@@ -147,8 +151,45 @@ void server::accept_loop() {
     }
     set_io_timeouts(fd, opts_.io_timeout_ms);
     conn_fds_.insert(fd);
-    conn_threads_.emplace_back([this, fd] { serve_connection(fd); });
+    const auto id = next_conn_id_++;
+    try {
+      // The slot first: a throwing insert must not destroy a started
+      // (joinable) thread.
+      auto& slot = conn_threads_[id];
+      if (STX_FAILPOINT_ACTION("serve.accept.spawn").kind ==
+          failpoint::action_kind::error) {
+        throw std::system_error(std::make_error_code(
+            std::errc::resource_unavailable_try_again));
+      }
+      slot = std::thread([this, fd, id] {
+        serve_connection(fd);
+        std::lock_guard<std::mutex> done(mu_);
+        finished_conns_.push_back(id);
+      });
+    } catch (const std::exception&) {
+      // No thread for this connection (thread or memory limits): drop
+      // it — the client sees EOF and may retry — and keep accepting.
+      obs::add_counter("serve.accept_retries", 1);
+      conn_threads_.erase(id);
+      conn_fds_.erase(fd);
+      ::close(fd);
+    }
   }
+}
+
+void server::reap_finished_connections() {
+  std::vector<std::thread> done;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto id : finished_conns_) {
+      const auto it = conn_threads_.find(id);
+      done.push_back(std::move(it->second));
+      conn_threads_.erase(it);
+    }
+    finished_conns_.clear();
+  }
+  // Each has left serve_connection; join only waits out its exit.
+  for (auto& t : done) t.join();
 }
 
 std::string server::dispatch(const std::string& line, bool* shutdown) {
@@ -318,10 +359,9 @@ void server::stop() {
     listen_fd_ = -1;
   }
   if (accept_thread_.joinable()) accept_thread_.join();
-  for (auto& t : conn_threads_) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& [id, t] : conn_threads_) t.join();
   conn_threads_.clear();
+  finished_conns_.clear();
   ::unlink(path_.c_str());
 }
 

@@ -2,12 +2,15 @@
 // listener speaking the line-delimited JSON protocol of
 // serve/protocol.h. One thread per connection; each connection's
 // requests are answered in order, and concurrency comes from concurrent
-// connections feeding the shared service worker pool.
+// connections feeding the shared service worker pool. The accept loop
+// joins the threads of finished connections, so callers that reconnect
+// per request do not pile up thread stacks.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <set>
 #include <string>
@@ -73,7 +76,10 @@ class server {
   live_stats live() const;
 
  private:
-  void accept_loop();
+  void accept_loop(int listen_fd);
+  /// Joins the threads of connections that have ended (accept thread
+  /// only).
+  void reap_finished_connections();
   void serve_connection(int fd);
   /// Dispatches one request line to one response line (never throws —
   /// parse/flow errors become error responses).
@@ -91,7 +97,11 @@ class server {
   bool draining_ = false;
   std::set<int> conn_fds_;
   std::set<int> busy_fds_;  ///< connections with a request mid-dispatch
-  std::vector<std::thread> conn_threads_;
+  /// Connection threads by connection id; an ending thread appends its
+  /// id to finished_conns_ for the accept loop to join.
+  std::map<std::uint64_t, std::thread> conn_threads_;
+  std::vector<std::uint64_t> finished_conns_;
+  std::uint64_t next_conn_id_ = 0;
 };
 
 /// Retry policy of the request_lines client helper. Retryable events:

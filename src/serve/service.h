@@ -35,7 +35,8 @@ namespace stx::serve {
 ///   collect   — phase-1 traces through `cache` (trace key).
 ///   synthesize— xbar::synthesize_design (cheap relative to phases 1/4;
 ///               cached only as part of the report).
-///   validate  — full-crossbar reference through `cache` (full key),
+///   validate  — full-crossbar reference through `cache` (full key;
+///               a collect stage that simulated already seeded it),
 ///               then xbar::validate_design.
 /// The computed report is written through to `store` before returning.
 struct cached_design_result {

@@ -6,13 +6,22 @@
 
 namespace stx::sim {
 
-engine::engine(mpsoc_system& sys)
+engine::engine(mpsoc_system& sys, cycle_t horizon)
     : sys_(sys),
       start_(sys.now()),
+      horizon_(horizon),
       num_cores_(static_cast<int>(sys.cores_.size())),
       num_request_buses_(sys.request_xbar_.num_buses()),
       num_targets_(static_cast<int>(sys.targets_.size())),
       num_response_buses_(sys.response_xbar_.num_buses()) {
+  STX_REQUIRE(std::max({num_cores_, num_request_buses_, num_targets_,
+                        num_response_buses_}) <= event_queue::component_limit,
+              "engine: a phase has more than " +
+                  std::to_string(event_queue::component_limit) +
+                  " components");
+  STX_REQUIRE(horizon_ <= event_queue::cycle_limit,
+              "engine: horizon " + std::to_string(horizon_) + " exceeds " +
+                  std::to_string(event_queue::cycle_limit) + " cycles");
   last_stepped_.assign(
       static_cast<std::size_t>(num_cores_ + num_request_buses_ +
                                num_targets_ + num_response_buses_),
@@ -61,10 +70,10 @@ void engine::wake_all_cores() {
   }
 }
 
-void engine::run(cycle_t horizon) {
-  STX_REQUIRE(!processing_ && horizon_ == 0, "engine::run is single-use");
-  horizon_ = horizon;
-  if (horizon <= start_) return;
+void engine::run() {
+  STX_REQUIRE(!processing_ && !ran_, "engine::run is single-use");
+  ran_ = true;
+  if (horizon_ <= start_) return;
   seed();
 
   const send_fn send_request = [&](const packet& p) {
@@ -103,7 +112,7 @@ void engine::run(cycle_t horizon) {
 
   processing_ = true;
   cycle_t last_cycle = start_ - 1;
-  while (!queue_.empty() && queue_.top().cycle < horizon) {
+  while (!queue_.empty()) {
     current_ = queue_.pop();
     auto& stepped = last_stepped_[static_cast<std::size_t>(
         gid(current_.phase, current_.component))];
@@ -155,8 +164,8 @@ void engine::run(cycle_t horizon) {
 
   // Settle the lazy busy accounting of in-flight transfers so
   // utilisation queries at this horizon match the polling kernel.
-  sys_.request_xbar_.sync_busy(horizon);
-  sys_.response_xbar_.sync_busy(horizon);
+  sys_.request_xbar_.sync_busy(horizon_);
+  sys_.response_xbar_.sync_busy(horizon_);
 }
 
 }  // namespace stx::sim

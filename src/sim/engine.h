@@ -36,10 +36,15 @@ namespace stx::sim {
 /// resumed runs stay bit-identical to a single longer run.
 class engine {
  public:
-  explicit engine(mpsoc_system& sys);
+  /// An engine that will run `sys` up to `horizon`. Throws
+  /// stx::invalid_argument_error when a wake of this run could not be
+  /// packed into an event_queue key: a phase with more than
+  /// event_queue::component_limit components, or a horizon past
+  /// event_queue::cycle_limit.
+  engine(mpsoc_system& sys, cycle_t horizon);
 
-  /// Processes all events strictly before `horizon` (callable once).
-  void run(cycle_t horizon);
+  /// Processes all events strictly before the horizon (callable once).
+  void run();
 
   const engine_stats& stats() const { return stats_; }
 
@@ -62,6 +67,7 @@ class engine {
   cycle_t start_ = 0;
   cycle_t horizon_ = 0;
   bool processing_ = false;
+  bool ran_ = false;
   int num_cores_ = 0;
   int num_request_buses_ = 0;
   int num_targets_ = 0;

@@ -8,22 +8,22 @@
 namespace stx::sim {
 
 void event_queue::push(const event_key& k) {
-  heap_.push_back(k);
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<event_key>{});
+  heap_.push_back(pack(k));
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
   ++pushed_;
 }
 
-const event_key& event_queue::top() const {
+event_key event_queue::top() const {
   STX_REQUIRE(!heap_.empty(), "event_queue::top on empty queue");
-  return heap_.front();
+  return unpack(heap_.front());
 }
 
 event_key event_queue::pop() {
   STX_REQUIRE(!heap_.empty(), "event_queue::pop on empty queue");
-  std::pop_heap(heap_.begin(), heap_.end(), std::greater<event_key>{});
-  const event_key k = heap_.back();
+  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  const auto w = heap_.back();
   heap_.pop_back();
-  return k;
+  return unpack(w);
 }
 
 }  // namespace stx::sim

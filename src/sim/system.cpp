@@ -50,8 +50,8 @@ void mpsoc_system::run(cycle_t horizon) {
 }
 
 void mpsoc_system::run_event(cycle_t horizon) {
-  engine e(*this);
-  e.run(horizon);
+  engine e(*this, horizon);
+  e.run();
   now_ = horizon;
   event_stats_.events_processed += e.stats().events_processed;
   event_stats_.events_skipped += e.stats().events_skipped;

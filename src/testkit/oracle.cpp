@@ -335,6 +335,18 @@ void check_observer_equivalence(const workloads::app_spec& app,
         << report.designed.packets << ")";
     add(out, "observer-equivalence", msg.str());
   }
+  // The flow harvests `full` from the trace-recording phase-1 run; a
+  // reference re-simulated with recording off must match it bit for bit.
+  const auto full = xbar::validate_full_crossbars(app, opts);
+  if (!(full == report.full)) {
+    std::ostringstream msg;
+    msg << "full-crossbar reference re-simulated without trace recording "
+           "diverges from the report's (re-simulated avg "
+        << full.avg_latency << " packets " << full.packets << ", report avg "
+        << report.full.avg_latency << " packets " << report.full.packets
+        << ")";
+    add(out, "observer-equivalence", msg.str());
+  }
 }
 
 void check_solver_agreement(const xbar::collected_traces& traces,

@@ -47,7 +47,10 @@ struct oracle_options {
   /// driver (sim::batch observer harvesting) and require metrics equal
   /// to the report's session-validated `designed` section — the same
   /// differential discipline the retired kernel-equivalence invariant
-  /// applied to the polling kernel. Costs one extra phase-4 simulation.
+  /// applied to the polling kernel — and re-simulate the full-crossbar
+  /// reference with trace recording off, requiring the report's `full`
+  /// section. Costs two extra simulations per report; a flow that
+  /// harvests `full` from phase 1 saved one of them.
   bool observer_equivalence = true;
   bool solver_agreement = true;
   int solver_agreement_max_targets = 10;
@@ -111,9 +114,12 @@ void check_solver_agreement(const xbar::collected_traces& traces,
 /// "observer-equivalence": re-validating the designed configuration
 /// through the lockstep sim::batch driver (SoA observer harvesting)
 /// reproduces the report's `designed` metrics exactly, every double
-/// included. Skipped when the report was never validated. This is the
-/// successor of the retired "kernel-equivalence" invariant, guarding the
-/// batch driver the way that one guarded the event-driven kernel.
+/// included, and re-simulating the full crossbars with trace recording
+/// off (validate_full_crossbars) reproduces the report's `full` metrics,
+/// which the flow harvests from the trace-recording phase-1 run.
+/// Skipped when the report was never validated. This is the successor of
+/// the retired "kernel-equivalence" invariant, guarding the batch driver
+/// the way that one guarded the event-driven kernel.
 void check_observer_equivalence(const workloads::app_spec& app,
                                 const xbar::flow_options& opts,
                                 const xbar::flow_report& report,

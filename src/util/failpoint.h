@@ -37,6 +37,9 @@
 //                               (error => connection dropped)
 //   serve.conn.write            server connection, before writing a
 //                               response (error => connection dropped)
+//   serve.accept.spawn          server accept loop, before starting a
+//                               connection thread (error => the start
+//                               fails: connection dropped, loop goes on)
 #pragma once
 
 #include <atomic>

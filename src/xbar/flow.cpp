@@ -54,6 +54,17 @@ sim::system_config base_system_config(const flow_options& opts,
   return cfg;
 }
 
+/// Full crossbars on both directions, run to the horizon: phase 1 with
+/// `record_traces`, the phase-4 reference without (same metrics either
+/// way — recording only appends to the traces).
+sim::session run_full_crossbars(const workloads::app_spec& app,
+                                const flow_options& opts, bool record_traces) {
+  auto session = workloads::make_full_crossbar_session(
+      app, base_system_config(opts, record_traces));
+  session.run(opts.horizon);
+  return session;
+}
+
 }  // namespace
 
 design_params effective_synthesis_params(const flow_options& opts,
@@ -66,11 +77,11 @@ design_params effective_synthesis_params(const flow_options& opts,
 }
 
 collected_traces collect_traces(const workloads::app_spec& app,
-                                const flow_options& opts) {
+                                const flow_options& opts,
+                                validation_metrics* full) {
   obs::span sp("flow.collect", {{"app", app.name}});
-  auto session = workloads::make_full_crossbar_session(
-      app, base_system_config(opts, /*record_traces=*/true));
-  session.run(opts.horizon);
+  const auto session = run_full_crossbars(app, opts, /*record_traces=*/true);
+  if (full != nullptr) *full = to_validation(session.metrics());
   return {session.request_trace(), session.response_trace()};
 }
 
@@ -110,13 +121,8 @@ std::vector<validation_metrics> validate_configurations(
 
 validation_metrics validate_full_crossbars(const workloads::app_spec& app,
                                            const flow_options& opts) {
-  auto full_req = sim::crossbar_config::full(app.num_targets);
-  full_req.policy = opts.policy;
-  full_req.transfer_overhead = opts.transfer_overhead;
-  auto full_resp = sim::crossbar_config::full(app.num_initiators);
-  full_resp.policy = opts.policy;
-  full_resp.transfer_overhead = opts.transfer_overhead;
-  return validate_configuration(app, full_req, full_resp, opts);
+  return to_validation(
+      run_full_crossbars(app, opts, /*record_traces=*/false).metrics());
 }
 
 flow_report synthesize_design(const workloads::app_spec& app,
@@ -187,9 +193,12 @@ flow_report design_from_traces(const workloads::app_spec& app,
 flow_report run_design_flow(const workloads::app_spec& app,
                             const flow_options& opts) {
   app.validate();
-  // ---- Phase 1: cycle-accurate simulation with full crossbars.
-  const auto traces = collect_traces(app, opts);
-  return design_from_traces(app, traces, opts);
+  // ---- Phase 1: cycle-accurate simulation with full crossbars. Its
+  // metrics are phase 4's full-crossbar reference, so validation only
+  // simulates the designed configuration.
+  flow_stage_inputs stages;
+  const auto traces = collect_traces(app, opts, &stages.full.emplace());
+  return design_from_traces(app, traces, opts, stages);
 }
 
 std::vector<gen::artifact> generate_artifacts(

@@ -78,7 +78,9 @@ struct flow_report {
 };
 
 /// Runs phases 1-4 for `app` and returns the report. Deterministic for a
-/// given (app, options) pair.
+/// given (app, options) pair. Two simulations: the phase-1 run on full
+/// crossbars, whose metrics are also the report's `full` reference (see
+/// collect_traces), and the designed configuration's validation run.
 flow_report run_design_flow(const workloads::app_spec& app,
                             const flow_options& opts);
 
@@ -86,6 +88,9 @@ flow_report run_design_flow(const workloads::app_spec& app,
 /// with the same simulator settings as the designed run. Depends only on
 /// (app, horizon, seed, policy, transfer_overhead) — never on the
 /// synthesis knobs — so sweep engines compute it once per application.
+/// Bit-equal to the metrics collect_traces harvests from its phase-1 run;
+/// this entry point is for callers that have no phase-1 run to take them
+/// from.
 validation_metrics validate_full_crossbars(const workloads::app_spec& app,
                                            const flow_options& opts);
 
@@ -126,8 +131,16 @@ struct collected_traces {
   traffic::trace request;   ///< events keyed by target id
   traffic::trace response;  ///< events keyed by initiator id
 };
+
+/// Phase 1: simulates `app` on full crossbars with trace recording on.
+/// Recording only appends to the traces, so the run is also the phase-4
+/// full-crossbar reference: when `full` is non-null it receives the run's
+/// metrics, bit-equal to validate_full_crossbars(app, opts), and callers
+/// pass them on as flow_stage_inputs::full instead of simulating the
+/// same configuration a second time.
 collected_traces collect_traces(const workloads::app_spec& app,
-                                const flow_options& opts);
+                                const flow_options& opts,
+                                validation_metrics* full = nullptr);
 
 /// Whether (and how) phase 4 runs after synthesis.
 enum class validation_mode {
@@ -146,11 +159,13 @@ enum class validation_mode {
 /// trailing parameters, whose pointer lifetime and positional-bool
 /// semantics were easy to misuse.
 struct flow_stage_inputs {
-  /// Full-crossbar reference metrics, when a cache already holds them
-  /// (see validate_full_crossbars). Must come from the same
-  /// (app, horizon, seed, policy, transfer_overhead) as `opts` — the
-  /// explore::trace_cache / serve::service keys guarantee this; hand
-  /// callers must too, or the report's `full` section lies.
+  /// Full-crossbar reference metrics, when the caller already holds them:
+  /// harvested from the phase-1 run through collect_traces' `full`
+  /// out-parameter, or served by a cache (see validate_full_crossbars).
+  /// Must come from the same (app, horizon, seed, policy,
+  /// transfer_overhead) as `opts` — the explore::trace_cache /
+  /// serve::service keys guarantee this; hand callers must too, or the
+  /// report's `full` section lies.
   std::optional<validation_metrics> full;
   validation_mode mode = validation_mode::validate;
 };
@@ -176,9 +191,9 @@ void validate_design(const workloads::app_spec& app, const flow_options& opts,
 
 /// Phases 2-4 with an injected phase-1 result: `synthesize_design`
 /// followed by `validate_design` (per stages.mode). `run_design_flow` is
-/// exactly `collect_traces` + this; design-space sweeps and the design
-/// service call it directly so one cached trace serves many parameter
-/// points.
+/// exactly `collect_traces` + this, with the phase-1 metrics passed as
+/// stages.full; design-space sweeps and the design service call it
+/// directly so one cached trace serves many parameter points.
 flow_report design_from_traces(const workloads::app_spec& app,
                                const collected_traces& traces,
                                const flow_options& opts,

@@ -236,7 +236,9 @@ TEST(PersistentCache, SecondCacheInstanceServesWithoutSimulating) {
     (void)cache.full_metrics(app, opts);
     const auto stats = cache.stats();
     EXPECT_EQ(stats.trace_misses, 1);
-    EXPECT_EQ(stats.full_misses, 1);
+    // The phase-1 simulation seeded the full entry (memory + store).
+    EXPECT_EQ(stats.full_misses, 0);
+    EXPECT_EQ(stats.full_hits, 1);
     EXPECT_EQ(stats.trace_store_hits, 0);
   }
   // A fresh cache over a fresh store on the same directory: both stages

@@ -31,10 +31,12 @@ TEST(Sweep, SharesOnePhase1SimulationAcrossAllPoints) {
   const auto report = run_sweep(small_spec(), cache);
   ASSERT_EQ(report.results.size(), 4u);
   EXPECT_EQ(report.phase1_simulations, 1);
-  EXPECT_EQ(report.full_simulations, 1);
+  // The phase-1 run seeded the full-crossbar reference: no second run.
+  EXPECT_EQ(report.full_simulations, 0);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.trace_misses, 1);
   EXPECT_EQ(stats.trace_hits, 3);
+  EXPECT_EQ(stats.full_hits, 4);
 }
 
 TEST(Sweep, PointReportsEqualTheSerialDesignFlow) {

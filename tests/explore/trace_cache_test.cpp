@@ -1,5 +1,6 @@
 // Trace-cache hit behaviour: phase 1 simulates exactly once per
-// (app, settings) key, under serial and concurrent access.
+// (app, settings) key, under serial and concurrent access, and that one
+// simulation also supplies the full-crossbar reference.
 #include "explore/trace_cache.h"
 
 #include <gtest/gtest.h>
@@ -7,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "explore/codec.h"
 #include "workloads/synthetic.h"
 
 namespace stx::explore {
@@ -94,6 +96,43 @@ TEST(TraceCache, FullMetricsAreCachedIndependently) {
   EXPECT_EQ(stats.full_misses, 1);
   EXPECT_EQ(stats.full_hits, 1);
   EXPECT_EQ(stats.trace_misses, 0);  // no trace was ever requested
+}
+
+TEST(TraceCache, SimulatedTracesSeedTheFullReference) {
+  const auto store = std::make_shared<memory_store>();
+  trace_cache cache(store);
+  const auto app = small_app();
+  const auto opts = fast_options();
+  (void)cache.traces(app, opts);
+  const auto reference = xbar::validate_full_crossbars(app, opts);
+  // Written through under the full key, like a simulated entry...
+  const auto blob = store->get(full_key(app.name, opts));
+  ASSERT_TRUE(blob.has_value());
+  EXPECT_EQ(decode_metrics(*blob), reference);
+  // ...and served from memory without a second simulation.
+  EXPECT_EQ(*cache.full_metrics(app, opts), reference);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.trace_misses, 1);
+  EXPECT_EQ(stats.full_misses, 0);
+  EXPECT_EQ(stats.full_hits, 1);
+  EXPECT_EQ(stats.full_store_hits, 0);
+}
+
+TEST(TraceCache, StoreLoadedTracesLeaveTheFullEntryToTheStore) {
+  const auto store = std::make_shared<memory_store>();
+  const auto app = small_app();
+  const auto opts = fast_options();
+  (void)trace_cache(store).traces(app, opts);
+  // A second cache loads the traces from the store: nothing simulated,
+  // nothing seeded, so the full reference is a store hit.
+  trace_cache warm(store);
+  (void)warm.traces(app, opts);
+  EXPECT_EQ(*warm.full_metrics(app, opts),
+            xbar::validate_full_crossbars(app, opts));
+  const auto stats = warm.stats();
+  EXPECT_EQ(stats.trace_store_hits, 1);
+  EXPECT_EQ(stats.full_store_hits, 1);
+  EXPECT_EQ(stats.trace_misses + stats.full_misses, 0);
 }
 
 }  // namespace

@@ -221,7 +221,8 @@ TEST_F(ObsTest, DesignFlowEmitsFiveStageSpansExactlyOnce) {
 
   // The registry carries the flow's deterministic counters.
   const auto snap = obs::snapshot();
-  EXPECT_GE(snap.counter("sim.runs"), 2);  // phase 1 + validation
+  // Phase 1 (also the full-crossbar reference) + the designed run.
+  EXPECT_EQ(snap.counter("sim.runs"), 2);
   EXPECT_GT(snap.counter("sim.events_processed"), 0);
   EXPECT_EQ(snap.counter("xbar.synth.runs"), 2);
   EXPECT_GT(snap.counter("xbar.synth.feasibility_nodes"), 0);

@@ -3,7 +3,9 @@
 // streams bytes without a newline must be rejected with a protocol
 // error instead of growing the read buffer without bound. Both attacks
 // run against a live in-process server, which then must still answer
-// ping on a fresh connection.
+// ping on a fresh connection. Clients that reconnect per request must
+// not pile up connection threads, and a connection thread that cannot
+// start must cost only that connection.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -12,9 +14,13 @@
 
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <string>
 
+#include "obs/obs.h"
 #include "serve/server.h"
+#include "util/error.h"
+#include "util/failpoint.h"
 
 namespace stx::serve {
 namespace {
@@ -149,6 +155,79 @@ TEST(ServerRobustness, LinesUpToTheCapStillParse) {
   EXPECT_EQ(reply.find("protocol error: line exceeds"), std::string::npos)
       << reply.substr(0, 200);
   srv.stop();
+}
+
+/// Live threads of this process.
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e :
+       fs::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+/// Memory mappings of this process. A thread that exits unjoined leaves
+/// /proc/self/task but keeps its stack mapped, so this is what grows
+/// when finished connection threads are never joined.
+std::size_t mappings() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t n = 0;
+  for (std::string line; std::getline(maps, line);) ++n;
+  return n;
+}
+
+TEST(ServerRobustness, ReconnectPerRequestClientsDoNotPileUpThreads) {
+  service::options sopts;
+  sopts.workers = 1;
+  service svc(sopts);
+  server srv(svc, socket_path("reconnect"));
+  srv.start();
+  const std::string ping = R"({"op":"ping","id":"r"})";
+  (void)request_line(srv.socket_path(), ping);  // first stack allocated
+  const auto threads_before = live_threads();
+  const auto maps_before = mappings();
+
+  // request_line opens one connection per call: 2000 connections, each
+  // served by its own thread, one after another.
+  for (int i = 0; i < 2'000; ++i) {
+    const auto pong = request_line(srv.socket_path(), ping);
+    ASSERT_NE(pong.find("\"op\":\"ping\""), std::string::npos) << i;
+  }
+  // Unjoined threads would add a stack and its guard page per
+  // connection, ~4000 mappings here; the slack absorbs allocator and
+  // sanitizer-runtime mappings.
+  EXPECT_LE(live_threads(), threads_before + 4);
+  EXPECT_LE(mappings(), maps_before + 256);
+  srv.stop();
+}
+
+TEST(ServerRobustness, FailedConnectionThreadStartDropsOnlyThatConnection) {
+  failpoint::disarm_all();
+  obs::reset();
+  obs::enable();
+  service::options sopts;
+  sopts.workers = 1;
+  service svc(sopts);
+  server srv(svc, socket_path("spawn"));
+  srv.start();
+
+  // The accept loop cannot start a thread for the next connection: that
+  // client sees its connection closed, and the daemon keeps accepting.
+  failpoint::arm("serve.accept.spawn", "error");
+  EXPECT_THROW((void)request_line(srv.socket_path(), R"({"op":"ping"})"),
+               stx::error);
+  failpoint::disarm("serve.accept.spawn");
+  EXPECT_EQ(failpoint::hits("serve.accept.spawn"), 1);
+  EXPECT_EQ(obs::snapshot().counter("serve.accept_retries"), 1);
+  EXPECT_EQ(srv.live().connections, 0);
+
+  const auto pong =
+      request_line(srv.socket_path(), R"({"op":"ping","id":"next"})");
+  EXPECT_NE(pong.find("\"id\":\"next\""), std::string::npos) << pong;
+  srv.stop();
+  obs::disable();
+  obs::reset();
 }
 
 }  // namespace

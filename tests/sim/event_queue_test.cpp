@@ -1,5 +1,6 @@
 // Event-queue and event-kernel edge cases: deterministic ordering of
-// simultaneous wakes, zero-length horizons, events at horizon-1, and
+// simultaneous wakes, packed keys up to their field limits (and systems
+// past them rejected), zero-length horizons, events at horizon-1, and
 // re-arming components that are already queued.
 #include "sim/event_queue.h"
 
@@ -61,6 +62,46 @@ TEST(EventQueue, RandomKeysAlwaysPopSorted) {
   EXPECT_EQ(q.total_pushed(), 500);
   std::sort(keys.begin(), keys.end());
   for (const auto& expected : keys) EXPECT_EQ(q.pop(), expected);
+}
+
+TEST(EventQueue, PackedKeysPopInEventKeyOrderUpToTheFieldLimits) {
+  // The heap orders packed 64-bit words; that must be event_key order
+  // across the whole of every field, its largest values included.
+  constexpr cycle_t max_cycle = event_queue::cycle_limit - 1;
+  constexpr int max_component = event_queue::component_limit - 1;
+  std::vector<event_key> keys = {{max_cycle, phase_response_bus, max_component},
+                                 {max_cycle, phase_core, max_component},
+                                 {max_cycle, phase_response_bus, 0},
+                                 {0, phase_core, max_component},
+                                 {0, phase_request_bus, 0},
+                                 {0, phase_core, 0}};
+  rng r(2024);
+  for (int i = 0; i < 3000; ++i) {
+    // Cycles bunched at both ends of the field (ties exercise phase and
+    // component) or spread over all of it.
+    cycle_t cycle = 0;
+    switch (r.uniform_int(0, 2)) {
+      case 0: cycle = r.uniform_int(0, 8); break;
+      case 1: cycle = max_cycle - r.uniform_int(0, 8); break;
+      default: cycle = r.uniform_int(0, max_cycle); break;
+    }
+    const int component = r.uniform_int(0, 1) == 0
+                              ? static_cast<int>(r.uniform_int(0, 3))
+                              : static_cast<int>(max_component -
+                                                 r.uniform_int(0, 3));
+    keys.push_back({cycle, static_cast<int>(r.uniform_int(0, 3)), component});
+  }
+  event_queue q;
+  for (const auto& k : keys) {
+    EXPECT_EQ(event_queue::unpack(event_queue::pack(k)), k);
+    q.push(k);
+  }
+  std::sort(keys.begin(), keys.end());
+  for (const auto& expected : keys) {
+    EXPECT_EQ(q.top(), expected);
+    ASSERT_EQ(q.pop(), expected);
+  }
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, DuplicateKeysAreLegal) {
@@ -173,6 +214,37 @@ TEST(EventKernel, IdleSpansAreActuallySkipped) {
   sys.run(100'000);
   EXPECT_GT(sys.total_transactions(), 5);
   EXPECT_LT(sys.event_stats().cycles_visited, 2'000);
+}
+
+TEST(EventKernel, RejectsSystemsWhoseWakesCannotBePacked) {
+  // A horizon past the key's cycle field is refused before anything
+  // runs; the largest one that fits runs (idle spans are skipped).
+  auto cfg = event_config(1);
+  mpsoc_system sys({{compute_op(event_queue::cycle_limit / 2), read_op(0, 1)}},
+                   1, cfg);
+  EXPECT_THROW(sys.run(event_queue::cycle_limit + 1), invalid_argument_error);
+  EXPECT_EQ(sys.now(), 0);
+  sys.run(event_queue::cycle_limit);
+  EXPECT_EQ(sys.now(), event_queue::cycle_limit);
+  EXPECT_EQ(sys.total_transactions(), 1);
+
+  // A phase with more components than the key's component field holds
+  // (here: targets) is refused as well; one fewer fits.
+  for (const int targets : {event_queue::component_limit,
+                            event_queue::component_limit + 1}) {
+    system_config wide;
+    wide.request = crossbar_config::shared(targets);
+    wide.response = crossbar_config::full(1);
+    wide.record_traces = false;
+    mpsoc_system s({{read_op(targets - 1, 1)}}, targets, wide);
+    if (targets <= event_queue::component_limit) {
+      s.run(200);
+      EXPECT_GT(s.total_transactions(), 0);
+    } else {
+      EXPECT_THROW(s.run(200), invalid_argument_error);
+      EXPECT_EQ(s.now(), 0);
+    }
+  }
 }
 
 TEST(EventKernel, StatsAccumulateAcrossSegments) {

@@ -33,8 +33,12 @@ const flow_fixture& fixture() {
     flow_fixture out;
     out.app = s.make_app();
     out.opts = s.make_flow_options();
-    out.traces = xbar::collect_traces(out.app, out.opts);
-    out.report = xbar::design_from_traces(out.app, out.traces, out.opts);
+    // As run_scenario does: the full reference is phase 1's harvest.
+    xbar::flow_stage_inputs stages;
+    out.traces =
+        xbar::collect_traces(out.app, out.opts, &stages.full.emplace());
+    out.report =
+        xbar::design_from_traces(out.app, out.traces, out.opts, stages);
     return out;
   }();
   return f;
@@ -174,6 +178,21 @@ TEST(Oracle, ObserverEquivalenceCatchesTamperedMetrics) {
   std::vector<violation> vs;
   check_observer_equivalence(f.app, f.opts, broken, oracle_options{}, &vs);
   EXPECT_TRUE(has_invariant(vs, "observer-equivalence")) << to_string(vs);
+}
+
+TEST(Oracle, ObserverEquivalenceCatchesTamperedFullReference) {
+  // The designed section is intact; only the harvested full-crossbar
+  // reference disagrees with its recording-off re-simulation.
+  const auto& f = fixture();
+  auto broken = f.report;
+  broken.full.p99_latency += 0.5;
+  std::vector<violation> vs;
+  check_observer_equivalence(f.app, f.opts, broken, oracle_options{}, &vs);
+  ASSERT_EQ(vs.size(), 1u) << to_string(vs);
+  EXPECT_EQ(vs.front().invariant, "observer-equivalence");
+  EXPECT_NE(vs.front().detail.find("full-crossbar reference"),
+            std::string::npos)
+      << vs.front().detail;
 }
 
 TEST(Oracle, ObserverEquivalenceSkipsUnvalidatedReports) {

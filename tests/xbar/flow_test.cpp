@@ -101,5 +101,38 @@ TEST(Flow, ValidationMetricsAreInternallyConsistent) {
   EXPECT_EQ(report.designed.total_buses, report.designed_buses);
 }
 
+// Phase 1 simulates the same full crossbars as the phase-4 reference,
+// with trace recording on: its harvested metrics must equal the
+// reference's, and run_design_flow (which uses them) must equal the
+// composition that simulated the reference separately.
+TEST(Flow, PhaseOneMetricsAreTheFullCrossbarReference) {
+  for (const auto& app : workloads::all_mpsoc_apps()) {
+    for (const auto policy : {sim::arbitration::fixed_priority,
+                              sim::arbitration::round_robin,
+                              sim::arbitration::least_recently_granted}) {
+      for (const traffic::cycle_t overhead : {0, 2}) {
+        flow_options opts;
+        opts.horizon = 6'000;
+        opts.policy = policy;
+        opts.transfer_overhead = overhead;
+        const auto where = app.name + " " + sim::to_string(policy) +
+                           " overhead " + std::to_string(overhead);
+
+        validation_metrics harvested;
+        const auto traces = collect_traces(app, opts, &harvested);
+        const auto reference = validate_full_crossbars(app, opts);
+        EXPECT_EQ(harvested, reference) << where;
+        EXPECT_GT(harvested.packets, 0) << where;
+
+        flow_stage_inputs stages;
+        stages.full = reference;
+        EXPECT_EQ(run_design_flow(app, opts),
+                  design_from_traces(app, traces, opts, stages))
+            << where;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace stx::xbar
