@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <limits>
 #include <set>
 
 #include "gen/json.h"
@@ -51,6 +52,16 @@ xbar::solver_kind parse_solver(const std::string& s) {
   throw invalid_argument_error("unknown solver '" + s + "'");
 }
 
+/// An integer field stored in an `int`: out-of-range values are rejected,
+/// never narrowed.
+int as_int32(const json::value& v, const std::string& field) {
+  const auto x = v.as_int();
+  STX_REQUIRE(x >= std::numeric_limits<int>::min() &&
+                  x <= std::numeric_limits<int>::max(),
+              field + " is out of range");
+  return static_cast<int>(x);
+}
+
 /// The design-request option fields, applied over whatever defaults the
 /// application identity established (flow defaults for built-in apps,
 /// the scenario's own options for stxfuzz requests).
@@ -72,7 +83,7 @@ void apply_option_fields(const json::value& doc, design_request& req) {
     params.overlap_threshold = doc.at("threshold").as_double();
   }
   if (doc.contains("maxtb")) {
-    params.max_targets_per_bus = static_cast<int>(doc.at("maxtb").as_int());
+    params.max_targets_per_bus = as_int32(doc.at("maxtb"), "maxtb");
   }
   if (doc.contains("burst_window")) {
     params.burst_window = doc.at("burst_window").as_int();
@@ -106,9 +117,9 @@ void apply_option_fields(const json::value& doc, design_request& req) {
     opts.synth.limits.time_limit_sec = static_cast<double>(ms) / 1000.0;
   }
   if (doc.contains("solver_threads")) {
-    const auto threads = doc.at("solver_threads").as_int();
+    const int threads = as_int32(doc.at("solver_threads"), "solver_threads");
     STX_REQUIRE(threads >= 1, "solver_threads must be >= 1");
-    opts.synth.limits.threads = static_cast<int>(threads);
+    opts.synth.limits.threads = threads;
   }
   if (doc.contains("solver_cuts")) {
     opts.synth.limits.cuts = doc.at("solver_cuts").as_bool();

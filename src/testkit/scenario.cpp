@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "util/error.h"
@@ -187,6 +188,16 @@ std::int64_t parse_i64(const std::string& key, const std::string& text) {
   return v;
 }
 
+/// A field stored in an `int`: out-of-range values are rejected, never
+/// narrowed.
+int parse_i32(const std::string& key, const std::string& text) {
+  const auto v = parse_i64(key, text);
+  STX_REQUIRE(v >= std::numeric_limits<int>::min() &&
+                  v <= std::numeric_limits<int>::max(),
+              "scenario field " + key + " is out of range '" + text + "'");
+  return static_cast<int>(v);
+}
+
 std::uint64_t parse_u64(const std::string& key, const std::string& text) {
   errno = 0;
   char* end = nullptr;
@@ -242,13 +253,13 @@ scenario decode(const std::string& line) {
     if (key == "seed") {
       s.seed = parse_u64(key, val);
     } else if (key == "ini") {
-      s.num_initiators = static_cast<int>(parse_i64(key, val));
+      s.num_initiators = parse_i32(key, val);
     } else if (key == "tgt") {
-      s.num_targets = static_cast<int>(parse_i64(key, val));
+      s.num_targets = parse_i32(key, val);
     } else if (key == "burst") {
       s.burst_cycles = parse_i64(key, val);
     } else if (key == "cells") {
-      s.packet_cells = static_cast<int>(parse_i64(key, val));
+      s.packet_cells = parse_i32(key, val);
     } else if (key == "gap") {
       s.gap_cycles = parse_i64(key, val);
     } else if (key == "spread") {
@@ -258,15 +269,15 @@ scenario decode(const std::string& line) {
     } else if (key == "hotfrac") {
       s.hotspot_fraction = parse_f64(key, val);
     } else if (key == "hot") {
-      s.hotspot_target = static_cast<int>(parse_i64(key, val));
+      s.hotspot_target = parse_i32(key, val);
     } else if (key == "crit") {
-      s.critical_cores = static_cast<int>(parse_i64(key, val));
+      s.critical_cores = parse_i32(key, val);
     } else if (key == "win") {
       s.window_size = parse_i64(key, val);
     } else if (key == "thr") {
       s.overlap_threshold = parse_f64(key, val);
     } else if (key == "maxtb") {
-      s.max_targets_per_bus = static_cast<int>(parse_i64(key, val));
+      s.max_targets_per_bus = parse_i32(key, val);
     } else if (key == "horizon") {
       s.horizon = parse_i64(key, val);
     } else {

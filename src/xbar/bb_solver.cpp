@@ -16,6 +16,11 @@ namespace {
 constexpr cycle_t kNoIncumbent = std::numeric_limits<cycle_t>::max();
 
 /// Shared DFS engine for feasibility / optimisation / random binding.
+///
+/// A node does no allocation and never walks a bus's members: try_place()
+/// and unplace() keep per-bus running tables (summed overlap with each
+/// target, conflicting-member count per target, member count, window
+/// loads), so the Eq. 11 delta and the conflict test are lookups.
 class xbar_search {
  public:
   enum class mode { feasibility, optimize, random };
@@ -26,18 +31,20 @@ class xbar_search {
         num_buses_(num_buses),
         mode_(m),
         opts_(opts),
-        rng_(seed) {
+        rng_(seed),
+        targets_(static_cast<std::size_t>(input.num_targets())),
+        windows_(static_cast<std::size_t>(input.num_windows())) {
     const int T = input.num_targets();
 
     // Hardest-first target order: high peak demand and high conflict
     // degree first (fail-first keeps the tree small). Random mode keeps
     // a shuffled order instead.
-    order_.resize(static_cast<std::size_t>(T));
+    order_.resize(targets_);
     std::iota(order_.begin(), order_.end(), 0);
     if (mode_ == mode::random) {
       rng_.shuffle(order_);
     } else {
-      std::vector<double> score(static_cast<std::size_t>(T), 0.0);
+      std::vector<double> score(targets_, 0.0);
       for (int i = 0; i < T; ++i) {
         double s = 0.0;
         for (int m2 = 0; m2 < input.num_windows(); ++m2) {
@@ -57,23 +64,38 @@ class xbar_search {
       });
     }
 
-    // Sparse per-target window demands.
-    demand_.resize(static_cast<std::size_t>(T));
+    // Flat row-major copies of the model (om and conflict are symmetric,
+    // so row i is also column i), plus sparse per-target window demands.
+    om_.resize(targets_ * targets_);
+    conflict_.resize(targets_ * targets_);
+    demand_.resize(targets_);
     for (int i = 0; i < T; ++i) {
+      for (int j = 0; j < T; ++j) {
+        const std::size_t at = cell(i, j);
+        om_[at] = input.om(i, j);
+        conflict_[at] = input.conflict(i, j) ? 1 : 0;
+      }
       for (int m2 = 0; m2 < input.num_windows(); ++m2) {
         const cycle_t c = input.comm(i, m2);
         if (c > 0) {
-          demand_[static_cast<std::size_t>(i)].emplace_back(m2, c);
+          demand_[static_cast<std::size_t>(i)].emplace_back(
+              static_cast<std::size_t>(m2), c);
         }
       }
     }
 
-    load_.assign(static_cast<std::size_t>(num_buses_),
-                 std::vector<cycle_t>(
-                     static_cast<std::size_t>(input.num_windows()), 0));
-    members_.assign(static_cast<std::size_t>(num_buses_), {});
-    bus_overlap_.assign(static_cast<std::size_t>(num_buses_), 0);
-    binding_.assign(static_cast<std::size_t>(T), -1);
+    const auto buses = static_cast<std::size_t>(num_buses_);
+    load_.assign(buses * windows_, 0);
+    bus_om_.assign(buses * targets_, 0);
+    bus_conflicts_.assign(buses * targets_, 0);
+    bus_size_.assign(buses, 0);
+    bus_overlap_.assign(buses, 0);
+    binding_.assign(targets_, -1);
+    // Depth d tries at most d + 1 buses (symmetry breaking below).
+    children_.resize(targets_);
+    for (std::size_t d = 0; d < targets_; ++d) {
+      children_[d].reserve(std::min(d + 1, buses));
+    }
     start_ = std::chrono::steady_clock::now();
   }
 
@@ -96,6 +118,13 @@ class xbar_search {
   }
 
  private:
+  /// Row-major index of (row, col) in a table with one row per target or
+  /// bus and one column per target.
+  std::size_t cell(int row, int col) const {
+    return static_cast<std::size_t>(row) * targets_ +
+           static_cast<std::size_t>(col);
+  }
+
   bool out_of_budget() {
     if (nodes_ >= opts_.max_nodes) return true;
     if ((nodes_ & 0x3ff) == 0) {
@@ -119,49 +148,61 @@ class xbar_search {
 
   /// Overlap this target would add to bus k (sum of om with members).
   cycle_t overlap_delta(int target, int k) const {
-    cycle_t acc = 0;
-    for (int m : members_[static_cast<std::size_t>(k)]) {
-      acc += input_.om(target, m);
-    }
-    return acc;
+    return bus_om_[cell(k, target)];
   }
 
-  bool placement_ok(int target, int k) const {
+  /// Binds `target` to bus k when Eq. 3-9 allow it (cardinality,
+  /// conflicts, per-window capacity) and returns true; otherwise leaves
+  /// every table as it was and returns false. The capacity test shares
+  /// one pass over the target's demands with the load update.
+  bool try_place(int target, int k) {
+    const auto t = static_cast<std::size_t>(target);
+    const auto b = static_cast<std::size_t>(k);
     const int maxtb = input_.params().max_targets_per_bus;
-    if (maxtb > 0 &&
-        static_cast<int>(members_[static_cast<std::size_t>(k)].size()) >=
-            maxtb) {
-      return false;
-    }
-    for (int m : members_[static_cast<std::size_t>(k)]) {
-      if (input_.conflict(target, m)) return false;
-    }
-    for (const auto& [w, c] : demand_[static_cast<std::size_t>(target)]) {
-      if (load_[static_cast<std::size_t>(k)][static_cast<std::size_t>(w)] +
-              c >
-          input_.capacity(w)) {
+    if (maxtb > 0 && bus_size_[b] >= maxtb) return false;
+    if (bus_conflicts_[cell(k, target)] > 0) return false;
+    cycle_t* load = &load_[b * windows_];
+    const auto& demand = demand_[t];
+    for (std::size_t d = 0; d < demand.size(); ++d) {
+      const auto [w, c] = demand[d];
+      load[w] += c;
+      if (load[w] > input_.capacity(static_cast<int>(w))) {
+        for (std::size_t u = 0; u <= d; ++u) {
+          load[demand[u].first] -= demand[u].second;
+        }
         return false;
       }
+    }
+    binding_[t] = k;
+    bus_overlap_[b] += overlap_delta(target, k);
+    ++bus_size_[b];
+    const cycle_t* om = &om_[cell(target, 0)];
+    const int* conflict = &conflict_[cell(target, 0)];
+    cycle_t* bus_om = &bus_om_[cell(k, 0)];
+    int* bus_conflicts = &bus_conflicts_[cell(k, 0)];
+    for (std::size_t j = 0; j < targets_; ++j) {
+      bus_om[j] += om[j];
+      bus_conflicts[j] += conflict[j];
     }
     return true;
   }
 
-  void place(int target, int k) {
-    binding_[static_cast<std::size_t>(target)] = k;
-    bus_overlap_[static_cast<std::size_t>(k)] += overlap_delta(target, k);
-    members_[static_cast<std::size_t>(k)].push_back(target);
-    for (const auto& [w, c] : demand_[static_cast<std::size_t>(target)]) {
-      load_[static_cast<std::size_t>(k)][static_cast<std::size_t>(w)] += c;
-    }
-  }
-
   void unplace(int target, int k) {
-    members_[static_cast<std::size_t>(k)].pop_back();
-    bus_overlap_[static_cast<std::size_t>(k)] -= overlap_delta(target, k);
-    for (const auto& [w, c] : demand_[static_cast<std::size_t>(target)]) {
-      load_[static_cast<std::size_t>(k)][static_cast<std::size_t>(w)] -= c;
+    const auto t = static_cast<std::size_t>(target);
+    const auto b = static_cast<std::size_t>(k);
+    const cycle_t* om = &om_[cell(target, 0)];
+    const int* conflict = &conflict_[cell(target, 0)];
+    cycle_t* bus_om = &bus_om_[cell(k, 0)];
+    int* bus_conflicts = &bus_conflicts_[cell(k, 0)];
+    for (std::size_t j = 0; j < targets_; ++j) {
+      bus_om[j] -= om[j];
+      bus_conflicts[j] -= conflict[j];
     }
-    binding_[static_cast<std::size_t>(target)] = -1;
+    --bus_size_[b];
+    bus_overlap_[b] -= overlap_delta(target, k);
+    cycle_t* load = &load_[b * windows_];
+    for (const auto& [w, c] : demand_[t]) load[w] -= c;
+    binding_[t] = -1;
   }
 
   /// `used` = number of buses currently holding at least one target.
@@ -187,37 +228,42 @@ class xbar_search {
     }
 
     const int target = order_[depth];
+    const bool optimize = mode_ == mode::optimize;
+    // Bound: max overlap only grows as targets are added. Trying a child
+    // restores every table, so the node's objective and each child's
+    // delta hold for all children; only the incumbent tightens.
+    const cycle_t node_max = optimize ? current_max_overlap() : 0;
+    const auto within_bound = [&](cycle_t delta, int k) {
+      return std::max(node_max, bus_overlap_[static_cast<std::size_t>(k)] +
+                                    delta) < best_overlap_;
+    };
     // Symmetry breaking: existing buses plus at most one fresh bus.
     const int reach = std::min(used + 1, num_buses_);
-    std::vector<int> candidates;
-    candidates.reserve(static_cast<std::size_t>(reach));
-    for (int k = 0; k < reach; ++k) candidates.push_back(k);
-
-    if (mode_ == mode::random) {
-      rng_.shuffle(candidates);
-    } else if (mode_ == mode::optimize) {
-      // Cheapest-overlap-first child order finds tight incumbents early.
-      std::stable_sort(candidates.begin(), candidates.end(),
-                       [&](int a, int b) {
-                         return overlap_delta(target, a) <
-                                overlap_delta(target, b);
-                       });
+    auto& children = children_[depth];
+    children.clear();
+    for (int k = 0; k < reach; ++k) {
+      if (!optimize) {
+        children.emplace_back(0, k);
+        continue;
+      }
+      // A child the bound cuts now stays cut under any later incumbent.
+      const cycle_t delta = overlap_delta(target, k);
+      if (within_bound(delta, k)) children.emplace_back(delta, k);
     }
 
-    for (int k : candidates) {
-      if (!placement_ok(target, k)) continue;
-      if (mode_ == mode::optimize) {
-        // Bound: max overlap only grows as targets are added.
-        const cycle_t next =
-            bus_overlap_[static_cast<std::size_t>(k)] +
-            overlap_delta(target, k);
-        if (std::max(current_max_overlap(), next) >= best_overlap_) {
-          continue;
-        }
-      }
-      place(target, k);
+    if (mode_ == mode::random) {
+      rng_.shuffle(children);
+    } else if (optimize) {
+      // Cheapest-overlap-first child order finds tight incumbents early;
+      // equal deltas keep bus order.
+      std::sort(children.begin(), children.end());
+    }
+
+    for (const auto& [delta, k] : children) {
+      if (optimize && !within_bound(delta, k)) continue;
+      if (!try_place(target, k)) continue;
       const int next_used =
-          used + (members_[static_cast<std::size_t>(k)].size() == 1 ? 1 : 0);
+          used + (bus_size_[static_cast<std::size_t>(k)] == 1 ? 1 : 0);
       if (dfs(depth + 1, next_used)) return true;
       unplace(target, k);
       if (limit_hit_) return false;
@@ -230,13 +276,24 @@ class xbar_search {
   mode mode_;
   solver_options opts_;
   rng rng_;
+  std::size_t targets_;
+  std::size_t windows_;
 
   std::vector<int> order_;
-  std::vector<std::vector<std::pair<int, cycle_t>>> demand_;
-  std::vector<std::vector<cycle_t>> load_;
-  std::vector<std::vector<int>> members_;
-  std::vector<cycle_t> bus_overlap_;
+  std::vector<cycle_t> om_;     ///< om(i, j) at cell(i, j)
+  std::vector<int> conflict_;   ///< 1 where c[i][j], at cell(i, j)
+  /// Per target, its nonzero (window, cycles) demands.
+  std::vector<std::vector<std::pair<std::size_t, cycle_t>>> demand_;
+
+  // Per-bus running state, kept exact by try_place() / unplace().
+  std::vector<cycle_t> load_;         ///< bus k, window w at k * W + w
+  std::vector<cycle_t> bus_om_;       ///< sum_{m on k} om(t, m), cell(k, t)
+  std::vector<int> bus_conflicts_;    ///< members of k conflicting with t
+  std::vector<int> bus_size_;
+  std::vector<cycle_t> bus_overlap_;  ///< Eq. 11 pair sum per bus
   std::vector<int> binding_;
+  /// Child buffer per depth: (overlap delta, bus), reserved up front.
+  std::vector<std::vector<std::pair<cycle_t, int>>> children_;
 
   std::vector<int> best_binding_;
   cycle_t best_overlap_ = kNoIncumbent;

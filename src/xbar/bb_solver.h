@@ -4,8 +4,16 @@
 // Eq. 11 min-max-overlap binding) with a dedicated branch & bound:
 // targets are assigned to buses hardest-first, with window-bandwidth /
 // conflict / cardinality propagation and bus-symmetry breaking. Exact —
-// property tests cross-check it against the generic MILP path — but
-// orders of magnitude faster, which is what the benches use.
+// property tests cross-check it against the generic MILP path — and the
+// default engine (solver_kind::specialized).
+//
+// Placing a target on a bus (and undoing it) updates per-bus running
+// tables: each target's summed overlap with the bus's members, the count
+// of members conflicting with each target, the member count and the
+// per-window load. A search node therefore reads its Eq. 11 deltas and
+// conflict tests from the tables, tests the O(1) objective bound before
+// the capacity scan, and allocates nothing. The binding search tries
+// children in (overlap delta, bus id) order.
 #pragma once
 
 #include <atomic>

@@ -113,6 +113,28 @@ TEST(Protocol, RejectsMalformedRequests) {
                invalid_argument_error);
 }
 
+TEST(Protocol, RejectsIntegersThatDoNotFitAnInt) {
+  // These fields land in an `int`; a wider value must not wrap into a
+  // different, valid one (2^32 + 1 would read as 1, 2^31 as INT_MIN).
+  for (const char* field : {"maxtb", "solver_threads"}) {
+    SCOPED_TRACE(field);
+    for (const char* value : {"4294967297", "2147483648", "-2147483649"}) {
+      const auto line = std::string(R"({"op":"design","app":"mat2",")") +
+                        field + "\":" + value + "}";
+      EXPECT_THROW(parse_request(line), invalid_argument_error) << line;
+    }
+  }
+  EXPECT_THROW(
+      parse_request(
+          R"({"op":"design","scenario":"stxfuzz/v1 seed=1 tgt=4294967299"})"),
+      invalid_argument_error);
+  const auto widest = parse_request(
+      R"({"op":"design","app":"mat2","maxtb":2147483647,)"
+      R"("solver_threads":2147483647})");
+  EXPECT_EQ(widest.design.opts.synth.params.max_targets_per_bus, 2147483647);
+  EXPECT_EQ(widest.design.opts.synth.limits.threads, 2147483647);
+}
+
 TEST(Protocol, DesignResponseRoundTripsByteExactly) {
   workloads::synthetic_params params;
   params.num_cores = 8;

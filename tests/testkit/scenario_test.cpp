@@ -103,6 +103,20 @@ TEST(Scenario, DecodeRejectsMalformedInput) {
   EXPECT_THROW(decode("stxfuzz/v1 hot=7 tgt=4"), invalid_argument_error);
 }
 
+TEST(Scenario, DecodeRejectsIntegersThatDoNotFitAnInt) {
+  // These fields are `int`s; a wider value must not wrap into a different,
+  // valid record (tgt=2^32+3 would read as tgt=3).
+  for (const char* field : {"ini", "tgt", "cells", "hot", "crit", "maxtb"}) {
+    SCOPED_TRACE(field);
+    for (const char* value : {"4294967299", "2147483648", "-2147483649"}) {
+      const auto line = std::string("stxfuzz/v1 ") + field + "=" + value;
+      EXPECT_THROW(decode(line), invalid_argument_error) << line;
+    }
+  }
+  EXPECT_EQ(decode("stxfuzz/v1 maxtb=2147483647").max_targets_per_bus,
+            2147483647);
+}
+
 TEST(Scenario, DecodeFillsOmittedFieldsWithDefaults) {
   const auto s = decode("stxfuzz/v1 seed=42 ini=3");
   EXPECT_EQ(s.seed, 42u);

@@ -3,9 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <map>
 #include <set>
+#include <string>
 
 #include "util/error.h"
+#include "workloads/mpsoc_apps.h"
+#include "xbar/flow.h"
+#include "xbar/synthesis.h"
 
 namespace stx::xbar {
 namespace {
@@ -150,6 +157,149 @@ TEST(BbSolver, StatsReportNodes) {
   ASSERT_TRUE(b.has_value());
   EXPECT_GT(stats.nodes, 0);
   EXPECT_TRUE(stats.complete);
+}
+
+TEST(BbSolver, NodeBudgetReturnsTheIncumbentUnproven) {
+  // Ten unconstrained targets on four buses: the first descent finds a
+  // binding within 11 nodes, proving it optimal takes far more than 60.
+  std::vector<std::vector<cycle_t>> om(10, std::vector<cycle_t>(10, 0));
+  for (std::size_t i = 0; i < 10; ++i) {
+    for (std::size_t j = i + 1; j < 10; ++j) {
+      om[i][j] = om[j][i] = static_cast<cycle_t>((i * 7 + j * 13) % 19 + 1);
+    }
+  }
+  const auto in = make_input(std::vector<std::vector<cycle_t>>(10, {5}), om,
+                             {}, basic_params());
+  solver_options opts;
+  opts.max_nodes = 60;
+  solve_stats stats;
+  const auto sol = find_min_overlap_binding(in, 4, opts, &stats);
+  ASSERT_TRUE(sol.has_value());
+  EXPECT_FALSE(sol->proven_optimal);
+  EXPECT_EQ(stats.nodes, 60);
+  EXPECT_FALSE(stats.complete);
+  EXPECT_TRUE(in.binding_feasible(sol->binding, 4));
+  EXPECT_EQ(in.max_bus_overlap(sol->binding, 4), sol->max_overlap);
+}
+
+TEST(BbSolver, RaisedCancelFlagStopsBothSearches) {
+  // The portfolio race stops the losing engine through this flag.
+  const auto in = make_input({{30}, {30}, {30}}, {}, {}, basic_params());
+  std::atomic<bool> cancel{true};
+  solver_options opts;
+  opts.cancel = &cancel;
+  solve_stats feasibility;
+  EXPECT_THROW(find_feasible_binding(in, 2, opts, &feasibility), error);
+  EXPECT_FALSE(feasibility.complete);
+  solve_stats binding;
+  EXPECT_THROW(find_min_overlap_binding(in, 2, opts, &binding), error);
+  EXPECT_FALSE(binding.complete);
+  // The same input solves once the flag is down.
+  cancel = false;
+  EXPECT_TRUE(find_feasible_binding(in, 2, opts).has_value());
+}
+
+/// FNV-1a over 64-bit values, folded a byte at a time (low byte first).
+class fnv1a {
+ public:
+  void add(std::int64_t v) {
+    auto u = static_cast<std::uint64_t>(v);
+    for (int b = 0; b < 8; ++b, u >>= 8) {
+      hash_ ^= u & 0xffU;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(const std::vector<int>& v) {
+    add(static_cast<std::int64_t>(v.size()));
+    for (int x : v) add(x);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// Folds everything the specialised search decides on one direction's
+/// traffic over the sweep_grid grid: the synthesised design with its node
+/// counts, two random-baseline bindings, and a 500-node optimise search
+/// (cut by its budget or not). Node budgets only, so a slow machine
+/// cannot change a digest.
+std::uint64_t search_tree_digest(const traffic::trace& t) {
+  solver_options limits;
+  limits.time_limit_sec = 0.0;
+  fnv1a h;
+  for (const cycle_t window : {200, 400, 800, 1600}) {
+    for (const double threshold : {0.1, 0.3, 0.5}) {
+      for (const int maxtb : {0, 4}) {
+        synthesis_options so;
+        so.limits = limits;
+        so.params.window_size = window;
+        so.params.overlap_threshold = threshold;
+        so.params.max_targets_per_bus = maxtb;
+        const auto in = input_from_trace(t, so.params);
+        const auto d = synthesize(in, so);
+        h.add(d.num_buses);
+        h.add(d.binding);
+        h.add(d.max_overlap);
+        h.add(d.binding_optimal ? 1 : 0);
+        h.add(d.probes);
+        h.add(d.feasibility_nodes);
+        h.add(d.binding_nodes);
+        for (const std::uint64_t seed : {1, 2}) {
+          const auto rb =
+              find_random_feasible_binding(in, d.num_buses, seed, limits);
+          h.add(rb.has_value() ? 1 : 0);
+          if (rb.has_value()) h.add(*rb);
+        }
+        solver_options budget = limits;
+        budget.max_nodes = 500;
+        solve_stats stats;
+        try {
+          const auto sol =
+              find_min_overlap_binding(in, d.num_buses, budget, &stats);
+          h.add(sol.has_value() ? 1 : 0);
+          if (sol.has_value()) {
+            h.add(sol->binding);
+            h.add(sol->max_overlap);
+            h.add(sol->proven_optimal ? 1 : 0);
+          }
+        } catch (const error&) {
+          h.add(-1);
+        }
+        h.add(stats.nodes);
+      }
+    }
+  }
+  return h.value();
+}
+
+TEST(BbSolver, SearchTreeIsPinnedOverTheSweepGrid) {
+  // The goldens pin node counts only at default parameters; these
+  // digests pin the whole search (sizes, bindings, node counts, random
+  // bindings, budget-cut searches) across the sweep_grid grid. A change
+  // to the search's child order or pruning moves them.
+  const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
+      expected = {
+          {"Mat1", {0x52816814886c01baULL, 0x14f39dd04ba436b9ULL}},
+          {"Mat2", {0x9308aa77c42b75c5ULL, 0x196270ad10f68895ULL}},
+          {"FFT", {0x991ca4ee3fdb16d6ULL, 0x528c3f7e3ca3b925ULL}},
+          {"QSort", {0x564caaec7cdbe9ddULL, 0xf0209b2e28a1f4ddULL}},
+          {"DES", {0x783b9e2d541a454bULL, 0xeb823e073749b2b5ULL}},
+      };
+  flow_options opts;
+  opts.horizon = 6'000;
+  for (const auto& app : workloads::all_mpsoc_apps()) {
+    SCOPED_TRACE(app.name);
+    const auto traces = collect_traces(app, opts);
+    const auto it = expected.find(app.name);
+    ASSERT_NE(it, expected.end());
+    const auto request = search_tree_digest(traces.request);
+    const auto response = search_tree_digest(traces.response);
+    EXPECT_EQ(request, it->second.first)
+        << "request digest 0x" << std::hex << request;
+    EXPECT_EQ(response, it->second.second)
+        << "response digest 0x" << std::hex << response;
+  }
 }
 
 TEST(BbSolver, RejectsNonPositiveBusCount) {
