@@ -1,7 +1,5 @@
 #include "explore/codec.h"
 
-#include <sstream>
-
 #include "gen/json.h"
 #include "gen/json_backend.h"
 #include "util/error.h"
@@ -9,38 +7,27 @@
 namespace stx::explore {
 
 std::string encode_traces(const xbar::collected_traces& traces) {
-  std::ostringstream out;
-  out << "stxtraces/v1\n";
-  traces.request.save(out);
-  traces.response.save(out);
-  return std::move(out).str();
+  std::string out = "stxtraces/v1\n";
+  traces.request.append_text(out);
+  traces.response.append_text(out);
+  return out;
 }
 
 xbar::collected_traces decode_traces(const std::string& blob) {
-  std::istringstream in(blob);
-  std::string magic;
-  in >> magic;
+  std::size_t pos = 0;
+  const auto magic = traffic::next_token(blob, pos);
   STX_REQUIRE(magic == "stxtraces/v1", "not an stxtraces/v1 blob");
   xbar::collected_traces traces;
-  traces.request = traffic::trace::load(in);
-  traces.response = traffic::trace::load(in);
+  traces.request = traffic::trace::parse_text(blob, pos);
+  traces.response = traffic::trace::parse_text(blob, pos);
   return traces;
 }
 
 std::string encode_metrics(const xbar::validation_metrics& m) {
-  const gen::json::value doc(gen::json::object{
-      {"schema", "stx-validation-metrics/v1"},
-      {"avg_latency", m.avg_latency},
-      {"max_latency", m.max_latency},
-      {"p99_latency", m.p99_latency},
-      {"avg_critical", m.avg_critical},
-      {"max_critical", m.max_critical},
-      {"packets", m.packets},
-      {"transactions", m.transactions},
-      {"iterations", m.iterations},
-      {"total_buses", m.total_buses},
-  });
-  return gen::json::dump(doc);
+  gen::json::object doc;
+  doc.emplace_back("schema", "stx-validation-metrics/v1");
+  gen::append_metrics(doc, m);
+  return gen::json::dump(gen::json::value(std::move(doc)));
 }
 
 xbar::validation_metrics decode_metrics(const std::string& blob) {
@@ -48,17 +35,7 @@ xbar::validation_metrics decode_metrics(const std::string& blob) {
   STX_REQUIRE(doc.contains("schema") && doc.at("schema").as_string() ==
                                             "stx-validation-metrics/v1",
               "not an stx-validation-metrics/v1 blob");
-  xbar::validation_metrics m;
-  m.avg_latency = doc.at("avg_latency").as_double();
-  m.max_latency = doc.at("max_latency").as_double();
-  m.p99_latency = doc.at("p99_latency").as_double();
-  m.avg_critical = doc.at("avg_critical").as_double();
-  m.max_critical = doc.at("max_critical").as_double();
-  m.packets = doc.at("packets").as_int();
-  m.transactions = doc.at("transactions").as_int();
-  m.iterations = doc.at("iterations").as_int();
-  m.total_buses = static_cast<int>(doc.at("total_buses").as_int());
-  return m;
+  return gen::metrics_from_json(doc);
 }
 
 std::string encode_report(const xbar::flow_report& report) {

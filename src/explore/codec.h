@@ -2,8 +2,10 @@
 // cacheable stage result. Every encode/decode pair round-trips exactly
 // (operator== on the decoded value), which is what makes warm-cache
 // results bit-identical to fresh computation:
-//   traces  — "stxtraces/v1" envelope over two stxtrace v1 streams
-//   metrics — "stx-validation-metrics/v1" JSON (doubles at %.17g)
+//   traces  — "stxtraces/v1" envelope over two stxtrace v1 texts
+//             (traffic::trace::append_text / parse_text, read in place)
+//   metrics — "stx-validation-metrics/v1" JSON: the schema tag, then the
+//             design document's metrics members (gen::append_metrics)
 //   reports — the gen "stx-crossbar-design/v1" document (emit/parse)
 // Decoders throw stx::invalid_argument_error on malformed input; store
 // consumers catch and treat that as a cache miss.

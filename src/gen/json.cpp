@@ -1,12 +1,13 @@
 #include "gen/json.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace stx::gen::json {
 
@@ -41,14 +42,15 @@ const object& value::as_object() const {
   return std::get<object>(v_);
 }
 
-const value& value::at(const std::string& key) const {
+const value& value::at(std::string_view key) const {
   for (const auto& [k, v] : as_object()) {
     if (k == key) return v;
   }
-  throw invalid_argument_error("JSON object has no member '" + key + "'");
+  throw invalid_argument_error("JSON object has no member '" +
+                               std::string(key) + "'");
 }
 
-bool value::contains(const std::string& key) const {
+bool value::contains(std::string_view key) const {
   if (!is_object()) return false;
   for (const auto& [k, v] : std::get<object>(v_)) {
     if (k == key) return true;
@@ -58,98 +60,140 @@ bool value::contains(const std::string& key) const {
 
 namespace {
 
-void write_escaped(std::ostringstream& out, const std::string& s) {
-  out << '"';
-  for (char c : s) {
+/// Appends `s` quoted, copying each run of characters that need no escape
+/// in one call.
+void write_escaped(std::string& out, std::string_view s) {
+  out.push_back('"');
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out << buf;
-        } else {
-          out << c;
-        }
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        // Other control characters as \u00xx (lowercase hex).
+        constexpr char hex[] = "0123456789abcdef";
+        const char u[] = {'\\', 'u', '0', '0', hex[c >> 4], hex[c & 0xf]};
+        out.append(u, sizeof(u));
+      }
     }
   }
-  out << '"';
+  out.append(s.data() + run, s.size() - run);
+  out.push_back('"');
 }
 
-void write_double(std::ostringstream& out, double d) {
+void write_double(std::string& out, double d) {
   STX_REQUIRE(std::isfinite(d), "JSON cannot represent non-finite numbers");
+  // The same bytes as printf's "%.17g" (the standard defines to_chars with
+  // a precision that way), without the format-string machinery.
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  out << buf;
+  const auto res = std::to_chars(buf, buf + sizeof(buf), d,
+                                 std::chars_format::general, 17);
+  out.append(buf, res.ptr);
   // Keep the number recognisable as a double after a round-trip.
-  const std::string s(buf);
-  if (s.find('.') == std::string::npos && s.find('e') == std::string::npos &&
-      s.find("inf") == std::string::npos) {
-    out << ".0";
+  if (std::none_of(buf, res.ptr, [](char c) { return c == '.' || c == 'e'; })) {
+    out += ".0";
   }
 }
 
-void write_value(std::ostringstream& out, const value& v, int depth) {
-  const std::string pad(static_cast<std::size_t>(depth) * 2, ' ');
-  const std::string inner(static_cast<std::size_t>(depth + 1) * 2, ' ');
+/// Writes a null, boolean, number or string.
+void write_scalar(std::string& out, const value& v) {
   if (v.is_null()) {
-    out << "null";
+    out += "null";
   } else if (v.is_bool()) {
-    out << (v.as_bool() ? "true" : "false");
+    out += v.as_bool() ? "true" : "false";
   } else if (v.is_int()) {
-    out << v.as_int();
+    append_int(out, v.as_int());
   } else if (v.is_double()) {
     write_double(out, v.as_double());
-  } else if (v.is_string()) {
+  } else {
     write_escaped(out, v.as_string());
-  } else if (v.is_array()) {
+  }
+}
+
+void newline_indent(std::string& out, int depth) {
+  out.push_back('\n');
+  out.append(static_cast<std::size_t>(depth) * 2, ' ');
+}
+
+void write_value(std::string& out, const value& v, int depth) {
+  if (v.is_array()) {
     const auto& a = v.as_array();
     if (a.empty()) {
-      out << "[]";
+      out += "[]";
       return;
     }
     // Arrays of scalars stay on one line; nested structures get one
     // element per line for readable diffs.
-    bool scalar = true;
-    for (const auto& e : a) {
-      if (e.is_array() || e.is_object()) scalar = false;
-    }
-    out << '[';
+    const bool scalar = std::none_of(a.begin(), a.end(), [](const value& e) {
+      return e.is_array() || e.is_object();
+    });
+    out.push_back('[');
     for (std::size_t i = 0; i < a.size(); ++i) {
       if (scalar) {
-        if (i > 0) out << ", ";
+        if (i > 0) out += ", ";
       } else {
-        out << (i > 0 ? ",\n" : "\n") << inner;
+        if (i > 0) out.push_back(',');
+        newline_indent(out, depth + 1);
       }
       write_value(out, a[i], depth + 1);
     }
-    if (!scalar) out << '\n' << pad;
-    out << ']';
-  } else {
+    if (!scalar) newline_indent(out, depth);
+    out.push_back(']');
+  } else if (v.is_object()) {
     const auto& o = v.as_object();
     if (o.empty()) {
-      out << "{}";
+      out += "{}";
       return;
     }
-    out << '{';
+    out.push_back('{');
     for (std::size_t i = 0; i < o.size(); ++i) {
-      out << (i > 0 ? ",\n" : "\n") << inner;
+      if (i > 0) out.push_back(',');
+      newline_indent(out, depth + 1);
       write_escaped(out, o[i].first);
-      out << ": ";
+      out += ": ";
       write_value(out, o[i].second, depth + 1);
     }
-    out << '\n' << pad << '}';
+    newline_indent(out, depth);
+    out.push_back('}');
+  } else {
+    write_scalar(out, v);
+  }
+}
+
+void write_value_compact(std::string& out, const value& v) {
+  if (v.is_array()) {
+    out.push_back('[');
+    const auto& a = v.as_array();
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (i > 0) out.push_back(',');
+      write_value_compact(out, a[i]);
+    }
+    out.push_back(']');
+  } else if (v.is_object()) {
+    out.push_back('{');
+    const auto& o = v.as_object();
+    for (std::size_t i = 0; i < o.size(); ++i) {
+      if (i > 0) out.push_back(',');
+      write_escaped(out, o[i].first);
+      out.push_back(':');
+      write_value_compact(out, o[i].second);
+    }
+    out.push_back('}');
+  } else {
+    write_scalar(out, v);
   }
 }
 
 class parser {
  public:
-  explicit parser(const std::string& text) : text_(text) {}
+  explicit parser(std::string_view text) : text_(text) {}
 
   value run() {
     skip_ws();
@@ -193,13 +237,20 @@ class parser {
     }
   }
 
-  bool consume_literal(const char* lit) {
-    const std::size_t n = std::string(lit).size();
-    if (text_.compare(pos_, n, lit) == 0) {
-      pos_ += n;
+  bool consume_literal(std::string_view lit) {
+    if (text_.substr(pos_, lit.size()) == lit) {
+      pos_ += lit.size();
       return true;
     }
     return false;
+  }
+
+  /// Enters one array or object level; the parser recurses per level, so
+  /// the cap is what keeps hostile input off the end of the stack.
+  void descend() {
+    if (++depth_ > max_depth) {
+      fail("nesting deeper than " + std::to_string(max_depth) + " levels");
+    }
   }
 
   value parse_value() {
@@ -222,10 +273,12 @@ class parser {
 
   value parse_object() {
     expect('{');
+    descend();
     object o;
     skip_ws();
     if (peek() == '}') {
       ++pos_;
+      --depth_;
       return value(std::move(o));
     }
     while (true) {
@@ -243,15 +296,18 @@ class parser {
         fail("expected ',' or '}' in object");
       }
     }
+    --depth_;
     return value(std::move(o));
   }
 
   value parse_array() {
     expect('[');
+    descend();
     array a;
     skip_ws();
     if (peek() == ']') {
       ++pos_;
+      --depth_;
       return value(std::move(a));
     }
     while (true) {
@@ -265,6 +321,7 @@ class parser {
         fail("expected ',' or ']' in array");
       }
     }
+    --depth_;
     return value(std::move(a));
   }
 
@@ -272,44 +329,46 @@ class parser {
     expect('"');
     std::string out;
     while (true) {
-      char c = take();
-      if (c == '"') break;
-      if (c == '\\') {
-        const char esc = take();
-        switch (esc) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'u': {
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = take();
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f')
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F')
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              else
-                fail("invalid \\u escape");
-            }
-            // Only the BMP subset our writer emits (control characters).
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else {
-              fail("non-ASCII \\u escapes are not supported");
-            }
-            break;
+      // Copy the run up to the next quote or backslash in one append.
+      std::size_t end = pos_;
+      while (end < text_.size() && text_[end] != '"' && text_[end] != '\\') {
+        ++end;
+      }
+      out.append(text_.data() + pos_, end - pos_);
+      pos_ = end;
+      if (take() == '"') break;
+      const char esc = take();
+      switch (esc) {
+        case '"': out.push_back('"'); break;
+        case '\\': out.push_back('\\'); break;
+        case '/': out.push_back('/'); break;
+        case 'n': out.push_back('\n'); break;
+        case 'r': out.push_back('\r'); break;
+        case 't': out.push_back('\t'); break;
+        case 'b': out.push_back('\b'); break;
+        case 'f': out.push_back('\f'); break;
+        case 'u': {
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            const char h = take();
+            code <<= 4;
+            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f')
+              code |= static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F')
+              code |= static_cast<unsigned>(h - 'A' + 10);
+            else
+              fail("invalid \\u escape");
           }
-          default: fail("invalid escape sequence");
+          // Only the BMP subset our writer emits (control characters).
+          if (code < 0x80) {
+            out.push_back(static_cast<char>(code));
+          } else {
+            fail("non-ASCII \\u escapes are not supported");
+          }
+          break;
         }
-      } else {
-        out.push_back(c);
+        default: fail("invalid escape sequence");
       }
     }
     return out;
@@ -330,8 +389,30 @@ class parser {
         break;
       }
     }
-    const std::string tok = text_.substr(start, pos_ - start);
+    const std::string_view tok = text_.substr(start, pos_ - start);
     if (tok.empty() || tok == "-") fail("invalid number");
+    // The token is read in place. from_chars reads exactly what strtoll /
+    // strtod read, except a leading '+' (strtoll/strtod accept it) and a
+    // value out of range (strtod still returns one); those two take the C
+    // library path.
+    if (tok.front() != '+') {
+      const char* last = tok.data() + tok.size();
+      if (!is_double) {
+        std::int64_t i = 0;
+        const auto res = std::from_chars(tok.data(), last, i);
+        if (res.ec == std::errc() && res.ptr == last) return value(i);
+      }
+      double d = 0.0;
+      const auto res = std::from_chars(tok.data(), last, d);
+      if (res.ec == std::errc() && res.ptr == last) return value(d);
+      if (res.ec != std::errc::result_out_of_range) {
+        fail("invalid number '" + std::string(tok) + "'");
+      }
+    }
+    return parse_number_libc(std::string(tok), is_double);
+  }
+
+  value parse_number_libc(const std::string& tok, bool is_double) {
     char* end = nullptr;
     if (!is_double) {
       errno = 0;
@@ -346,58 +427,27 @@ class parser {
     return value(d);
   }
 
-  const std::string& text_;
+  std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
-
-void write_value_compact(std::ostringstream& out, const value& v) {
-  if (v.is_null()) {
-    out << "null";
-  } else if (v.is_bool()) {
-    out << (v.as_bool() ? "true" : "false");
-  } else if (v.is_int()) {
-    out << v.as_int();
-  } else if (v.is_double()) {
-    write_double(out, v.as_double());
-  } else if (v.is_string()) {
-    write_escaped(out, v.as_string());
-  } else if (v.is_array()) {
-    out << '[';
-    const auto& a = v.as_array();
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      if (i > 0) out << ',';
-      write_value_compact(out, a[i]);
-    }
-    out << ']';
-  } else {
-    out << '{';
-    const auto& o = v.as_object();
-    for (std::size_t i = 0; i < o.size(); ++i) {
-      if (i > 0) out << ',';
-      write_escaped(out, o[i].first);
-      out << ':';
-      write_value_compact(out, o[i].second);
-    }
-    out << '}';
-  }
-}
 
 }  // namespace
 
 std::string dump(const value& v) {
-  std::ostringstream out;
+  std::string out;
   write_value(out, v, 0);
-  out << '\n';
-  return out.str();
+  out.push_back('\n');
+  return out;
 }
 
 std::string dump_compact(const value& v) {
-  std::ostringstream out;
+  std::string out;
   write_value_compact(out, v);
-  return out.str();
+  return out;
 }
 
-value parse(const std::string& text) { return parser(text).run(); }
+value parse(std::string_view text) { return parser(text).run(); }
 
 namespace {
 
@@ -410,9 +460,9 @@ std::string summarise(const value& v) {
   if (v.is_object()) {
     return "object{" + std::to_string(v.as_object().size()) + " members}";
   }
-  std::ostringstream out;
-  write_value(out, v, 0);
-  return out.str();
+  std::string out;
+  write_scalar(out, v);
+  return out;
 }
 
 struct diff_state {

@@ -2,12 +2,14 @@
 //
 // Scope: exactly what the JSON backend needs — objects (insertion-ordered),
 // arrays, strings, 64-bit integers, doubles, booleans, null. Doubles are
-// written with 17 significant digits so every finite value round-trips
-// bit-exactly through dump() + parse(). No external dependencies.
+// written with 17 significant digits (the bytes of printf's "%.17g") so
+// every finite value round-trips bit-exactly through dump() + parse(). No
+// external dependencies.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -52,9 +54,9 @@ class value {
   const object& as_object() const;
 
   /// Object member lookup; throws when not an object or key is missing.
-  const value& at(const std::string& key) const;
+  const value& at(std::string_view key) const;
   /// True when this is an object holding `key`.
-  bool contains(const std::string& key) const;
+  bool contains(std::string_view key) const;
 
   bool operator==(const value& other) const { return v_ == other.v_; }
 
@@ -73,9 +75,16 @@ std::string dump(const value& v);
 /// parse(dump_compact(v)) == v holds whenever parse(dump(v)) == v does.
 std::string dump_compact(const value& v);
 
-/// Parses one JSON document; trailing non-whitespace or malformed input
-/// throws stx::invalid_argument_error with position information.
-value parse(const std::string& text);
+/// Deepest nesting of arrays and objects parse() accepts. The parser
+/// recurses once per level, so without a cap a line of '[' from a client
+/// would overflow the stack; the repository's own documents nest about 5
+/// levels deep.
+inline constexpr int max_depth = 256;
+
+/// Parses one JSON document; trailing non-whitespace, malformed input or
+/// nesting deeper than max_depth throws stx::invalid_argument_error with
+/// position information.
+value parse(std::string_view text);
 
 /// Structural comparison for regression diffs: walks `expected` and
 /// `actual` in parallel and returns one human-readable line per

@@ -13,8 +13,10 @@ using cycle_t = traffic::cycle_t;
 
 json::value cycles_matrix(const std::vector<std::vector<cycle_t>>& m) {
   json::array rows;
+  rows.reserve(m.size());
   for (const auto& row : m) {
     json::array r;
+    r.reserve(row.size());
     for (cycle_t v : row) r.emplace_back(static_cast<std::int64_t>(v));
     rows.emplace_back(std::move(r));
   }
@@ -33,31 +35,37 @@ std::vector<std::vector<cycle_t>> parse_cycles_matrix(const json::value& v) {
   return out;
 }
 
+// The documents below are built member by member with emplace_back: a
+// braced json::object{...} copies every nested value out of its
+// initializer_list.
+
 json::value design_to_json(const xbar::crossbar_design& d) {
   json::array binding;
+  binding.reserve(d.binding.size());
   for (int b : d.binding) binding.emplace_back(b);
-  return json::value(json::object{
-      {"num_targets", d.num_targets},
-      {"num_buses", d.num_buses},
-      {"binding", std::move(binding)},
-      {"max_overlap", static_cast<std::int64_t>(d.max_overlap)},
-      {"binding_optimal", d.binding_optimal},
-      {"num_conflicts", d.num_conflicts},
-      {"params",
-       json::object{
-           {"window_size", static_cast<std::int64_t>(d.params.window_size)},
-           {"overlap_threshold", d.params.overlap_threshold},
-           {"max_targets_per_bus", d.params.max_targets_per_bus},
-           {"use_overlap_conflicts", d.params.use_overlap_conflicts},
-           {"separate_critical", d.params.separate_critical},
-       }},
-      {"telemetry",
-       json::object{
-           {"feasibility_nodes", d.feasibility_nodes},
-           {"binding_nodes", d.binding_nodes},
-           {"probes", d.probes},
-       }},
-  });
+  json::object params;
+  params.emplace_back("window_size",
+                      static_cast<std::int64_t>(d.params.window_size));
+  params.emplace_back("overlap_threshold", d.params.overlap_threshold);
+  params.emplace_back("max_targets_per_bus", d.params.max_targets_per_bus);
+  params.emplace_back("use_overlap_conflicts",
+                      d.params.use_overlap_conflicts);
+  params.emplace_back("separate_critical", d.params.separate_critical);
+  json::object telemetry;
+  telemetry.emplace_back("feasibility_nodes", d.feasibility_nodes);
+  telemetry.emplace_back("binding_nodes", d.binding_nodes);
+  telemetry.emplace_back("probes", d.probes);
+
+  json::object o;
+  o.emplace_back("num_targets", d.num_targets);
+  o.emplace_back("num_buses", d.num_buses);
+  o.emplace_back("binding", std::move(binding));
+  o.emplace_back("max_overlap", static_cast<std::int64_t>(d.max_overlap));
+  o.emplace_back("binding_optimal", d.binding_optimal);
+  o.emplace_back("num_conflicts", d.num_conflicts);
+  o.emplace_back("params", std::move(params));
+  o.emplace_back("telemetry", std::move(telemetry));
+  return json::value(std::move(o));
 }
 
 xbar::crossbar_design design_from_json(const json::value& v) {
@@ -85,17 +93,23 @@ xbar::crossbar_design design_from_json(const json::value& v) {
 }
 
 json::value metrics_to_json(const xbar::validation_metrics& m) {
-  return json::value(json::object{
-      {"avg_latency", m.avg_latency},
-      {"max_latency", m.max_latency},
-      {"p99_latency", m.p99_latency},
-      {"avg_critical", m.avg_critical},
-      {"max_critical", m.max_critical},
-      {"packets", m.packets},
-      {"transactions", m.transactions},
-      {"iterations", m.iterations},
-      {"total_buses", m.total_buses},
-  });
+  json::object o;
+  append_metrics(o, m);
+  return json::value(std::move(o));
+}
+
+}  // namespace
+
+void append_metrics(json::object& out, const xbar::validation_metrics& m) {
+  out.emplace_back("avg_latency", m.avg_latency);
+  out.emplace_back("max_latency", m.max_latency);
+  out.emplace_back("p99_latency", m.p99_latency);
+  out.emplace_back("avg_critical", m.avg_critical);
+  out.emplace_back("max_critical", m.max_critical);
+  out.emplace_back("packets", m.packets);
+  out.emplace_back("transactions", m.transactions);
+  out.emplace_back("iterations", m.iterations);
+  out.emplace_back("total_buses", m.total_buses);
 }
 
 xbar::validation_metrics metrics_from_json(const json::value& v) {
@@ -112,46 +126,38 @@ xbar::validation_metrics metrics_from_json(const json::value& v) {
   return m;
 }
 
-}  // namespace
-
-std::string json_backend::emit(const xbar::flow_report& r,
-                               const std::string& /*basename*/) const {
+json::value design_document(const xbar::flow_report& r) {
   json::array target_names;
+  target_names.reserve(r.target_names.size());
   for (const auto& n : r.target_names) target_names.emplace_back(n);
+  json::object application;
+  application.emplace_back("name", r.app_name);
+  application.emplace_back("num_initiators", r.num_initiators);
+  application.emplace_back("num_targets", r.num_targets);
+  application.emplace_back("target_names", std::move(target_names));
+  json::object metrics;
+  metrics.emplace_back("designed", metrics_to_json(r.designed));
+  metrics.emplace_back("full", metrics_to_json(r.full));
+  json::object cost;
+  cost.emplace_back("full_buses", r.full_buses);
+  cost.emplace_back("designed_buses", r.designed_buses);
+  cost.emplace_back("savings", r.savings());
+  json::object traffic;
+  traffic.emplace_back("request", cycles_matrix(r.request_traffic));
+  traffic.emplace_back("response", cycles_matrix(r.response_traffic));
 
-  const json::value doc(json::object{
-      {"schema", kSchema},
-      {"application",
-       json::object{
-           {"name", r.app_name},
-           {"num_initiators", r.num_initiators},
-           {"num_targets", r.num_targets},
-           {"target_names", std::move(target_names)},
-       }},
-      {"request", design_to_json(r.request_design)},
-      {"response", design_to_json(r.response_design)},
-      {"metrics",
-       json::object{
-           {"designed", metrics_to_json(r.designed)},
-           {"full", metrics_to_json(r.full)},
-       }},
-      {"cost",
-       json::object{
-           {"full_buses", r.full_buses},
-           {"designed_buses", r.designed_buses},
-           {"savings", r.savings()},
-       }},
-      {"traffic",
-       json::object{
-           {"request", cycles_matrix(r.request_traffic)},
-           {"response", cycles_matrix(r.response_traffic)},
-       }},
-  });
-  return json::dump(doc);
+  json::object doc;
+  doc.emplace_back("schema", kSchema);
+  doc.emplace_back("application", std::move(application));
+  doc.emplace_back("request", design_to_json(r.request_design));
+  doc.emplace_back("response", design_to_json(r.response_design));
+  doc.emplace_back("metrics", std::move(metrics));
+  doc.emplace_back("cost", std::move(cost));
+  doc.emplace_back("traffic", std::move(traffic));
+  return json::value(std::move(doc));
 }
 
-xbar::flow_report parse_design(const std::string& text) {
-  const auto doc = json::parse(text);
+xbar::flow_report design_from_document(const json::value& doc) {
   STX_REQUIRE(doc.contains("schema") &&
                   doc.at("schema").as_string() == kSchema,
               std::string("not a ") + kSchema + " document");
@@ -174,6 +180,15 @@ xbar::flow_report parse_design(const std::string& text) {
   r.request_traffic = parse_cycles_matrix(doc.at("traffic").at("request"));
   r.response_traffic = parse_cycles_matrix(doc.at("traffic").at("response"));
   return r;
+}
+
+std::string json_backend::emit(const xbar::flow_report& r,
+                               const std::string& /*basename*/) const {
+  return json::dump(design_document(r));
+}
+
+xbar::flow_report parse_design(const std::string& text) {
+  return design_from_document(json::parse(text));
 }
 
 }  // namespace stx::gen

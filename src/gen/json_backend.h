@@ -3,6 +3,7 @@
 #pragma once
 
 #include "gen/backend.h"
+#include "gen/json.h"
 
 namespace stx::gen {
 
@@ -18,13 +19,31 @@ class json_backend : public backend {
   std::string description() const override {
     return "machine-readable design config (round-trips via parse_design)";
   }
+  /// json::dump(design_document(report)).
   std::string emit(const xbar::flow_report& report,
                    const std::string& basename) const override;
 };
 
-/// Parses a document produced by json_backend::emit back into a
-/// flow_report. Throws stx::invalid_argument_error on malformed input or
-/// an unknown schema tag.
+/// The stx-crossbar-design/v1 document of `report`: what emit() writes
+/// and what the serve protocol embeds in a response line.
+json::value design_document(const xbar::flow_report& report);
+
+/// Reads a design document back into a flow_report (the inverse of
+/// design_document). Throws stx::invalid_argument_error on a malformed
+/// document or an unknown schema tag.
+xbar::flow_report design_from_document(const json::value& doc);
+
+/// design_from_document(json::parse(text)): parses a document produced by
+/// json_backend::emit back into a flow_report.
 xbar::flow_report parse_design(const std::string& text);
+
+/// Appends the validation-metrics members (avg_latency ... total_buses) to
+/// `out`, in document order: the "designed"/"full" objects of a design
+/// document, and the store's stage=metrics blob after its schema tag.
+void append_metrics(json::object& out, const xbar::validation_metrics& m);
+
+/// Reads the members append_metrics writes from the object `v` (other
+/// members are ignored).
+xbar::validation_metrics metrics_from_json(const json::value& v);
 
 }  // namespace stx::gen

@@ -212,17 +212,17 @@ std::string serialize(const design_response& resp) {
   o.emplace_back("source", resp.source);
   o.emplace_back("elapsed_ms", resp.elapsed_ms);
   if (resp.report.has_value()) {
-    o.emplace_back(
-        "report",
-        json::parse(gen::json_backend().emit(*resp.report,
-                                             resp.report->app_name)));
+    o.emplace_back("report", gen::design_document(*resp.report));
   }
   if (!resp.artifacts.empty()) {
     json::array arts;
+    arts.reserve(resp.artifacts.size());
     for (const auto& a : resp.artifacts) {
-      arts.push_back(json::object{{"backend", a.backend},
-                                  {"filename", a.filename},
-                                  {"content", a.content}});
+      json::object art;
+      art.emplace_back("backend", a.backend);
+      art.emplace_back("filename", a.filename);
+      art.emplace_back("content", a.content);
+      arts.emplace_back(std::move(art));
     }
     o.emplace_back("artifacts", std::move(arts));
   }
@@ -245,7 +245,7 @@ design_response parse_response(const std::string& line) {
   resp.source = doc.at("source").as_string();
   resp.elapsed_ms = doc.at("elapsed_ms").as_double();
   if (doc.contains("report")) {
-    resp.report = gen::parse_design(json::dump(doc.at("report")));
+    resp.report = gen::design_from_document(doc.at("report"));
   }
   if (doc.contains("artifacts")) {
     for (const auto& a : doc.at("artifacts").as_array()) {

@@ -23,8 +23,10 @@
 //    "elapsed_ms":...,"report":{...stx-crossbar-design/v1...},
 //    "artifacts":[{"backend":"sv","filename":"...","content":"..."}]}
 // Failure (any op): {"id":"r1","ok":false,"error":"..."}.
-// The embedded report document round-trips bit-exactly (%.17g doubles),
-// so a warm-cache response is byte-identical to the cold one.
+// The embedded report is the stx-crossbar-design/v1 document itself (not
+// a re-parse of its text) and round-trips bit-exactly (%.17g doubles), so
+// a warm-cache response is byte-identical to the cold one. Request lines
+// nesting arrays/objects deeper than gen::json::max_depth are rejected.
 #pragma once
 
 #include <optional>
@@ -89,7 +91,7 @@ struct design_response {
 std::string serialize(const design_response& resp);
 
 /// Parses a serialize() line back (client side). The embedded report is
-/// reconstructed through gen::parse_design, so
+/// reconstructed through gen::design_from_document, so
 /// parse_response(serialize(r)).report == r.report holds exactly.
 design_response parse_response(const std::string& line);
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace stx::traffic {
@@ -66,7 +67,19 @@ class trace {
   /// polling/event kernel-equivalence invariant).
   bool operator==(const trace&) const = default;
 
-  /// Writes / reads the portable single-file text format (`stxtrace v1`).
+  /// Appends the portable text format (`stxtrace v1`) to `out`: a header
+  /// line "stxtrace v1 targets=T initiators=I horizon=H events=N", then
+  /// one "target initiator begin end critical(0|1)" line per event.
+  void append_text(std::string& out) const;
+  /// Reads one stxtrace v1 text starting at `pos` in `text` and leaves
+  /// `pos` just past its last event; what follows is not read. Fields are
+  /// whitespace-separated; a header value is a signed decimal prefix of
+  /// its token, an event field a signed decimal that fits its type.
+  /// Throws stx::invalid_argument_error on a malformed or truncated text.
+  static trace parse_text(std::string_view text, std::size_t& pos);
+
+  /// Writes / reads the same format through a stream (append_text /
+  /// parse_text; load reads the stream to its end).
   void save(std::ostream& out) const;
   static trace load(std::istream& in);
   void save_file(const std::string& path) const;
@@ -78,5 +91,11 @@ class trace {
   cycle_t horizon_ = 0;
   std::vector<stream_event> events_;
 };
+
+/// The token `in >> std::string` reads at `pos`: skips whitespace, then
+/// takes the run up to the next whitespace (empty at the end of `text`),
+/// leaving `pos` after it. The tokenizer of stxtrace texts and of the
+/// store's stxtraces/v1 blobs that hold two of them.
+std::string_view next_token(std::string_view text, std::size_t& pos);
 
 }  // namespace stx::traffic

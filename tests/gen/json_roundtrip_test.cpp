@@ -40,6 +40,20 @@ TEST(JsonRoundTrip, RealMat2DesignRoundTrips) {
   EXPECT_EQ(back.request_traffic, report.request_traffic);
 }
 
+TEST(JsonRoundTrip, DocumentIsWhatTheTextParsesTo) {
+  // The serve protocol embeds design_document() where it used to embed
+  // parse(emit()); the two are the same value, so the wire bytes are too.
+  for (const auto& report :
+       {testutil::small_report(), testutil::mat2_report()}) {
+    const auto doc = design_document(report);
+    EXPECT_EQ(json::parse(json_backend().emit(report, "x")), doc);
+    EXPECT_EQ(json::dump(doc), json_backend().emit(report, "x"));
+    EXPECT_TRUE(design_from_document(doc) == report);
+  }
+  EXPECT_THROW(design_from_document(json::parse("{}")),
+               invalid_argument_error);
+}
+
 TEST(JsonRoundTrip, MutationsBreakEquality) {
   const auto report = testutil::small_report();
   auto changed = parse_design(json_backend().emit(report, "unit_app_1"));

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
+
 #include "util/error.h"
 
 namespace stx::gen::json {
@@ -85,6 +91,103 @@ TEST(Json, StringEscapes) {
 TEST(Json, WhitespaceTolerated) {
   const auto v = parse("  { \"a\" : [ 1 , 2 ] }\n");
   EXPECT_EQ(v.at("a").as_array().size(), 2u);
+}
+
+/// The parent writer's rule: printf "%.17g", plus ".0" when that reads
+/// as an integer.
+std::string printf_reference(double d) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", d);
+  std::string s(buf);
+  if (s.find('.') == std::string::npos && s.find('e') == std::string::npos) {
+    s += ".0";
+  }
+  return s;
+}
+
+TEST(Json, DoublesAreWrittenAsPrintfWrites) {
+  std::mt19937_64 rng(20261017);
+  std::vector<double> values = {0.0, -0.0, 1.0, -1.0, 0.1, 1e21, 1e-7,
+                                5e-324, 1.7976931348623157e308};
+  while (values.size() < 100'000) {
+    const auto bits = rng();
+    double d = 0.0;
+    switch (values.size() % 4) {
+      case 0:  // any finite bit pattern
+        std::memcpy(&d, &bits, sizeof(d));
+        break;
+      case 1:  // integers, up to 2^63
+        d = static_cast<double>(static_cast<std::int64_t>(bits) >>
+                                (bits % 64));
+        break;
+      case 2:  // short mantissas over the whole exponent range
+        d = std::ldexp(static_cast<double>(bits % 100'000),
+                       static_cast<int>(bits >> 40) % 2'200 - 1'100);
+        break;
+      default:  // decimal fractions
+        d = static_cast<double>(bits % 1'000'000) / 1'000.0;
+        break;
+    }
+    if (std::isfinite(d)) values.push_back(d);
+  }
+  for (double d : values) {
+    ASSERT_EQ(dump_compact(value(d)), printf_reference(d)) << d;
+  }
+}
+
+TEST(Json, IntegersAreWrittenInDecimal) {
+  for (std::int64_t i : {std::int64_t{0}, std::int64_t{-1}, std::int64_t{42},
+                         std::numeric_limits<std::int64_t>::min(),
+                         std::numeric_limits<std::int64_t>::max()}) {
+    EXPECT_EQ(dump_compact(value(i)), std::to_string(i));
+  }
+}
+
+TEST(Json, NumberFormsReadAsBefore) {
+  // Forms std::from_chars reads differently from strtoll/strtod keep the
+  // values the C library gives them.
+  EXPECT_EQ(parse("+5"), value(5));
+  EXPECT_EQ(parse("+.5"), value(0.5));
+  EXPECT_EQ(parse("00012"), value(12));
+  EXPECT_EQ(parse("-0"), value(0));
+  const auto neg_zero = parse("-0.0");
+  ASSERT_TRUE(neg_zero.is_double());
+  EXPECT_TRUE(std::signbit(neg_zero.as_double()));
+  const auto past_int64 = parse("9223372036854775808");
+  ASSERT_TRUE(past_int64.is_double());
+  EXPECT_EQ(past_int64.as_double(), 9223372036854775808.0);
+  EXPECT_EQ(parse("-9223372036854775808"),
+            value(std::numeric_limits<std::int64_t>::min()));
+  const auto underflow = parse("1e-400");
+  ASSERT_TRUE(underflow.is_double());
+  EXPECT_EQ(underflow.as_double(), 0.0);
+  EXPECT_FALSE(std::signbit(underflow.as_double()));
+  for (const char* bad : {"1e", "-", "5-3", "1.5.3", "+-5"}) {
+    EXPECT_THROW(parse(bad), invalid_argument_error) << bad;
+  }
+  try {
+    (void)parse("1e");
+    FAIL() << "1e parsed";
+  } catch (const invalid_argument_error& e) {
+    EXPECT_STREQ(e.what(), "JSON parse error at offset 2: invalid number '1e'");
+  }
+}
+
+std::string nested_arrays(int depth) {
+  return std::string(static_cast<std::size_t>(depth), '[') +
+         std::string(static_cast<std::size_t>(depth), ']');
+}
+
+TEST(Json, NestingIsCappedAtMaxDepth) {
+  EXPECT_NO_THROW(parse(nested_arrays(max_depth)));
+  EXPECT_THROW(parse(nested_arrays(max_depth + 1)), invalid_argument_error);
+  std::string objects;
+  for (int i = 0; i < max_depth; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(static_cast<std::size_t>(max_depth), '}');
+  EXPECT_NO_THROW(parse(objects));
+  EXPECT_THROW(parse("[" + objects + "]"), invalid_argument_error);
+  // Deep enough to overflow the stack of a recursive parser with no cap.
+  EXPECT_THROW(parse(std::string(200'000, '[')), invalid_argument_error);
 }
 
 TEST(JsonDiff, EqualDocumentsProduceNoLines) {

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include "explore/codec.h"
+#include "gen/json.h"
 #include "testkit/scenario.h"
 #include "util/error.h"
+#include "workloads/mpsoc_apps.h"
 #include "workloads/synthetic.h"
 #include "xbar/flow.h"
 
@@ -172,6 +175,53 @@ TEST(Protocol, DesignResponseRoundTripsByteExactly) {
   EXPECT_EQ(back.artifacts[0].content, art.content);
   // The whole loop is byte-stable: re-serializing reproduces the line.
   EXPECT_EQ(serialize(back), line);
+}
+
+TEST(Protocol, ResponseEmbedsTheStoredReportMinified) {
+  // For every built-in app: the wire line carries the stored report form
+  // (encode_report), minified, and the client gets back the same report
+  // and artifacts.
+  for (const auto& name : workloads::app_names()) {
+    SCOPED_TRACE(name);
+    const auto app = workloads::make_app_by_name(name);
+    ASSERT_TRUE(app.has_value());
+    xbar::flow_options opts;
+    opts.horizon = 3'000;
+    design_response resp;
+    resp.id = "w-" + name;
+    resp.ok = true;
+    resp.app_id = name;
+    resp.source = "store";
+    resp.elapsed_ms = 0.5;
+    resp.report = xbar::run_design_flow(*app, opts);
+    resp.artifacts = xbar::generate_artifacts(*resp.report, {});
+    ASSERT_FALSE(resp.artifacts.empty());
+
+    const auto line = serialize(resp);
+    const auto stored = gen::json::dump_compact(
+        gen::json::parse(explore::encode_report(*resp.report)));
+    EXPECT_NE(line.find("\"report\":" + stored + ",\"artifacts\":["),
+              std::string::npos);
+
+    const auto back = parse_response(line);
+    ASSERT_TRUE(back.report.has_value());
+    EXPECT_EQ(*back.report, *resp.report);
+    ASSERT_EQ(back.artifacts.size(), resp.artifacts.size());
+    for (std::size_t i = 0; i < resp.artifacts.size(); ++i) {
+      EXPECT_EQ(back.artifacts[i].backend, resp.artifacts[i].backend);
+      EXPECT_EQ(back.artifacts[i].filename, resp.artifacts[i].filename);
+      EXPECT_EQ(back.artifacts[i].content, resp.artifacts[i].content);
+    }
+  }
+}
+
+TEST(Protocol, DeeplyNestedRequestIsRejected) {
+  EXPECT_THROW(parse_request(std::string(200'000, '[')),
+               invalid_argument_error);
+  EXPECT_THROW(parse_request(R"({"op":"ping","id":)" +
+                             std::string(300, '[') + std::string(300, ']') +
+                             "}"),
+               invalid_argument_error);
 }
 
 TEST(Protocol, ErrorAndSimpleResponses) {

@@ -3,7 +3,8 @@
 // streams bytes without a newline must be rejected with a protocol
 // error instead of growing the read buffer without bound. Both attacks
 // run against a live in-process server, which then must still answer
-// ping on a fresh connection. Clients that reconnect per request must
+// ping on a fresh connection. So must a line nesting arrays deep enough
+// to overflow a recursive parser. Clients that reconnect per request must
 // not pile up connection threads, and a connection thread that cannot
 // start must cost only that connection.
 #include <sys/socket.h>
@@ -154,6 +155,26 @@ TEST(ServerRobustness, LinesUpToTheCapStillParse) {
   EXPECT_NE(reply.find("\"ok\":false"), std::string::npos);
   EXPECT_EQ(reply.find("protocol error: line exceeds"), std::string::npos)
       << reply.substr(0, 200);
+  srv.stop();
+}
+
+TEST(ServerRobustness, DeeplyNestedLineGetsAnErrorReply) {
+  // A line of '[' well under the line cap: an uncapped recursive parser
+  // overflowed the stack here and took the whole daemon down (SIGSEGV).
+  service::options sopts;
+  sopts.workers = 1;
+  service svc(sopts);
+  server srv(svc, socket_path("nested"));
+  srv.start();
+
+  const auto reply =
+      request_line(srv.socket_path(), std::string(200'000, '['));
+  EXPECT_NE(reply.find("\"ok\":false"), std::string::npos) << reply;
+  EXPECT_NE(reply.find("nesting deeper than"), std::string::npos) << reply;
+
+  const auto pong =
+      request_line(srv.socket_path(), R"({"op":"ping","id":"after"})");
+  EXPECT_NE(pong.find("\"id\":\"after\""), std::string::npos) << pong;
   srv.stop();
 }
 

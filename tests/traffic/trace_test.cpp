@@ -5,7 +5,10 @@
 
 #include <sstream>
 
+#include "explore/codec.h"
 #include "util/error.h"
+#include "workloads/mpsoc_apps.h"
+#include "xbar/flow.h"
 
 namespace stx::traffic {
 namespace {
@@ -117,6 +120,71 @@ TEST(Trace, LoadRejectsTruncated) {
   text.resize(text.size() / 2);
   std::stringstream half(text);
   EXPECT_THROW(trace::load(half), invalid_argument_error);
+}
+
+TEST(Trace, TextFormatIsPinned) {
+  trace t(3, 2, 500);
+  t.add({0, 1, 10, 20, false});
+  t.add({2, 0, 30, 45, true});
+  t.add({1, 1, 0, 5, false});
+  const std::string expected =
+      "stxtrace v1 targets=3 initiators=2 horizon=500 events=3\n"
+      "0 1 10 20 0\n"
+      "2 0 30 45 1\n"
+      "1 1 0 5 0\n";
+  std::string text;
+  t.append_text(text);
+  EXPECT_EQ(text, expected);
+  std::ostringstream out;
+  t.save(out);
+  EXPECT_EQ(out.str(), expected);
+  std::size_t pos = 0;
+  EXPECT_EQ(trace::parse_text(expected, pos), t);
+  EXPECT_EQ(pos, expected.size() - 1);  // stops after the last field
+}
+
+TEST(Trace, PhaseOneTraceBlobsRoundTripExactly) {
+  for (const auto& name : workloads::app_names()) {
+    SCOPED_TRACE(name);
+    xbar::flow_options opts;
+    opts.horizon = 4'000;
+    const auto traces =
+        xbar::collect_traces(*workloads::make_app_by_name(name), opts);
+    ASSERT_FALSE(traces.request.empty());
+    const auto blob = explore::encode_traces(traces);
+    const auto back = explore::decode_traces(blob);
+    EXPECT_EQ(back.request, traces.request);
+    EXPECT_EQ(back.response, traces.response);
+    EXPECT_EQ(explore::encode_traces(back), blob);
+  }
+}
+
+TEST(Trace, MalformedBlobsAreRejected) {
+  xbar::collected_traces traces;
+  traces.request = trace(2, 2, 100);
+  traces.request.add({0, 1, 10, 20, false});
+  traces.request.add({1, 0, 30, 45, true});
+  traces.response = trace(2, 2, 100);
+  traces.response.add({1, 1, 5, 9, false});
+  const auto blob = explore::encode_traces(traces);
+  ASSERT_EQ(explore::decode_traces(blob).response, traces.response);
+
+  // Truncated inside the last event: "1 1 5" of "1 1 5 9 0".
+  EXPECT_THROW(explore::decode_traces(blob.substr(0, blob.size() - 5)),
+               invalid_argument_error);
+  // A non-numeric field.
+  auto garbled = blob;
+  garbled.replace(garbled.find("30 45"), 2, "3x");
+  EXPECT_THROW(explore::decode_traces(garbled), invalid_argument_error);
+  // More events announced than the blob holds.
+  auto short_count = blob;
+  short_count.replace(short_count.rfind("events=1"), 8, "events=4");
+  EXPECT_THROW(explore::decode_traces(short_count), invalid_argument_error);
+  // A huge announced count is read as a bound, never allocated up front.
+  auto huge_count = blob;
+  huge_count.replace(huge_count.rfind("events=1"), 8,
+                     "events=9000000000000000000");
+  EXPECT_THROW(explore::decode_traces(huge_count), invalid_argument_error);
 }
 
 TEST(Trace, BusyIntervalsRejectsBadTarget) {
