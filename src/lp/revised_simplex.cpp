@@ -18,8 +18,9 @@ constexpr double inf = std::numeric_limits<double>::infinity();
 /// Internal working form. Columns are [structural | slack | artificial]
 /// exactly as in the legacy tableau engine (same row equilibration, same
 /// slack bounds per relation), so the two engines see identically scaled
-/// numbers and their tolerances behave the same. Only B^-1 (dense,
-/// row-major) is maintained instead of the whole tableau.
+/// numbers and their tolerances behave the same. Only B^-1 (stored dense,
+/// row-major; computed on its nonzeros) is maintained instead of the
+/// whole tableau.
 class revised_solver::impl {
  public:
   impl(const model& m, const solve_options& opts) : m_(m), opts_(opts) {
@@ -133,10 +134,12 @@ class revised_solver::impl {
     w_.assign(static_cast<std::size_t>(rows_), 0.0);
     y_.assign(static_cast<std::size_t>(rows_), 0.0);
     d_.assign(static_cast<std::size_t>(total_), 0.0);
+    reset_factor_scratch();
     if (opts_.max_iterations <= 0) {
       max_iterations_ = 40 * (rows_ + total_) + 1000;
     }
-    // The factorization is stale; the next solve path refactorizes.
+    // The factorization is stale (and so is the remembered one); the next
+    // solve path refactorizes.
   }
 
   bool last_solve_fell_back() const { return fell_back_; }
@@ -209,6 +212,7 @@ class revised_solver::impl {
     w_.assign(static_cast<std::size_t>(rows_), 0.0);
     y_.assign(static_cast<std::size_t>(rows_), 0.0);
     d_.assign(static_cast<std::size_t>(total_), 0.0);
+    reset_factor_scratch();
 
     max_iterations_ = opts_.max_iterations > 0
                           ? opts_.max_iterations
@@ -262,57 +266,141 @@ class revised_solver::impl {
                  static_cast<std::size_t>(c)];
   }
 
-  /// Rebuilds B^-1 from the basis columns by Gauss-Jordan elimination
-  /// with partial pivoting. Returns false on a (numerically) singular
-  /// basis; callers fall back to a cold restart.
+  /// Sizes the elimination scratch to the current row count, all zero and
+  /// unlisted, and forgets the remembered factorization.
+  void reset_factor_scratch() {
+    const auto m = static_cast<std::size_t>(rows_);
+    aug_.assign(m * 2 * m, 0.0);
+    listed_.assign(m * 2 * m, 0);
+    row_nz_.assign(m, {});
+    col_rows_.assign(m, {});
+    pos_row_.assign(m, 0);
+    row_pos_.assign(m, 0);
+    memo_basic_.clear();
+  }
+
+  /// Makes B^-1 current for the ordered basis. A fresh factorization
+  /// depends only on the ordered basic columns, so asking again for the
+  /// basis of the last successful elimination (siblings in the branch &
+  /// bound adopt the same parent basis) copies that result instead of
+  /// eliminating. Returns false on a (numerically) singular basis;
+  /// callers fall back to a cold restart.
   bool refactorize() {
     ++factorizations_;
     pivots_since_refactor_ = 0;
     if (rows_ == 0) return true;
-    // aug = [B | I], reduced in place to [I | B^-1].
-    const int n2 = 2 * rows_;
-    std::vector<double> aug(static_cast<std::size_t>(rows_) *
-                                static_cast<std::size_t>(n2),
-                            0.0);
-    auto at = [&](int r, int c) -> double& {
-      return aug[static_cast<std::size_t>(r) * static_cast<std::size_t>(n2) +
-                 static_cast<std::size_t>(c)];
+    if (basis_.basic != memo_basic_) {
+      memo_basic_.clear();
+      if (!eliminate()) return false;
+      memo_basic_ = basis_.basic;
+    }
+    // Row p of B^-1 is the right half of the row at position p.
+    const auto m = static_cast<std::size_t>(rows_);
+    for (std::size_t p = 0; p < m; ++p) {
+      const double* src =
+          &aug_[static_cast<std::size_t>(pos_row_[p]) * 2 * m + m];
+      std::copy(src, src + m, &binv_[p * m]);
+    }
+    return true;
+  }
+
+  /// Gauss-Jordan elimination of aug = [B | I] to [I | B^-1] with partial
+  /// pivoting, on the nonzeros only. Column c takes as pivot the largest
+  /// |a| among the rows at positions >= c (ties: smallest position);
+  /// positions are a permutation over physical rows instead of row swaps.
+  /// Every other row with a nonzero in column c gets a(r,k) -= f*a(P,k)
+  /// over the pivot row's nonzeros right of c; entries at or left of c
+  /// are never read again, so they are not updated. Each entry that is
+  /// computed sees exactly the dense elimination's operations, so the
+  /// result is equal to it entry for entry. The aug_ right halves stay
+  /// as the remembered factorization until the next elimination.
+  bool eliminate() {
+    const int m = rows_;
+    const auto w = 2 * static_cast<std::size_t>(m);
+    for (int r = 0; r < m; ++r) {
+      const std::size_t base = static_cast<std::size_t>(r) * w;
+      for (const int k : row_nz_[static_cast<std::size_t>(r)]) {
+        aug_[base + static_cast<std::size_t>(k)] = 0.0;
+        listed_[base + static_cast<std::size_t>(k)] = 0;
+      }
+      row_nz_[static_cast<std::size_t>(r)].clear();
+      col_rows_[static_cast<std::size_t>(r)].clear();
+    }
+    // Lists (r, k) as possibly nonzero, once.
+    auto list = [&](int r, int k) {
+      auto& held = listed_[static_cast<std::size_t>(r) * w +
+                           static_cast<std::size_t>(k)];
+      if (held != 0) return;
+      held = 1;
+      row_nz_[static_cast<std::size_t>(r)].push_back(k);
+      if (k < m) col_rows_[static_cast<std::size_t>(k)].push_back(r);
     };
-    for (int c = 0; c < rows_; ++c) {
+    for (int c = 0; c < m; ++c) {
       for (const auto& [r, a] :
            cols_[static_cast<std::size_t>(
                basis_.basic[static_cast<std::size_t>(c)])]) {
-        at(r, c) = a;
+        aug_[static_cast<std::size_t>(r) * w + static_cast<std::size_t>(c)] =
+            a;
+        list(r, c);
       }
-      at(c, rows_ + c) = 1.0;
     }
-    for (int c = 0; c < rows_; ++c) {
-      int piv = c;
-      for (int r = c + 1; r < rows_; ++r) {
-        if (std::abs(at(r, c)) > std::abs(at(piv, c))) piv = r;
+    for (int r = 0; r < m; ++r) {
+      aug_[static_cast<std::size_t>(r) * w + static_cast<std::size_t>(m + r)] =
+          1.0;
+      list(r, m + r);
+      pos_row_[static_cast<std::size_t>(r)] = r;
+      row_pos_[static_cast<std::size_t>(r)] = r;
+    }
+    for (int c = 0; c < m; ++c) {
+      const auto& rows_c = col_rows_[static_cast<std::size_t>(c)];
+      int piv_pos = c;
+      int piv_row = pos_row_[static_cast<std::size_t>(c)];
+      double best = std::abs(aug_[static_cast<std::size_t>(piv_row) * w +
+                                  static_cast<std::size_t>(c)]);
+      for (const int r : rows_c) {
+        const int p = row_pos_[static_cast<std::size_t>(r)];
+        if (p <= c) continue;
+        const double v =
+            std::abs(aug_[static_cast<std::size_t>(r) * w +
+                          static_cast<std::size_t>(c)]);
+        if (v > best || (v == best && p < piv_pos)) {
+          best = v;
+          piv_pos = p;
+          piv_row = r;
+        }
       }
-      if (std::abs(at(piv, c)) < 1e-11) return false;  // singular
-      if (piv != c) {
-        for (int k = 0; k < n2; ++k) std::swap(at(piv, k), at(c, k));
+      if (best < 1e-11) return false;  // singular
+      const int displaced = pos_row_[static_cast<std::size_t>(c)];
+      pos_row_[static_cast<std::size_t>(c)] = piv_row;
+      pos_row_[static_cast<std::size_t>(piv_pos)] = displaced;
+      row_pos_[static_cast<std::size_t>(piv_row)] = c;
+      row_pos_[static_cast<std::size_t>(displaced)] = piv_pos;
+
+      double* prow = &aug_[static_cast<std::size_t>(piv_row) * w];
+      const double invp = 1.0 / prow[c];
+      piv_nz_.clear();
+      for (const int k : row_nz_[static_cast<std::size_t>(piv_row)]) {
+        if (k <= c) continue;
+        prow[k] *= invp;
+        if (prow[k] != 0.0) piv_nz_.push_back({k, prow[k]});
       }
-      const double invp = 1.0 / at(c, c);
-      for (int k = 0; k < n2; ++k) at(c, k) *= invp;
-      for (int r = 0; r < rows_; ++r) {
-        if (r == c) continue;
-        const double f = at(r, c);
+      for (const int r : rows_c) {
+        if (r == piv_row) continue;
+        double* row = &aug_[static_cast<std::size_t>(r) * w];
+        const double f = row[c];
         if (f == 0.0) continue;
-        for (int k = c; k < n2; ++k) at(r, k) -= f * at(c, k);
+        for (const auto& [k, a] : piv_nz_) {
+          row[k] -= f * a;
+          list(r, k);
+        }
       }
-    }
-    for (int r = 0; r < rows_; ++r) {
-      for (int c = 0; c < rows_; ++c) binv(r, c) = at(r, rows_ + c);
     }
     return true;
   }
 
   /// x_B = B^-1 (b - N x_N) for the current nonbasic resting values.
   void compute_basic_values() {
-    std::vector<double> resid = rhs_;
+    resid_.assign(rhs_.begin(), rhs_.end());
     for (int j = 0; j < total_; ++j) {
       if (basis_.status[static_cast<std::size_t>(j)] == var_status::basic) {
         continue;
@@ -320,13 +408,17 @@ class revised_solver::impl {
       const double xj = value_[static_cast<std::size_t>(j)];
       if (xj == 0.0) continue;
       for (const auto& [r, a] : cols_[static_cast<std::size_t>(j)]) {
-        resid[static_cast<std::size_t>(r)] -= a * xj;
+        resid_[static_cast<std::size_t>(r)] -= a * xj;
       }
+    }
+    resid_nz_.clear();
+    for (int c = 0; c < rows_; ++c) {
+      if (resid_[static_cast<std::size_t>(c)] != 0.0) resid_nz_.push_back(c);
     }
     for (int r = 0; r < rows_; ++r) {
       double v = 0.0;
-      for (int c = 0; c < rows_; ++c) {
-        v += binv(r, c) * resid[static_cast<std::size_t>(c)];
+      for (const int c : resid_nz_) {
+        v += binv(r, c) * resid_[static_cast<std::size_t>(c)];
       }
       value_[static_cast<std::size_t>(
           basis_.basic[static_cast<std::size_t>(r)])] = v;
@@ -365,16 +457,25 @@ class revised_solver::impl {
   }
 
   /// Product-form update of B^-1 after column `q` (spike w_) replaced the
-  /// basic variable of row `r`.
+  /// basic variable of row `r`: row r is scaled by the pivot, then every
+  /// row with a spike entry subtracts its multiple of row r on the
+  /// columns where row r is nonzero (elsewhere the update adds zero).
   void eta_update(int r) {
     const double piv = w_[static_cast<std::size_t>(r)];
     const double invp = 1.0 / piv;
-    for (int c = 0; c < rows_; ++c) binv(r, c) *= invp;
+    double* row_r = &binv(r, 0);
+    piv_nz_.clear();
+    for (int c = 0; c < rows_; ++c) {
+      if (row_r[c] == 0.0) continue;
+      row_r[c] *= invp;
+      piv_nz_.push_back({c, row_r[c]});
+    }
     for (int i = 0; i < rows_; ++i) {
       if (i == r) continue;
       const double f = w_[static_cast<std::size_t>(i)];
       if (f == 0.0) continue;
-      for (int c = 0; c < rows_; ++c) binv(i, c) -= f * binv(r, c);
+      double* row_i = &binv(i, 0);
+      for (const auto& [c, a] : piv_nz_) row_i[c] -= f * a;
     }
     if (++pivots_since_refactor_ >= refactor_interval_) {
       if (refactorize()) {
@@ -817,6 +918,23 @@ class revised_solver::impl {
   std::vector<double> binv_;  ///< dense row-major B^-1
   std::vector<double> w_, y_, d_;
   basis_state basis_;
+
+  /// Elimination scratch, reused across calls: aug = [B | I] row-major
+  /// over physical rows, zero except at listed entries; which entries
+  /// are listed, per row and (left half) per column; and the position <->
+  /// row permutation. After a successful elimination the right halves
+  /// hold B^-1 of the ordered basis `memo_basic_` (empty: none).
+  std::vector<double> aug_;
+  std::vector<unsigned char> listed_;  ///< (r, k) is in row_nz_[r]
+  std::vector<std::vector<int>> row_nz_, col_rows_;
+  std::vector<int> pos_row_, row_pos_;
+  std::vector<int> memo_basic_;
+  /// Per-call scratch: the pivot row's (column, value) nonzeros, for the
+  /// elimination and the eta update; the residual b - N x_N and its
+  /// nonzero positions.
+  std::vector<std::pair<int, double>> piv_nz_;
+  std::vector<double> resid_;
+  std::vector<int> resid_nz_;
 };
 
 revised_solver::revised_solver(const model& m, const solve_options& opts)

@@ -10,6 +10,17 @@
 // parent's optimal basis — still dual feasible, because branching only
 // moves bounds — and the dual method repairs primal feasibility.
 //
+// B^-1 is stored dense but computed on its nonzeros. Refactorization is
+// Gauss-Jordan elimination with partial pivoting that visits only the
+// rows holding a nonzero in the pivot column and, in each, only the pivot
+// row's nonzeros; eta updates touch only the nonzero columns of the pivot
+// row. Each computed entry sees exactly the floating-point operations of
+// the dense loops, so B^-1, every pivot choice and every iteration count
+// are those of a dense implementation. The solver also remembers the
+// last fresh factorization: re-adopting that ordered basis (sibling nodes
+// share their parent's) copies it instead of eliminating again. Both
+// count as refactorizations in factorizations().
+//
 // Termination and conditioning use the same defences as the legacy
 // engine: Bland's rule engages under prolonged degeneracy, basic values
 // are refreshed from a fresh factorization every `refactor_interval`

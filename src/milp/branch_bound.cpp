@@ -931,6 +931,9 @@ bb_result solve_impl(const model& m, const bb_options& opts) {
 
   wave_bb_engine engine(pre.reduced, opts);
   auto res = engine.run();
+  // The engine bounds the reduced objective; the fixed variables' terms
+  // complete it to the original one.
+  res.best_bound += pre.fixed_objective;
   if (res.status == milp_status::optimal ||
       res.status == milp_status::feasible) {
     res.x = pre.expand(res.x);

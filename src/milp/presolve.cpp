@@ -283,12 +283,13 @@ presolved_model presolve(const model& m, int max_passes) {
   for (int v = 0; v < n; ++v) {
     const double lb = st.lower[static_cast<std::size_t>(v)];
     const double ub = st.upper[static_cast<std::size_t>(v)];
+    const auto& orig = m.relaxation().var(v);
     if (ub - lb < tol) {
       out.var_map[static_cast<std::size_t>(v)] = -1;
       out.fixed_value[static_cast<std::size_t>(v)] = lb;
+      out.fixed_objective += orig.objective * lb;
       continue;
     }
-    const auto& orig = m.relaxation().var(v);
     int rv;
     if (m.is_integer(v)) {
       rv = out.reduced.add_integer(lb, ub, orig.objective, orig.name);

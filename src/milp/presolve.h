@@ -16,6 +16,9 @@ struct presolved_model {
   std::vector<int> var_map;
   /// original variable index -> fixed value (meaningful when var_map < 0).
   std::vector<double> fixed_value;
+  /// Objective contribution of the fixed variables: the original
+  /// objective of a point is the reduced objective plus this constant.
+  double fixed_objective = 0.0;
   /// True when presolve alone proved the model infeasible; `reduced` is
   /// then empty and must not be solved.
   bool proven_infeasible = false;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "lp/model.h"
@@ -165,7 +166,120 @@ TEST_P(RevisedVsLegacy, RefactorizationIntervalDoesNotChangeTheOutcome) {
       << "seed=" << GetParam();
 }
 
+/// A reused solver must answer exactly like a freshly built one adopting
+/// the same basis: same status, pivots, objective and point.
+void expect_same_solve(const solve_result& got, const solve_result& want,
+                       int tag) {
+  EXPECT_EQ(got.status, want.status) << "case " << tag;
+  EXPECT_EQ(got.iterations, want.iterations) << "case " << tag;
+  EXPECT_EQ(got.phase1_iterations, want.phase1_iterations) << "case " << tag;
+  EXPECT_EQ(got.objective, want.objective) << "case " << tag;
+  EXPECT_EQ(got.x, want.x) << "case " << tag;
+}
+
+TEST_P(RevisedVsLegacy, SiblingSolvesOnOneSolverMatchFreshSolvers) {
+  rng r(static_cast<std::uint64_t>(GetParam()) * 104729 + 7);
+  const int n_vars = static_cast<int>(r.uniform_int(2, 12));
+  const int n_rows = static_cast<int>(r.uniform_int(1, 14));
+  auto inst = make_random_feasible_lp(r, n_vars, n_rows);
+
+  revised_solver solver(inst.m, {});
+  const auto root = solver.solve();
+  ASSERT_EQ(root.status, solve_status::optimal) << "seed=" << GetParam();
+  const basis_state parent = solver.last_basis();
+
+  // The floor and ceil children of one branching, back to back from the
+  // same parent basis: the second adopts the basis the first factored.
+  const int v = static_cast<int>(r.uniform_int(0, n_vars - 1));
+  const double xv = root.x[static_cast<std::size_t>(v)];
+  const double lo = inst.m.var(v).lower;
+  const double hi = inst.m.var(v).upper;
+  const std::pair<double, double> children[] = {
+      {lo, std::max(lo, std::floor(xv))},
+      {std::min(hi, std::floor(xv) + 1.0), hi}};
+  std::vector<solve_result> reused;
+  for (const auto& [clo, chi] : children) {
+    solver.set_bounds(v, clo, chi);
+    reused.push_back(solver.solve_from(parent));
+  }
+  for (std::size_t i = 0; i < 2; ++i) {
+    revised_solver fresh(inst.m, {});
+    fresh.set_bounds(v, children[i].first, children[i].second);
+    expect_same_solve(reused[i], fresh.solve_from(parent), GetParam());
+  }
+}
+
+TEST_P(RevisedVsLegacy, AddRowThenWarmSolveMatchesASolverBuiltWithTheRow) {
+  rng r(static_cast<std::uint64_t>(GetParam()) * 15485863 + 3);
+  const int n_vars = static_cast<int>(r.uniform_int(2, 12));
+  const int n_rows = static_cast<int>(r.uniform_int(1, 14));
+  auto inst = make_random_feasible_lp(r, n_vars, n_rows);
+
+  revised_solver solver(inst.m, {});
+  const auto root = solver.solve();
+  ASSERT_EQ(root.status, solve_status::optimal) << "seed=" << GetParam();
+  // Solve on that basis once more, so its factorization is the solver's
+  // most recent one when the row arrives.
+  const basis_state before = solver.last_basis();
+  ASSERT_EQ(solver.solve_from(before).status, solve_status::optimal)
+      << "seed=" << GetParam();
+
+  // A cut through the root optimum: sum a_v x_v <= activity - margin.
+  std::vector<term> terms;
+  double activity = 0.0;
+  for (int v = 0; v < n_vars; ++v) {
+    if (!r.chance(0.6)) continue;
+    const double a = r.uniform(0.5, 2.0);
+    terms.push_back(term{v, a});
+    activity += a * root.x[static_cast<std::size_t>(v)];
+  }
+  if (terms.empty()) {
+    terms.push_back(term{0, 1.0});
+    activity = root.x[0];
+  }
+  const double rhs = activity - r.uniform(0.1, 1.0);
+  solver.add_row(terms, relation::less_equal, rhs);
+  const basis_state extended = solver.last_basis();
+  const auto warm = solver.solve_from(extended);
+
+  model with_row = inst.m;
+  with_row.add_row(terms, relation::less_equal, rhs);
+  revised_solver fresh(with_row, {});
+  expect_same_solve(warm, fresh.solve_from(extended), GetParam());
+  EXPECT_EQ(solver.last_solve_fell_back(), fresh.last_solve_fell_back())
+      << "seed=" << GetParam();
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RevisedVsLegacy, ::testing::Range(0, 60));
+
+TEST(RevisedSimplex, SingularWarmBasisFallsBackToTheColdSolve) {
+  // x and y have identical (scaled) columns, so a basis holding both is
+  // compatible in shape but singular.
+  model m;
+  const int x = m.add_variable(0.0, 3.0, -1.0, "x");
+  const int y = m.add_variable(0.0, 3.0, -2.0, "y");
+  m.add_row({{x, 1.0}, {y, 1.0}}, relation::less_equal, 4.0);
+  m.add_row({{x, 1.0}, {y, 1.0}}, relation::greater_equal, 1.0);
+  // Columns: x, y, two slacks, two artificials.
+  basis_state singular;
+  singular.basic = {x, y};
+  singular.status = {var_status::basic,    var_status::basic,
+                     var_status::at_lower, var_status::at_upper,
+                     var_status::at_lower, var_status::at_lower};
+  ASSERT_TRUE(singular.compatible(2, 6));
+
+  revised_solver fresh(m, {});
+  const auto cold = fresh.solve();
+  ASSERT_EQ(cold.status, solve_status::optimal);
+
+  revised_solver solver(m, {});
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    // The second attempt must not find a factorization of the first.
+    const auto res = solver.solve_from(singular);
+    EXPECT_TRUE(solver.last_solve_fell_back()) << "attempt " << attempt;
+    expect_same_solve(res, cold, attempt);
+  }
+}
 
 }  // namespace
 }  // namespace stx::lp

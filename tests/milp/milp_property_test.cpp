@@ -126,6 +126,8 @@ TEST_P(MilpVsBruteForce, PresolveOffAgreesWithPresolveOn) {
   if (r_on.status == milp_status::optimal) {
     EXPECT_NEAR(r_on.objective, r_off.objective, 1e-5)
         << "seed=" << GetParam();
+    EXPECT_NEAR(r_on.best_bound, r_off.best_bound, 1e-5)
+        << "seed=" << GetParam();
   }
 }
 

@@ -115,7 +115,11 @@ TEST(Presolve, SolverAgreesWithAndWithoutPresolve) {
   const int b = m.add_binary(-2);
   const int c = m.add_binary(-1);
   const int s = m.add_binary(0);
+  // A costed variable that presolve fixes (x >= 1): its objective term
+  // leaves the reduced model but belongs in the bound.
+  const int x = m.add_binary(1);
   m.add_row({{s, 1}}, lp::relation::equal, 0);
+  m.add_row({{x, 1}}, lp::relation::greater_equal, 1);
   m.add_row({{a, 1}, {b, 1}, {s, -1}}, lp::relation::less_equal, 1);
   m.add_row({{b, 1}, {c, 1}}, lp::relation::less_equal, 1);
 
@@ -127,6 +131,8 @@ TEST(Presolve, SolverAgreesWithAndWithoutPresolve) {
   ASSERT_EQ(r1.status, milp_status::optimal);
   ASSERT_EQ(r2.status, milp_status::optimal);
   EXPECT_NEAR(r1.objective, r2.objective, 1e-6);
+  EXPECT_NEAR(r1.best_bound, r2.best_bound, 1e-6);
+  EXPECT_NEAR(r1.best_bound, r1.objective, 1e-6);
 }
 
 }  // namespace

@@ -3,7 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <initializer_list>
+#include <utility>
+
+#include "milp/branch_bound.h"
 #include "util/error.h"
+#include "workloads/mpsoc_apps.h"
+#include "xbar/flow.h"
+#include "xbar/synthesis.h"
 
 namespace stx::xbar {
 namespace {
@@ -117,6 +126,84 @@ TEST(MilpFormulation, MaxtbZeroMeansNoCardinalityRows) {
                                   basic_params(100, 1));
   EXPECT_EQ(build_feasibility_milp(limited, 2).model.num_rows(),
             build_feasibility_milp(unlimited, 2).model.num_rows() + 2);
+}
+
+/// FNV-1a over the bytes of one integer.
+std::uint64_t fnv1a(std::uint64_t h, std::int64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (static_cast<std::uint64_t>(v) >> (8 * i)) & 0xffU;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// Everything deterministic about one search: its counts, the decoded
+/// binding and the integral objective. No raw double is hashed, because
+/// the sign of an exact zero is not part of the result.
+std::uint64_t digest_search(std::uint64_t h, const milp::bb_result& r,
+                            const xbar_milp& mm) {
+  for (const std::int64_t v : std::initializer_list<std::int64_t>{
+           static_cast<std::int64_t>(r.status), r.nodes, r.lp_iterations,
+           r.dual_pivots, r.refactorizations, r.warm_solves, r.cold_solves,
+           r.waves, r.cuts_added, std::llround(r.objective)}) {
+    h = fnv1a(h, v);
+  }
+  if (!r.x.empty()) {
+    for (const int bus : mm.decode_binding(r.x)) h = fnv1a(h, bus);
+  }
+  return h;
+}
+
+TEST(MilpFormulation, GenericSearchIsPinnedOnSynthMilpShapedInputs) {
+  // The generic MILP path's search (every pivot, node and refactorization
+  // count) on the benchmark's DES and QSort inputs: flow seeds 1-2,
+  // horizon 8k, both directions, window 400, threshold 0.30, maxtb 4.
+  // For each input, the Eq. 11 binding MILP at the minimal bus count B
+  // and the Eq. 3-9 feasibility MILP at B - 1, under node budgets only.
+  // A change to the LP or MILP engine that moves any pivot or rounding
+  // moves a digest.
+  const std::pair<workloads::app_spec, std::uint64_t> expected[] = {
+      {workloads::make_des(), 0xaf2d640c061883bcULL},
+      {workloads::make_qsort(), 0xe39d964cf8bc74b0ULL}};
+  for (const auto& [app, want] : expected) {
+    std::uint64_t h = 14695981039346656037ULL;
+    for (const std::uint64_t seed : {1, 2}) {
+      flow_options opts;
+      opts.horizon = 8'000;
+      opts.seed = seed;
+      opts.synth.params.window_size = 400;
+      opts.synth.params.overlap_threshold = 0.30;
+      opts.synth.params.max_targets_per_bus = 4;
+      const auto traces = collect_traces(app, opts);
+      for (const bool request : {true, false}) {
+        const auto in = input_from_trace(
+            request ? traces.request : traces.response,
+            effective_synthesis_params(opts, request));
+        synthesis_options spec;
+        spec.params = in.params();
+        const int buses = min_feasible_buses(in, spec);
+        ASSERT_GT(buses, 1) << app.name;
+
+        milp::bb_options mo;
+        mo.time_limit_sec = 0.0;
+        mo.max_nodes = 100'000;
+        const auto bm = build_binding_milp(in, buses);
+        const auto bind = milp::solve_branch_bound(bm.model, mo);
+        ASSERT_EQ(bind.status, milp::milp_status::optimal) << app.name;
+        EXPECT_EQ(in.max_bus_overlap(bm.decode_binding(bind.x), buses),
+                  std::llround(bind.objective))
+            << app.name;
+        h = digest_search(h, bind, bm);
+
+        mo.feasibility_only = true;
+        const auto fm = build_feasibility_milp(in, buses - 1);
+        const auto probe = milp::solve_branch_bound(fm.model, mo);
+        EXPECT_EQ(probe.status, milp::milp_status::infeasible) << app.name;
+        h = digest_search(h, probe, fm);
+      }
+    }
+    EXPECT_EQ(h, want) << app.name << ": 0x" << std::hex << h;
+  }
 }
 
 }  // namespace
