@@ -1,12 +1,13 @@
 // Ablation (ours): simulator throughput (simulated cycles per second) of
-// the event-driven kernel across the built-in applications and synthetic
-// workloads at both utilisation extremes — establishes that the
-// cycle-accurate substrate is fast enough for the collection/validation
-// loops the flow runs, and tracks it as the repo's perf trajectory
-// (BENCH_sim.json). The polling loop this bench originally compared
-// against soaked one release as the bit-identical reference and has been
-// retired; its cost model (horizon * components steps) survives as the
-// work-ratio column, which is counter-based and machine-independent.
+// the event-driven kernel, run through sim::session, across the built-in
+// applications and synthetic workloads at the utilisation extremes —
+// establishes that the cycle-accurate substrate is fast enough for the
+// collection/validation loops the flow runs, and tracks it as the repo's
+// perf trajectory (BENCH_sim.json). The polling loop this bench
+// originally compared against soaked one release as the bit-identical
+// reference and has been retired; its cost model (horizon * components
+// steps) survives as the work-ratio column, which is counter-based and
+// machine-independent.
 //
 //   $ ./ablation_sim_throughput [--horizon=200000] [--repeats=3]
 //                               [--json=BENCH_sim.json]
@@ -43,7 +44,7 @@ struct workload {
   workloads::app_spec app;
 };
 
-/// The bench inventory: every built-in app plus the two synthetic
+/// The bench inventory: every built-in app plus the synthetic
 /// utilisation extremes the event kernel is characterised by.
 std::vector<workload> make_workloads() {
   std::vector<workload> out;
@@ -57,6 +58,13 @@ std::vector<workload> make_workloads() {
   bursty.burst_cycles = 300;
   bursty.gap_cycles = 12'000;
   out.push_back({"synthetic-bursty", workloads::make_synthetic(bursty)});
+  // Sparse: a few cores, short bursts, gaps far longer than the kernel's
+  // calendar ring — cost should track events, not the horizon.
+  workloads::synthetic_params sparse;
+  sparse.num_cores = 4;
+  sparse.burst_cycles = 50;
+  sparse.gap_cycles = 50'000;
+  out.push_back({"synthetic-sparse", workloads::make_synthetic(sparse)});
   // Dense / high utilisation: back-to-back bursts, no gaps — the event
   // kernel's worst case (every cycle has work; the queue is pure
   // overhead relative to a hypothetical per-cycle loop).
@@ -84,15 +92,16 @@ measurement run_once(const workloads::app_spec& app,
   cfg.seed = 1;
   cfg.record_traces = false;
   cfg.keep_latency_samples = false;
-  auto system = workloads::make_full_crossbar_system(app, cfg);
+  auto session = workloads::make_full_crossbar_session(app, cfg);
   obs::stopwatch sw;
-  system.run(horizon);
+  session.run(horizon);
   measurement m;
   m.wall_seconds = bench::finite_seconds(sw.seconds());
-  m.transactions = system.total_transactions();
-  m.iterations = system.total_iterations();
-  m.events_processed = system.event_stats().events_processed;
-  m.components = system.num_components();
+  m.transactions = session.metrics().transactions;
+  m.iterations = session.metrics().iterations;
+  m.events_processed = session.stats().events_processed;
+  // Cores + targets + one bus per endpoint on each full crossbar.
+  m.components = 2 * static_cast<std::int64_t>(app.total_cores());
   return m;
 }
 

@@ -44,11 +44,6 @@ void print_usage(std::FILE* to) {
       "reqwin respwin\n"
       "  --threads=N         worker threads (default: hardware "
       "concurrency)\n"
-      "  --batch=N           lockstep validation cohort size; <=1 runs "
-      "one\n"
-      "                      session per point (32; reports are "
-      "bit-identical\n"
-      "                      for every batch size and thread count)\n"
       "  --horizon=N         simulation cycles (120000)\n"
       "  --seed=N            simulator seed (1)\n"
       "  --solver-node-limit=N  branch & bound node budget per solve "
@@ -74,7 +69,7 @@ void print_usage(std::FILE* to) {
 }
 
 const std::vector<std::string> kKnownFlags = {
-    "app",      "grid",     "threads",  "batch",  "horizon",      "seed",
+    "app",      "grid",     "threads",  "horizon",      "seed",
     "solver-node-limit",    "solver-time-ms",
     "solver-threads", "solver-cuts", "solver-portfolio",
     "validate", "out-dir",  "basename", "compare-serial", "help",
@@ -179,14 +174,10 @@ int main(int argc, char** argv) {
     const int hw =
         std::max(1u, std::thread::hardware_concurrency());
     spec.threads = static_cast<int>(flags.get_int("threads", hw));
-    spec.batch_size = static_cast<int>(flags.get_int("batch", 32));
 
     const auto points = explore::sweep_points(spec);
-    std::printf(
-        "sweeping %zu point(s) x %zu app(s) on %d thread(s), "
-        "validation cohorts of %d\n",
-        points.size(), spec.apps.size(), spec.threads,
-        std::max(spec.batch_size, 1));
+    std::printf("sweeping %zu point(s) x %zu app(s) on %d thread(s)\n",
+                points.size(), spec.apps.size(), spec.threads);
 
     // With --cache-dir the phase-1 cache is backed by the persistent
     // store: a re-run (or any other CLI on the same directory) serves

@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/arbiter.h"
+#include "sim/config.h"
 #include "traffic/trace.h"
 #include "xbar/synthesis.h"
 

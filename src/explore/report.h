@@ -69,7 +69,7 @@ struct sweep_report {
   std::int64_t full_simulations = 0;
   /// Phase-4 designed-configuration validations served from the
   /// persistent store instead of re-simulating (always 0 without a
-  /// backing store, with validation off, or with batch_size <= 1).
+  /// backing store or with validation off).
   std::int64_t designed_store_hits = 0;
   /// Trace-cache hit/miss activity per application, in spec order.
   std::vector<app_cache_stats> cache;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <optional>
 #include <thread>
 
 #include "explore/codec.h"
@@ -44,31 +45,28 @@ xbar::flow_options options_for(const sweep_spec& spec,
 
 namespace {
 
-/// Phases 2+ for one point against the cached phase-1 state. With
-/// `defer_designed`, the designed-configuration simulation is left to the
-/// caller's batched validation pass: the report comes back with the full-
-/// crossbar reference filled but `designed` zeroed.
+/// Phase-4 validation cohort width: run_sweep simulates up to this many
+/// same-app design points as one kernel batch. Results do not depend on
+/// it — batch instances are independent.
+constexpr std::size_t cohort_size = 32;
+
+/// Phases 2-3 for one point against the cached phase-1 state. The report
+/// comes back with the full-crossbar reference filled when validating
+/// and `designed` zeroed: run_sweep simulates the designed configurations
+/// afterwards, in cohorts.
 sweep_result evaluate_point(const sweep_spec& spec,
                             const workloads::app_spec& app,
-                            const sweep_point& point, trace_cache& cache,
-                            bool defer_designed) {
+                            const sweep_point& point, trace_cache& cache) {
   const auto opts = options_for(spec, point);
   const auto traces = cache.traces(app, opts);
   sweep_result result;
   result.app_name = app.name;
   result.point = point;
   result.validated = spec.validate;
-  xbar::flow_stage_inputs stages;
-  if (spec.validate) {
-    stages.full = *cache.full_metrics(app, opts);
-  } else {
-    stages.mode = xbar::validation_mode::skip;
-  }
-  if (defer_designed) stages.mode = xbar::validation_mode::skip;
-  result.report = xbar::design_from_traces(app, *traces, opts, stages);
-  if (spec.validate && defer_designed && stages.full.has_value()) {
-    result.report.full = *stages.full;
-  }
+  std::optional<xbar::validation_metrics> full;
+  if (spec.validate) full = *cache.full_metrics(app, opts);
+  result.report = xbar::synthesize_design(app, *traces, opts);
+  if (full.has_value()) result.report.full = *full;
   return result;
 }
 
@@ -128,7 +126,6 @@ sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache) {
 
   const auto stats_before = cache.stats();
   const auto by_app_before = cache.stats_by_app();
-  const bool batched_validation = spec.validate && spec.batch_size > 1;
   std::vector<sweep_result> results(jobs.size());
   std::vector<std::exception_ptr> errors(jobs.size());
   std::atomic<std::size_t> next{0};
@@ -145,8 +142,7 @@ sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache) {
       ++claimed;
       try {
         obs::span jsp("explore.point", {{"app", jobs[i].app->name}});
-        results[i] = evaluate_point(spec, *jobs[i].app, *jobs[i].point, cache,
-                                    batched_validation);
+        results[i] = evaluate_point(spec, *jobs[i].app, *jobs[i].point, cache);
       } catch (...) {
         errors[i] = std::current_exception();
       }
@@ -156,23 +152,21 @@ sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache) {
   run_workers(spec.threads, jobs.size(), worker);
 
   std::int64_t designed_store_hits = 0;
-  if (batched_validation) {
-    // ---- Batched phase 4. The synthesis pass above left every report's
+  if (spec.validate) {
+    // ---- Phase 4. The synthesis pass above left every report's
     // `designed` metrics empty; pack same-app design points into cohorts
-    // of spec.batch_size and run each cohort as one lockstep sim::batch.
-    // Per-instance results are independent of cohort membership (and a
-    // batch instance is bit-identical to a session), so the report does
-    // not depend on batch size or on which worker claims which cohort.
+    // of cohort_size and simulate each cohort as one kernel batch.
+    // Per-instance results are independent of cohort membership, so the
+    // report does not depend on which worker claims which cohort.
     //
     // With a persistent store behind the cache, each point's designed
     // metrics are content-addressed under the stage=metrics key: hits
     // drop out of the cohorts entirely (a re-run of the same sweep skips
-    // the whole batched re-simulation), and every simulated result is
-    // written through for the next run. Safe because a warm result is
+    // the whole re-simulation), and every simulated result is written
+    // through for the next run. Safe because a warm result is
     // bit-identical to a fresh one by the codec round-trip contract.
     kv_store* const store = cache.backing();
     std::vector<std::vector<std::size_t>> cohorts;
-    const auto width = static_cast<std::size_t>(spec.batch_size);
     for (std::size_t a = 0; a < num_apps; ++a) {
       std::vector<std::size_t> eligible;
       for (std::size_t p = 0; p < num_points; ++p) {
@@ -193,8 +187,8 @@ sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache) {
         }
         eligible.push_back(i);
       }
-      for (std::size_t off = 0; off < eligible.size(); off += width) {
-        const auto end = std::min(eligible.size(), off + width);
+      for (std::size_t off = 0; off < eligible.size(); off += cohort_size) {
+        const auto end = std::min(eligible.size(), off + cohort_size);
         cohorts.emplace_back(
             eligible.begin() + static_cast<std::ptrdiff_t>(off),
             eligible.begin() + static_cast<std::ptrdiff_t>(end));
@@ -207,41 +201,25 @@ sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache) {
         const auto& members = cohorts[c];
         const auto& app = *jobs[members.front()].app;
         try {
-          const auto designed_configs = [&](std::size_t i) {
-            const auto opts = options_for(spec, *jobs[i].point);
-            const auto& report = results[i].report;
-            return xbar::validation_job{
-                report.request_design.to_config(opts.policy,
-                                                opts.transfer_overhead),
-                report.response_design.to_config(opts.policy,
-                                                 opts.transfer_overhead),
-                opts};
-          };
-          const auto store_metrics = [&](std::size_t i) {
-            if (store == nullptr) return;
-            store->put(metrics_key(app.name, options_for(spec, *jobs[i].point)),
-                       encode_metrics(results[i].report.designed));
-          };
-          if (members.size() == 1) {
-            // Odd-shaped straggler: one plain sim::session (identical
-            // result by the batch bit-identity contract, without the
-            // SoA setup cost).
-            const std::size_t i = members.front();
-            const auto vjob = designed_configs(i);
-            results[i].report.designed = xbar::validate_configuration(
-                app, vjob.request, vjob.response, vjob.opts);
-            store_metrics(i);
-            continue;
-          }
           std::vector<xbar::validation_job> vjobs;
           vjobs.reserve(members.size());
           for (const std::size_t i : members) {
-            vjobs.push_back(designed_configs(i));
+            const auto opts = options_for(spec, *jobs[i].point);
+            const auto& report = results[i].report;
+            vjobs.push_back({report.request_design.to_config(
+                                 opts.policy, opts.transfer_overhead),
+                             report.response_design.to_config(
+                                 opts.policy, opts.transfer_overhead),
+                             opts});
           }
           const auto metrics = xbar::validate_configurations(app, vjobs);
           for (std::size_t m = 0; m < members.size(); ++m) {
-            results[members[m]].report.designed = metrics[m];
-            store_metrics(members[m]);
+            const std::size_t i = members[m];
+            results[i].report.designed = metrics[m];
+            if (store != nullptr) {
+              store->put(metrics_key(app.name, vjobs[m].opts),
+                         encode_metrics(metrics[m]));
+            }
           }
         } catch (...) {
           for (const std::size_t i : members) {

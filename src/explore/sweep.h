@@ -47,15 +47,6 @@ struct sweep_spec {
 
   /// Worker threads; values < 1 and 1 both run inline on the caller.
   int threads = 1;
-
-  /// Cohort size for batched phase-4 validation: the scheduler packs up
-  /// to this many same-app design points into one lockstep sim::batch
-  /// (observer harvesting, no traces) instead of one sim::session each.
-  /// Values <= 1 validate per-session (the legacy path); single-job
-  /// straggler cohorts fall back to sim::session either way. Reports are
-  /// bit-identical across batch sizes AND thread counts — the same
-  /// determinism discipline as the worker pool.
-  int batch_size = 32;
 };
 
 /// The deduplicated evaluation points of `spec` (grid expansion followed

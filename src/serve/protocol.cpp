@@ -5,7 +5,7 @@
 
 #include "gen/json.h"
 #include "gen/json_backend.h"
-#include "sim/arbiter.h"
+#include "sim/config.h"
 #include "testkit/scenario.h"
 #include "util/error.h"
 

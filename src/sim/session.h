@@ -3,87 +3,56 @@
 //
 // Every consumer of the simulator (the design flow's phase-1 collection
 // and phase-4 validation in src/xbar, the exploration engine's trace
-// cache in src/explore, the fuzz oracle's differential re-simulation in
-// src/testkit) used to hand-wire cores/buses/targets and re-derive its
-// own metrics; a session keeps that plumbing — and the metrics harvest —
-// in exactly one place, so the consumers cannot diverge on how a run is
-// measured. workloads::make_session builds one from an app_spec.
+// cache in src/explore, the fuzz oracle's re-simulation in src/testkit)
+// runs through a session, so the consumers cannot diverge on how a run
+// is measured. A session is a batch of one on the simulation kernel
+// (sim/batch.h); workloads::make_session builds one from an app_spec.
 #pragma once
 
-#include <optional>
-
-#include "sim/system.h"
+#include "sim/batch.h"
 
 namespace stx::sim {
-
-/// Everything a consumer reads off one finished run. Harvested once per
-/// horizon and cached by the session: the underlying mpsoc_system
-/// accumulators (total_transactions / total_iterations / packet_latency)
-/// recompute by full scan per query, so repeated metric reads against a
-/// session cost O(1) instead of O(cores + samples).
-struct run_metrics {
-  double avg_latency = 0.0;   ///< mean packet latency, both crossbars
-  double max_latency = 0.0;
-  double p99_latency = 0.0;   ///< exact when samples kept, else max
-  double avg_critical = 0.0;  ///< mean latency of critical packets (0 if none)
-  double max_critical = 0.0;
-  std::int64_t packets = 0;
-  std::int64_t transactions = 0;
-  std::int64_t iterations = 0;  ///< completed core loop iterations
-  int total_buses = 0;          ///< request + response bus count
-
-  bool operator==(const run_metrics&) const = default;
-};
 
 /// One simulation run from construction to a (resumable) horizon.
 class session {
  public:
-  /// Same contract as mpsoc_system's constructor.
+  /// `programs[i]` is the traffic program of core `i`; `num_targets` is
+  /// the number of receiving endpoints on the request side.
+  /// `loop_starts[i]` (optional, default all 0) marks where core i's loop
+  /// body begins; earlier ops run once as a prologue. Throws on a
+  /// malformed shape or config.
   session(std::vector<std::vector<core_op>> programs, int num_targets,
-          const system_config& cfg, std::vector<std::size_t> loop_starts = {});
+          const system_config& cfg, std::vector<std::size_t> loop_starts = {})
+      : kernel_(std::move(programs), num_targets, std::move(loop_starts)) {
+    kernel_.add_instance(cfg);
+  }
 
   /// Advances the simulation to absolute cycle `horizon` (callable
   /// repeatedly with growing horizons); invalidates cached metrics.
-  void run(cycle_t horizon);
+  void run(cycle_t horizon) { kernel_.run(horizon); }
 
-  cycle_t now() const { return system_.now(); }
+  cycle_t now() const { return kernel_.now(); }
 
   /// The harvested metrics at the current horizon (cached until the next
   /// run call).
-  const run_metrics& metrics() const;
+  const run_metrics& metrics() const { return kernel_.metrics(0); }
 
   /// Phase-1 functional traffic traces (cfg.record_traces required for
-  /// them to be non-empty).
+  /// them to be non-empty). The request trace keys events by target id;
+  /// the response trace keys them by initiator id — each feeds the
+  /// synthesis of its own crossbar direction.
   const traffic::trace& request_trace() const {
-    return system_.request_trace();
+    return kernel_.request_trace(0);
   }
   const traffic::trace& response_trace() const {
-    return system_.response_trace();
+    return kernel_.response_trace(0);
   }
 
-  /// The underlying system, for consumers needing component-level detail
-  /// (per-bus utilisation, per-core round trips, event-kernel stats).
-  const mpsoc_system& system() const { return system_; }
+  /// Event-kernel counters, accumulated across runs.
+  const engine_stats& stats() const { return kernel_.instance_stats(0); }
 
  private:
-  /// High-water marks of the system's lifetime accumulators at the last
-  /// obs flush; run() publishes only the delta so resumed sessions do not
-  /// double-count (src/obs counters are process-wide sums).
-  struct telemetry_marks {
-    std::int64_t events_processed = 0;
-    std::int64_t events_skipped = 0;
-    std::int64_t cycles_visited = 0;
-    std::int64_t transactions = 0;
-    cycle_t busy_cycles = 0;
-  };
-
-  mpsoc_system system_;
-  mutable std::optional<run_metrics> cached_;
-  telemetry_marks flushed_;
+  batch kernel_;
 };
-
-/// The metrics harvest itself, exposed for consumers that hold a bare
-/// system (benches): identical maths to session::metrics().
-run_metrics harvest_metrics(const mpsoc_system& system);
 
 }  // namespace stx::sim

@@ -53,7 +53,7 @@ std::vector<violation> run_scenario(const scenario& s,
     // The cache identity is the canonical token, not s.name(): two
     // scenarios may share a display name but never an encoding. Either
     // way the full-crossbar reference is the phase-1 run's harvest, which
-    // the observer-equivalence invariant re-simulates as its differential.
+    // the full-reference invariant re-simulates as its differential.
     xbar::flow_stage_inputs stages;
     std::shared_ptr<const xbar::collected_traces> traces;
     if (cache != nullptr) {

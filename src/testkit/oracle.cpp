@@ -306,35 +306,17 @@ void check_feasibility(const xbar::collected_traces& traces,
   }
 }
 
-void check_observer_equivalence(const workloads::app_spec& app,
-                                const xbar::flow_options& opts,
-                                const xbar::flow_report& report,
-                                const oracle_options& oopts,
-                                std::vector<violation>* out) {
-  if (!oopts.observer_equivalence) return;
+void check_full_reference(const workloads::app_spec& app,
+                          const xbar::flow_options& opts,
+                          const xbar::flow_report& report,
+                          const oracle_options& oopts,
+                          std::vector<violation>* out) {
+  if (!oopts.full_reference) return;
   // total_buses is filled by every validation run (even ones that moved
   // no packets); zero means the report was never validated — nothing to
   // compare against.
   if (report.designed.total_buses == 0) return;
-  check_scope scope("oracle.observer-equivalence");
-  xbar::validation_job job;
-  job.request =
-      report.request_design.to_config(opts.policy, opts.transfer_overhead);
-  job.response =
-      report.response_design.to_config(opts.policy, opts.transfer_overhead);
-  job.opts = opts;
-  const auto batched = xbar::validate_configurations(app, {job});
-  if (batched.size() != 1 || !(batched.front() == report.designed)) {
-    std::ostringstream msg;
-    msg << "batch driver re-validation diverges from the session-validated "
-           "designed metrics (batch avg "
-        << (batched.empty() ? 0.0 : batched.front().avg_latency)
-        << " packets "
-        << (batched.empty() ? 0 : batched.front().packets) << ", report avg "
-        << report.designed.avg_latency << " packets "
-        << report.designed.packets << ")";
-    add(out, "observer-equivalence", msg.str());
-  }
+  check_scope scope("oracle.full-reference");
   // The flow harvests `full` from the trace-recording phase-1 run; a
   // reference re-simulated with recording off must match it bit for bit.
   const auto full = xbar::validate_full_crossbars(app, opts);
@@ -345,7 +327,7 @@ void check_observer_equivalence(const workloads::app_spec& app,
         << full.avg_latency << " packets " << full.packets << ", report avg "
         << report.full.avg_latency << " packets " << report.full.packets
         << ")";
-    add(out, "observer-equivalence", msg.str());
+    add(out, "full-reference", msg.str());
   }
 }
 
@@ -423,7 +405,7 @@ std::vector<violation> check_flow_invariants(
   check_latency(report, oopts, &out);
   check_metrics(report, &out);
   check_feasibility(traces, opts, report, &out);
-  check_observer_equivalence(app, opts, report, oopts, &out);
+  check_full_reference(app, opts, report, oopts, &out);
   check_solver_agreement(traces, opts, report, oopts, &out);
   return out;
 }

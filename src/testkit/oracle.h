@@ -43,15 +43,11 @@ struct oracle_options {
   /// INCONCLUSIVE and skipped (a limitation of the CPLEX stand-in, not a
   /// methodology violation). The node cap, unlike a wall-clock budget,
   /// keeps fuzz verdicts machine-independent.
-  /// Re-validate the designed configuration through the lockstep batch
-  /// driver (sim::batch observer harvesting) and require metrics equal
-  /// to the report's session-validated `designed` section — the same
-  /// differential discipline the retired kernel-equivalence invariant
-  /// applied to the polling kernel — and re-simulate the full-crossbar
-  /// reference with trace recording off, requiring the report's `full`
-  /// section. Costs two extra simulations per report; a flow that
-  /// harvests `full` from phase 1 saved one of them.
-  bool observer_equivalence = true;
+  /// Re-simulate the full-crossbar reference with trace recording off
+  /// and require the report's `full` section, which the flow harvests
+  /// from the trace-recording phase-1 run. Costs one extra simulation per
+  /// validated report.
+  bool full_reference = true;
   bool solver_agreement = true;
   int solver_agreement_max_targets = 10;
   /// Skip the cross-check when windows * targets exceeds this: LP size,
@@ -111,24 +107,22 @@ void check_solver_agreement(const xbar::collected_traces& traces,
                             const oracle_options& oopts,
                             std::vector<violation>* out);
 
-/// "observer-equivalence": re-validating the designed configuration
-/// through the lockstep sim::batch driver (SoA observer harvesting)
-/// reproduces the report's `designed` metrics exactly, every double
-/// included, and re-simulating the full crossbars with trace recording
-/// off (validate_full_crossbars) reproduces the report's `full` metrics,
-/// which the flow harvests from the trace-recording phase-1 run.
-/// Skipped when the report was never validated. This is the successor of
-/// the retired "kernel-equivalence" invariant, guarding the batch driver
-/// the way that one guarded the event-driven kernel.
-void check_observer_equivalence(const workloads::app_spec& app,
-                                const xbar::flow_options& opts,
-                                const xbar::flow_report& report,
-                                const oracle_options& oopts,
-                                std::vector<violation>* out);
+/// "full-reference": re-simulating the full crossbars with trace
+/// recording off (validate_full_crossbars) reproduces the report's `full`
+/// metrics exactly, every double included — the flow harvests them from
+/// the trace-recording phase-1 run, so recording must not perturb the
+/// simulation. Skipped when the report was never validated.
+void check_full_reference(const workloads::app_spec& app,
+                          const xbar::flow_options& opts,
+                          const xbar::flow_report& report,
+                          const oracle_options& oopts,
+                          std::vector<violation>* out);
 
 // (The "kernel-equivalence" invariant — bit-identity of the event-driven
 // and legacy polling kernels — soaked one release and retired with the
-// polling kernel itself; see CHANGES.md.)
+// polling kernel itself, and the batch-vs-session half of the former
+// "observer-equivalence" invariant retired when the session became a
+// batch of one; see CHANGES.md.)
 
 /// Runs every check above on one completed flow. `traces` must be the
 /// phase-1 traces the report was designed from and `opts` the flow

@@ -38,7 +38,7 @@ void app_spec::validate() const {
 namespace {
 
 /// Validates the app and assembles the system_config every entry point
-/// (bare system or session) instantiates from.
+/// (session or batch instance) instantiates from.
 sim::system_config assemble_config(const app_spec& app,
                                    const sim::crossbar_config& req,
                                    const sim::crossbar_config& resp,
@@ -64,21 +64,6 @@ std::pair<sim::crossbar_config, sim::crossbar_config> full_crossbar_configs(
 }
 
 }  // namespace
-
-sim::mpsoc_system make_system(const app_spec& app,
-                              const sim::crossbar_config& req,
-                              const sim::crossbar_config& resp,
-                              const sim::system_config& base) {
-  const auto cfg = assemble_config(app, req, resp, base);
-  return sim::mpsoc_system(app.programs, app.num_targets, cfg,
-                           app.loop_starts);
-}
-
-sim::mpsoc_system make_full_crossbar_system(const app_spec& app,
-                                            const sim::system_config& base) {
-  const auto [req, resp] = full_crossbar_configs(app, base);
-  return make_system(app, req, resp, base);
-}
 
 sim::session make_session(const app_spec& app,
                           const sim::crossbar_config& req,

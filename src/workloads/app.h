@@ -5,15 +5,13 @@
 #include <vector>
 
 #include "sim/batch.h"
-#include "sim/core.h"
 #include "sim/session.h"
-#include "sim/system.h"
 
 namespace stx::workloads {
 
 /// A complete benchmark application: the processor cores, the memory /
 /// peripheral targets they talk to, and the traffic program of each core.
-/// Builders in mpsoc_apps.h / synthetic.h produce these; `make_system`
+/// Builders in mpsoc_apps.h / synthetic.h produce these; `make_session`
 /// instantiates a simulator around one.
 struct app_spec {
   std::string name;
@@ -39,18 +37,6 @@ struct app_spec {
   /// Shape validation: program count, target ids, names. Throws on error.
   void validate() const;
 };
-
-/// Instantiates a simulator for `app` with the given crossbar configs.
-/// `req`/`resp` bindings must match app.num_targets / app.num_initiators.
-sim::mpsoc_system make_system(const app_spec& app,
-                              const sim::crossbar_config& req,
-                              const sim::crossbar_config& resp,
-                              const sim::system_config& base = {});
-
-/// Convenience: full crossbars on both directions (the collection run of
-/// design-flow phase 1).
-sim::mpsoc_system make_full_crossbar_system(
-    const app_spec& app, const sim::system_config& base = {});
 
 /// The unified sim-session entry point: builds a session around `app`
 /// with the given crossbar configs and simulator knobs (arbitration,

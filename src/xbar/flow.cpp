@@ -24,23 +24,6 @@ std::vector<std::vector<traffic::cycle_t>> link_totals(
   return out;
 }
 
-/// The session harvest, reshaped into the flow's metric record (the
-/// session is the single source of how a run is measured; this only
-/// copies fields).
-validation_metrics to_validation(const sim::run_metrics& m) {
-  validation_metrics out;
-  out.avg_latency = m.avg_latency;
-  out.max_latency = m.max_latency;
-  out.p99_latency = m.p99_latency;
-  out.avg_critical = m.avg_critical;
-  out.max_critical = m.max_critical;
-  out.packets = m.packets;
-  out.transactions = m.transactions;
-  out.iterations = m.iterations;
-  out.total_buses = m.total_buses;
-  return out;
-}
-
 sim::system_config base_system_config(const flow_options& opts,
                                       bool record_traces) {
   sim::system_config cfg;
@@ -81,7 +64,7 @@ collected_traces collect_traces(const workloads::app_spec& app,
                                 validation_metrics* full) {
   obs::span sp("flow.collect", {{"app", app.name}});
   const auto session = run_full_crossbars(app, opts, /*record_traces=*/true);
-  if (full != nullptr) *full = to_validation(session.metrics());
+  if (full != nullptr) *full = session.metrics();
   return {session.request_trace(), session.response_trace()};
 }
 
@@ -92,7 +75,7 @@ validation_metrics validate_configuration(const workloads::app_spec& app,
   auto session = workloads::make_session(
       app, req, resp, base_system_config(opts, /*record_traces=*/false));
   session.run(opts.horizon);
-  return to_validation(session.metrics());
+  return session.metrics();
 }
 
 std::vector<validation_metrics> validate_configurations(
@@ -114,15 +97,14 @@ std::vector<validation_metrics> validate_configurations(
   batch.run(horizon);
   out.reserve(jobs.size());
   for (int b = 0; b < batch.size(); ++b) {
-    out.push_back(to_validation(batch.metrics(b)));
+    out.push_back(batch.metrics(b));
   }
   return out;
 }
 
 validation_metrics validate_full_crossbars(const workloads::app_spec& app,
                                            const flow_options& opts) {
-  return to_validation(
-      run_full_crossbars(app, opts, /*record_traces=*/false).metrics());
+  return run_full_crossbars(app, opts, /*record_traces=*/false).metrics();
 }
 
 flow_report synthesize_design(const workloads::app_spec& app,

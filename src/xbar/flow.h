@@ -13,20 +13,9 @@
 
 namespace stx::xbar {
 
-/// Latency metrics of one validation simulation (phase 4).
-struct validation_metrics {
-  double avg_latency = 0.0;   ///< mean packet latency, both crossbars
-  double max_latency = 0.0;
-  double p99_latency = 0.0;
-  double avg_critical = 0.0;  ///< mean latency of critical packets (0 if none)
-  double max_critical = 0.0;
-  std::int64_t packets = 0;
-  std::int64_t transactions = 0;
-  std::int64_t iterations = 0;  ///< completed core loop iterations
-  int total_buses = 0;          ///< request + response bus count
-
-  bool operator==(const validation_metrics&) const = default;
-};
+/// Latency metrics of one validation simulation (phase 4): the kernel's
+/// run harvest.
+using validation_metrics = sim::run_metrics;
 
 /// Flow knobs.
 struct flow_options {
@@ -109,12 +98,11 @@ struct validation_job {
   flow_options opts;
 };
 
-/// Phase 4 for many configurations of the same `app` in one lockstep
-/// sim::batch: entry i is bit-identical to
-/// `validate_configuration(app, jobs[i].request, jobs[i].response,
-/// jobs[i].opts)`, but the whole set runs as one structure-of-arrays
-/// simulation harvesting observers instead of N sessions. This is the
-/// fast path explore::run_sweep packs validation cohorts into.
+/// Phase 4 for many configurations of the same `app` as one kernel batch:
+/// entry i is bit-identical to `validate_configuration(app,
+/// jobs[i].request, jobs[i].response, jobs[i].opts)` — instances are
+/// independent — but the whole set shares one calendar pass.
+/// explore::run_sweep validates its cohorts through this.
 std::vector<validation_metrics> validate_configurations(
     const workloads::app_spec& app, const std::vector<validation_job>& jobs);
 

@@ -6,7 +6,7 @@
 #include <optional>
 #include <string>
 
-#include "sim/crossbar.h"
+#include "sim/config.h"
 #include "traffic/trace.h"
 #include "xbar/bb_solver.h"
 #include "xbar/problem.h"

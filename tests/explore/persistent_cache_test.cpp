@@ -341,7 +341,7 @@ TEST(PersistentCache, WarmReportIsBitIdenticalWithSimAndSolverCountersFlat) {
 
 // A re-run of a store-backed validating sweep must serve every phase-4
 // designed-configuration result from the stage=metrics store entries —
-// no batched re-simulation at all, pinned on the sim.* obs counters —
+// no cohort re-simulation at all, pinned on the sim.* obs counters —
 // and produce bit-identical results.
 TEST(PersistentCache, SweepRerunServesDesignedMetricsFromStore) {
   const auto dir = test_dir("sweep-metrics");
@@ -350,7 +350,6 @@ TEST(PersistentCache, SweepRerunServesDesignedMetricsFromStore) {
   spec.grid.window_sizes = {200, 400, 1000};
   spec.horizon = 8'000;
   spec.validate = true;
-  spec.batch_size = 2;  // one full cohort + one straggler: both paths
 
   obs::reset();
   obs::enable();
@@ -394,7 +393,6 @@ TEST(PersistentCache, DesignedMetricsKeyedBySynthesisKnobs) {
   spec.grid.window_sizes = {200, 400};
   spec.horizon = 8'000;
   spec.validate = true;
-  spec.batch_size = 2;
   {
     trace_cache cache(std::make_shared<disk_store>(dir.string()));
     (void)run_sweep(spec, cache);

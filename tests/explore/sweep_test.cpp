@@ -52,6 +52,38 @@ TEST(Sweep, PointReportsEqualTheSerialDesignFlow) {
   }
 }
 
+TEST(Sweep, ValidationCohortBoundariesDoNotChangeResults) {
+  // 36 points per app: each app validates as one full 32-point cohort
+  // plus a 4-point one. Every point must equal its serial design flow,
+  // on one thread and on eight.
+  auto spec = small_spec();
+  spec.apps = {small_app(6), small_app(8)};
+  spec.apps[0].name += "-6";
+  spec.apps[1].name += "-8";
+  spec.grid.window_sizes = {200, 300, 400, 500, 600, 800, 1000, 1500, 2000};
+  spec.grid.overlap_thresholds = {0.1, 0.3, 0.5, 0.7};
+  const auto points = sweep_points(spec);
+  ASSERT_GT(points.size(), 32u);
+  std::vector<xbar::flow_report> serial;
+  for (const auto& app : spec.apps) {
+    for (const auto& point : points) {
+      serial.push_back(
+          xbar::run_design_flow(app, options_for(spec, point)));
+    }
+  }
+  for (const int threads : {1, 8}) {
+    spec.threads = threads;
+    const auto report = run_sweep(spec);
+    ASSERT_EQ(report.results.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(report.results[i].report, serial[i])
+          << "threads " << threads << " app "
+          << report.results[i].app_name << " point "
+          << points[i % points.size()].to_string();
+    }
+  }
+}
+
 TEST(Sweep, ReportIsBitIdenticalAcrossThreadCounts) {
   auto spec = small_spec();
   spec.apps = {small_app(6), small_app(10)};

@@ -1,4 +1,5 @@
-// sim::batch driver basics: construction rules, resumability, observers.
+// sim::batch basics: construction rules, per-instance trace recording,
+// resumability and instance independence.
 #include "sim/batch.h"
 
 #include <gtest/gtest.h>
@@ -19,12 +20,31 @@ system_config full_config(const workloads::app_spec& app,
   return cfg;
 }
 
-TEST(Batch, RefusesTraceRecordingConfigs) {
+TEST(Batch, RecordsTracesPerInstance) {
+  // Only the instance that asks for traces records them; every
+  // instance's traces are extended to the horizon.
   const auto app = *workloads::make_app_by_name("qsort");
   auto batch = workloads::make_batch(app);
-  auto cfg = full_config(app, 1);
-  cfg.record_traces = true;
-  EXPECT_THROW(batch.add_instance(cfg), invalid_argument_error);
+  auto recording = full_config(app, 1);
+  recording.record_traces = true;
+  batch.add_instance(full_config(app, 1));
+  batch.add_instance(recording);
+  batch.run(8'000);
+
+  EXPECT_TRUE(batch.request_trace(0).empty());
+  EXPECT_TRUE(batch.response_trace(0).empty());
+  EXPECT_EQ(batch.request_trace(0).horizon(), 8'000);
+  EXPECT_EQ(batch.request_trace(0).num_targets(), app.num_targets);
+  EXPECT_EQ(batch.response_trace(0).num_targets(), app.num_initiators);
+
+  const auto& req = batch.request_trace(1);
+  const auto& resp = batch.response_trace(1);
+  EXPECT_EQ(req.horizon(), 8'000);
+  EXPECT_EQ(static_cast<std::int64_t>(req.events().size() +
+                                      resp.events().size()),
+            batch.metrics(1).packets);
+  // Recording only appends to the traces: the metrics are unchanged.
+  EXPECT_TRUE(batch.metrics(0) == batch.metrics(1));
 }
 
 TEST(Batch, ValidatesCrossbarShapes) {
@@ -46,62 +66,37 @@ TEST(Batch, RefusesInstancesAfterTheFirstRun) {
 
 TEST(Batch, SegmentedRunsMatchOneLongRun) {
   const auto app = *workloads::make_app_by_name("mat1");
+  auto cfg = full_config(app, 7);
+  cfg.record_traces = true;
   auto one = workloads::make_batch(app);
-  one.add_instance(full_config(app, 7));
+  one.add_instance(cfg);
   one.run(20'000);
 
   auto segmented = workloads::make_batch(app);
-  segmented.add_instance(full_config(app, 7));
+  segmented.add_instance(cfg);
   segmented.run(4'000);
   segmented.run(9'000);
   segmented.run(20'000);
 
   EXPECT_TRUE(one.metrics(0) == segmented.metrics(0));
-  EXPECT_TRUE(one.observers(0) == segmented.observers(0));
+  EXPECT_TRUE(one.request_trace(0) == segmented.request_trace(0));
+  EXPECT_TRUE(one.response_trace(0) == segmented.response_trace(0));
   EXPECT_EQ(segmented.now(), 20'000);
-}
-
-TEST(Batch, ObserversMatchTheSessionSystemCounters) {
-  const auto app = *workloads::make_app_by_name("qsort");
-  auto batch = workloads::make_batch(app);
-  batch.add_instance(full_config(app, 3));
-  batch.run(15'000);
-
-  auto session = workloads::make_full_crossbar_session(app, full_config(app, 3));
-  session.run(15'000);
-
-  const auto obs = batch.observers(0);
-  cycle_t busy = 0;
-  std::int64_t delivered = 0;
-  int depth = 0;
-  std::int64_t served = 0;
-  const auto& sys = session.system();
-  for (const auto* xb : {&sys.request_crossbar(), &sys.response_crossbar()}) {
-    for (int k = 0; k < xb->num_buses(); ++k) {
-      busy += xb->bus_at(k).busy_cycles();
-      delivered += xb->bus_at(k).delivered_packets();
-      depth = std::max(depth, xb->bus_at(k).max_queue_depth());
-    }
-  }
-  for (int t = 0; t < sys.num_targets(); ++t) {
-    served += sys.target_at(t).served();
-  }
-  EXPECT_EQ(obs.busy_cycles, busy);
-  EXPECT_EQ(obs.delivered_packets, delivered);
-  EXPECT_EQ(obs.max_queue_depth, depth);
-  EXPECT_EQ(obs.replies_served, served);
 }
 
 TEST(Batch, MixedInstancesDoNotInterfere) {
   // One batch holding different seeds and shapes must reproduce the
-  // exact metrics of each instance simulated alone.
+  // exact metrics, traces and kernel counters of each instance simulated
+  // alone.
   const auto app = *workloads::make_app_by_name("qsort");
   auto cfg_a = full_config(app, 11);
+  cfg_a.record_traces = true;
   auto cfg_b = full_config(app, 12);
   cfg_b.request = crossbar_config::shared(app.num_targets);
   auto cfg_c = full_config(app, 13);
   cfg_c.request.policy = arbitration::least_recently_granted;
   cfg_c.response.policy = arbitration::fixed_priority;
+  cfg_c.record_traces = true;
 
   auto mixed = workloads::make_batch(app);
   mixed.add_instance(cfg_a);
@@ -115,7 +110,15 @@ TEST(Batch, MixedInstancesDoNotInterfere) {
     solo.add_instance(cfg);
     solo.run(12'000);
     EXPECT_TRUE(mixed.metrics(b) == solo.metrics(0)) << "instance " << b;
-    EXPECT_TRUE(mixed.observers(b) == solo.observers(0)) << "instance " << b;
+    EXPECT_TRUE(mixed.request_trace(b) == solo.request_trace(0))
+        << "instance " << b;
+    EXPECT_TRUE(mixed.response_trace(b) == solo.response_trace(0))
+        << "instance " << b;
+    const auto& ms = mixed.instance_stats(b);
+    const auto& ss = solo.instance_stats(0);
+    EXPECT_EQ(ms.events_processed, ss.events_processed) << "instance " << b;
+    EXPECT_EQ(ms.events_skipped, ss.events_skipped) << "instance " << b;
+    EXPECT_EQ(ms.cycles_visited, ss.cycles_visited) << "instance " << b;
     ++b;
   }
 }
@@ -126,7 +129,8 @@ TEST(Batch, InstanceIndexOutOfRangeThrows) {
   batch.add_instance(full_config(app, 1));
   batch.run(100);
   EXPECT_THROW(batch.metrics(1), invalid_argument_error);
-  EXPECT_THROW(batch.observers(-1), invalid_argument_error);
+  EXPECT_THROW(batch.request_trace(-1), invalid_argument_error);
+  EXPECT_THROW(batch.instance_stats(1), invalid_argument_error);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
-// Unit tests for the program-driven core model.
-#include "sim/core.h"
+// The program-driven core model, observed through sim::session on
+// minimal systems: blocking reads/writes, request and reply sizes,
+// compute timing, loop prologues, construction checks and barriers.
+#include "sim/session.h"
 
 #include <gtest/gtest.h>
 
@@ -33,141 +35,140 @@ core_op write_op(int target, int cells) {
   return op;
 }
 
-core_params no_jitter_params() {
-  core_params p;
-  p.compute_jitter = 0.0;
-  return p;
+core_op barrier_op(int target, int id, int group) {
+  core_op op;
+  op.op = core_op::kind::barrier;
+  op.target = target;
+  op.barrier_id = id;
+  op.group_size = group;
+  return op;
+}
+
+/// Full crossbars, default overheads (2) and service latency (4), no
+/// compute jitter.
+system_config no_jitter_config(int cores, int targets) {
+  system_config cfg;
+  cfg.request = crossbar_config::full(targets);
+  cfg.response = crossbar_config::full(cores);
+  cfg.core.compute_jitter = 0.0;
+  return cfg;
 }
 
 TEST(Core, ReadBlocksUntilResponse) {
-  core c(0, {read_op(2, 8)}, no_jitter_params(), rng(1));
-  barrier_board board;
-  std::vector<packet> sent;
-  const send_fn sink = [&](const packet& p) { sent.push_back(p); };
-
-  c.step(0, sink, board);
-  ASSERT_EQ(sent.size(), 1u);
-  EXPECT_EQ(sent[0].kind, packet_kind::request_read);
-  EXPECT_EQ(sent[0].dest, 2);
-  EXPECT_EQ(sent[0].response_cells, 8);
-  EXPECT_TRUE(c.waiting());
-
-  // Stays blocked while the response is in flight.
-  for (cycle_t now = 1; now < 10; ++now) c.step(now, sink, board);
-  EXPECT_EQ(sent.size(), 1u);
-
-  packet resp;
-  resp.kind = packet_kind::response_read;
-  resp.txn = sent[0].txn;
-  resp.dest = 0;
-  c.on_response(resp, 12);
-  EXPECT_FALSE(c.waiting());
-  EXPECT_EQ(c.transactions(), 1);
-  EXPECT_DOUBLE_EQ(c.round_trip().max(), 12.0);
-
-  // Program loops: next step issues the read again.
-  c.step(13, sink, board);
-  EXPECT_EQ(sent.size(), 2u);
-  EXPECT_EQ(c.iterations(), 1);
+  session s({{read_op(2, 8)}}, 3, no_jitter_config(1, 3));
+  s.run(200);
+  const auto& requests = s.request_trace().events();
+  const auto& replies = s.response_trace().events();
+  ASSERT_GE(replies.size(), 3u);
+  EXPECT_EQ(requests[0].begin, 0);
+  EXPECT_EQ(requests[0].target, 2);
+  EXPECT_EQ(requests[0].end - requests[0].begin, 2 + 1);  // address beat
+  EXPECT_EQ(replies[0].end - replies[0].begin, 2 + 8);    // read data
+  // One request in flight at a time: the program loops, and each read
+  // issues the cycle its predecessor's data has fully arrived.
+  for (std::size_t k = 0; k + 1 < requests.size(); ++k) {
+    EXPECT_EQ(requests[k + 1].begin, replies[k].end) << "read " << k;
+  }
+  EXPECT_EQ(s.metrics().transactions,
+            static_cast<std::int64_t>(replies.size()));
+  EXPECT_EQ(s.metrics().iterations, s.metrics().transactions);
 }
 
 TEST(Core, WriteCarriesPayloadAndAwaitsAck) {
-  core c(0, {write_op(1, 16)}, no_jitter_params(), rng(1));
-  barrier_board board;
-  std::vector<packet> sent;
-  const send_fn sink = [&](const packet& p) { sent.push_back(p); };
-  c.step(0, sink, board);
-  ASSERT_EQ(sent.size(), 1u);
-  EXPECT_EQ(sent[0].kind, packet_kind::request_write);
-  EXPECT_EQ(sent[0].cells, 16);
-  EXPECT_EQ(sent[0].response_cells, 1);
+  session s({{write_op(1, 16)}}, 2, no_jitter_config(1, 2));
+  s.run(60);
+  const auto& requests = s.request_trace().events();
+  const auto& replies = s.response_trace().events();
+  ASSERT_GE(replies.size(), 1u);
+  EXPECT_EQ(requests[0].target, 1);
+  EXPECT_EQ(requests[0].end - requests[0].begin, 2 + 16);  // payload
+  EXPECT_EQ(replies[0].end - replies[0].begin, 2 + 1);     // 1-cell ack
+  EXPECT_EQ(requests[1].begin, replies[0].end);
 }
 
 TEST(Core, ComputeConsumesExactCyclesWithoutJitter) {
-  core c(0, {compute_op(5), read_op(0, 1)}, no_jitter_params(), rng(1));
-  barrier_board board;
-  std::vector<cycle_t> issue_times;
-  const send_fn sink = [&](const packet& p) { issue_times.push_back(p.issue); };
-  for (cycle_t now = 0; now < 10 && issue_times.empty(); ++now) {
-    c.step(now, sink, board);
-  }
-  ASSERT_EQ(issue_times.size(), 1u);
-  EXPECT_EQ(issue_times[0], 5);  // compute occupied cycles [0,5)
+  session s({{compute_op(5), read_op(0, 1)}}, 1, no_jitter_config(1, 1));
+  s.run(10);
+  ASSERT_EQ(s.request_trace().events().size(), 1u);
+  EXPECT_EQ(s.request_trace().events()[0].begin, 5);  // compute [0,5)
 }
 
 TEST(Core, ZeroComputeTakesOneCycle) {
-  core c(0, {compute_op(0), read_op(0, 1)}, no_jitter_params(), rng(1));
-  barrier_board board;
-  std::vector<cycle_t> issue_times;
-  const send_fn sink = [&](const packet& p) { issue_times.push_back(p.issue); };
-  for (cycle_t now = 0; now < 5 && issue_times.empty(); ++now) {
-    c.step(now, sink, board);
-  }
-  ASSERT_EQ(issue_times.size(), 1u);
-  EXPECT_EQ(issue_times[0], 1);  // op slot still costs a cycle
+  session s({{compute_op(0), read_op(0, 1)}}, 1, no_jitter_config(1, 1));
+  s.run(5);
+  ASSERT_EQ(s.request_trace().events().size(), 1u);
+  EXPECT_EQ(s.request_trace().events()[0].begin, 1);  // op slot costs a cycle
 }
 
 TEST(Core, LoopStartSkipsPrologue) {
   // Prologue: long compute. Body: read. After the first iteration the
   // prologue must not run again.
-  core c(0, {compute_op(50), read_op(0, 1)}, no_jitter_params(), rng(1),
-         /*loop_start=*/1);
-  barrier_board board;
-  std::vector<cycle_t> issue_times;
-  const send_fn sink = [&](const packet& p) { issue_times.push_back(p.issue); };
-  cycle_t now = 0;
-  for (; now < 200 && issue_times.size() < 2; ++now) {
-    c.step(now, sink, board);
-    if (!issue_times.empty() && c.waiting()) {
-      packet resp;
-      resp.kind = packet_kind::response_read;
-      resp.txn = issue_times.size();  // txns count from 1
-      c.on_response(resp, now + 1);
-    }
-  }
-  ASSERT_EQ(issue_times.size(), 2u);
-  EXPECT_EQ(issue_times[0], 50);
-  // Second issue follows immediately after the response, not after
-  // another 50-cycle prologue.
-  EXPECT_LT(issue_times[1], 60);
+  session s({{compute_op(50), read_op(0, 1)}}, 1, no_jitter_config(1, 1),
+            /*loop_starts=*/{1});
+  s.run(200);
+  const auto& requests = s.request_trace().events();
+  const auto& replies = s.response_trace().events();
+  ASSERT_GE(requests.size(), 2u);
+  EXPECT_EQ(requests[0].begin, 50);
+  // The second read follows the response directly, not another 50-cycle
+  // prologue.
+  EXPECT_EQ(requests[1].begin, replies[0].end);
+  EXPECT_LT(requests[1].begin, 70);
 }
 
 TEST(Core, RejectsEmptyProgramAndBadOps) {
-  EXPECT_THROW(core(0, {}, no_jitter_params(), rng(1)),
+  const auto cfg = no_jitter_config(1, 1);
+  EXPECT_THROW(session({{}}, 1, cfg), invalid_argument_error);
+  EXPECT_THROW(session({}, 1, cfg), invalid_argument_error);
+  EXPECT_THROW(session({{barrier_op(0, 0, 0)}}, 1, cfg),
                invalid_argument_error);
-  core_op bad_barrier;
-  bad_barrier.op = core_op::kind::barrier;
-  bad_barrier.group_size = 0;
-  EXPECT_THROW(core(0, {bad_barrier}, no_jitter_params(), rng(1)),
-               invalid_argument_error);
-  EXPECT_THROW(core(0, {read_op(0, 0)}, no_jitter_params(), rng(1)),
-               invalid_argument_error);
-  EXPECT_THROW(core(0, {read_op(0, 1)}, no_jitter_params(), rng(1),
-                    /*loop_start=*/5),
+  EXPECT_THROW(session({{read_op(0, 0)}}, 1, cfg), invalid_argument_error);
+  EXPECT_THROW(session({{read_op(0, 1)}}, 1, cfg, /*loop_starts=*/{5}),
                invalid_argument_error);
 }
 
-TEST(Core, ResponseTxnMismatchIsInternalError) {
-  core c(0, {read_op(0, 1)}, no_jitter_params(), rng(1));
-  barrier_board board;
-  const send_fn sink = [](const packet&) {};
-  c.step(0, sink, board);
-  packet wrong;
-  wrong.txn = 999;
-  EXPECT_THROW(c.on_response(wrong, 1), internal_error);
-}
+TEST(Core, BarrierOpensAtGroupSize) {
+  // Core 0 computes 10 cycles per iteration, core 1 200; both meet at a
+  // two-core barrier on target 2, then each reads its own marker target.
+  // Core 1 arrives last every time, so it passes at once and its only
+  // target-2 traffic is one arrival write per iteration; core 0 spins
+  // (polls target 2) until that arrival lands.
+  const std::vector<std::vector<core_op>> progs = {
+      {compute_op(10), barrier_op(2, 0, 2), read_op(0, 1)},
+      {compute_op(200), barrier_op(2, 0, 2), read_op(1, 1)}};
+  system_config cfg = no_jitter_config(2, 3);
+  session s(progs, 3, cfg);
+  s.run(5'000);
+  std::vector<cycle_t> marker0;
+  std::vector<cycle_t> arrival1;
+  std::int64_t polls0 = 0;
+  for (const auto& e : s.request_trace().events()) {
+    if (e.target == 0) marker0.push_back(e.begin);
+    if (e.target == 2 && e.initiator == 1) arrival1.push_back(e.end);
+    if (e.target == 2 && e.initiator == 0) ++polls0;
+  }
+  ASSERT_GE(marker0.size(), 10u);
+  ASSERT_GE(arrival1.size(), marker0.size());
+  for (std::size_t k = 0; k < marker0.size(); ++k) {
+    // Epoch k opens only with core 1's k-th arrival, and core 0 sees it
+    // within one poll interval plus a poll round trip.
+    EXPECT_GT(marker0[k], arrival1[k]) << "iteration " << k;
+    EXPECT_LT(marker0[k], arrival1[k] + cfg.core.barrier_poll_interval + 20)
+        << "iteration " << k;
+  }
+  EXPECT_GT(polls0, static_cast<std::int64_t>(marker0.size()));
 
-TEST(BarrierBoard, OpensAtGroupSize) {
-  barrier_board board;
-  EXPECT_FALSE(board.open(1, 0, 2));
-  board.arrive(1, 0);
-  EXPECT_FALSE(board.open(1, 0, 2));
-  board.arrive(1, 0);
-  EXPECT_TRUE(board.open(1, 0, 2));
-  // Different epoch is independent.
-  EXPECT_FALSE(board.open(1, 1, 2));
-  // Different barrier id is independent.
-  EXPECT_FALSE(board.open(2, 0, 2));
+  // A barrier of one opens on its own arrival: core 0 no longer waits.
+  const std::vector<std::vector<core_op>> solo = {
+      {compute_op(10), barrier_op(2, 0, 1), read_op(0, 1)},
+      {compute_op(200), barrier_op(2, 1, 1), read_op(1, 1)}};
+  session free_running(solo, 3, cfg);
+  free_running.run(5'000);
+  std::int64_t free_markers = 0;
+  for (const auto& e : free_running.request_trace().events()) {
+    free_markers += e.target == 0 ? 1 : 0;
+  }
+  EXPECT_GT(free_markers, 4 * static_cast<std::int64_t>(marker0.size()));
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
-// Unit tests for crossbar configuration and routing.
-#include "sim/crossbar.h"
+// Crossbar configuration, and routing observed through sim::session on
+// minimal systems: binding-driven bus choice, parallel vs shared buses,
+// latency statistics with the critical split, per-bus utilisation.
+#include "sim/session.h"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "util/error.h"
 
@@ -42,108 +46,101 @@ TEST(CrossbarConfig, ToStringNamesShapes) {
             std::string::npos);
 }
 
-packet make_packet(int src, int dst, int cells, cycle_t issue) {
-  packet p;
-  p.source = src;
-  p.dest = dst;
-  p.cells = cells;
-  p.issue = issue;
-  return p;
+core_op write_op(int target, int cells) {
+  core_op op;
+  op.op = core_op::kind::write;
+  op.target = target;
+  op.cells = cells;
+  return op;
+}
+
+/// `request` as the request crossbar, a full response crossbar, zero
+/// overheads unless overridden, and replies held back past every horizon
+/// used here so only request-side packets move.
+system_config config(crossbar_config request, int cores,
+                     cycle_t overhead = 0) {
+  system_config cfg;
+  cfg.request = std::move(request);
+  cfg.request.transfer_overhead = overhead;
+  cfg.response = crossbar_config::full(cores);
+  cfg.target.service_latency = 1'000;
+  cfg.core.compute_jitter = 0.0;
+  return cfg;
 }
 
 TEST(Crossbar, RoutesByBinding) {
-  auto cfg = crossbar_config::partial(2, {0, 1, 1});
-  cfg.transfer_overhead = 0;
-  crossbar xb(cfg, /*send_ports=*/2, /*recv=*/3);
-  xb.enqueue(make_packet(0, 0, 1, 0));  // -> bus 0
-  xb.enqueue(make_packet(1, 2, 1, 0));  // -> bus 1
-  int delivered = 0;
-  for (cycle_t now = 0; now < 5; ++now) {
-    xb.step(now, [&](const packet&, cycle_t, cycle_t) { ++delivered; });
-  }
-  EXPECT_EQ(delivered, 2);
-  EXPECT_EQ(xb.bus_at(0).delivered_packets(), 1);
-  EXPECT_EQ(xb.bus_at(1).delivered_packets(), 1);
+  // Target 0 on bus 0, targets 1 and 2 on bus 1: the two writes ride
+  // different buses and so run in parallel.
+  session s({{write_op(0, 1)}, {write_op(2, 1)}}, 3,
+            config(crossbar_config::partial(2, {0, 1, 1}), 2));
+  s.run(5);
+  const auto& events = s.request_trace().events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].begin, 0);
+  EXPECT_EQ(events[1].begin, 0);
+  EXPECT_EQ(s.metrics().packets, 2);
+
+  // Targets 1 and 2 share bus 1: those writes serialise.
+  session shared_bus({{write_op(1, 1)}, {write_op(2, 1)}}, 3,
+                     config(crossbar_config::partial(2, {0, 1, 1}), 2));
+  shared_bus.run(5);
+  ASSERT_EQ(shared_bus.request_trace().events().size(), 2u);
+  EXPECT_EQ(shared_bus.request_trace().events()[1].begin, 1);
 }
 
 TEST(Crossbar, ParallelBusesDoNotSerialise) {
-  auto cfg = crossbar_config::full(2);
-  cfg.transfer_overhead = 0;
-  crossbar xb(cfg, 2, 2);
-  xb.enqueue(make_packet(0, 0, 4, 0));
-  xb.enqueue(make_packet(1, 1, 4, 0));
-  cycle_t last_end = 0;
-  for (cycle_t now = 0; now < 10; ++now) {
-    xb.step(now, [&](const packet&, cycle_t, cycle_t re) {
-      last_end = std::max(last_end, re);
-    });
+  session s({{write_op(0, 4)}, {write_op(1, 4)}}, 2,
+            config(crossbar_config::full(2), 2));
+  s.run(10);
+  ASSERT_EQ(s.request_trace().events().size(), 2u);
+  for (const auto& e : s.request_trace().events()) {
+    EXPECT_EQ(e.end, 4);  // both finish together on separate buses
   }
-  EXPECT_EQ(last_end, 4);  // both finish together on separate buses
 }
 
 TEST(Crossbar, SharedBusSerialises) {
-  auto cfg = crossbar_config::shared(2);
-  cfg.transfer_overhead = 0;
-  crossbar xb(cfg, 2, 2);
-  xb.enqueue(make_packet(0, 0, 4, 0));
-  xb.enqueue(make_packet(1, 1, 4, 0));
-  cycle_t last_end = 0;
-  for (cycle_t now = 0; now < 10; ++now) {
-    xb.step(now, [&](const packet&, cycle_t, cycle_t re) {
-      last_end = std::max(last_end, re);
-    });
-  }
-  EXPECT_EQ(last_end, 8);
+  session s({{write_op(0, 4)}, {write_op(1, 4)}}, 2,
+            config(crossbar_config::shared(2), 2));
+  s.run(10);
+  const auto& events = s.request_trace().events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].end, 4);
+  EXPECT_EQ(events[1].end, 8);
 }
 
 TEST(Crossbar, LatencyStatsAndCriticalSplit) {
-  auto cfg = crossbar_config::shared(1);
-  cfg.transfer_overhead = 1;
-  crossbar xb(cfg, 2, 1);
-  auto p1 = make_packet(0, 0, 2, 0);
-  auto p2 = make_packet(1, 0, 2, 0);
-  p2.critical = true;
-  xb.enqueue(p1);
-  xb.enqueue(p2);
-  for (cycle_t now = 0; now < 10; ++now) {
-    xb.step(now, [](const packet&, cycle_t, cycle_t) {});
-  }
-  EXPECT_EQ(xb.latency().count(), 2);
-  EXPECT_EQ(xb.critical_latency().count(), 1);
-  // First packet: 3 cycles; second: waits 3 then 3 = 6.
-  EXPECT_DOUBLE_EQ(xb.latency().min(), 3.0);
-  EXPECT_DOUBLE_EQ(xb.latency().max(), 6.0);
-}
-
-TEST(Crossbar, DrainedReflectsOutstandingWork) {
-  auto cfg = crossbar_config::shared(1);
-  crossbar xb(cfg, 1, 1);
-  EXPECT_TRUE(xb.drained());
-  xb.enqueue(make_packet(0, 0, 3, 0));
-  EXPECT_FALSE(xb.drained());
-  for (cycle_t now = 0; now < 10; ++now) {
-    xb.step(now, [](const packet&, cycle_t, cycle_t) {});
-  }
-  EXPECT_TRUE(xb.drained());
+  auto critical = write_op(0, 2);
+  critical.critical = true;
+  session s({{write_op(0, 2)}, {critical}}, 1,
+            config(crossbar_config::shared(1), 2, /*overhead=*/1));
+  s.run(10);
+  const auto& m = s.metrics();
+  EXPECT_EQ(m.packets, 2);
+  // First packet: 3 cycles; the second waits 3 then takes 3 = 6.
+  EXPECT_DOUBLE_EQ(m.avg_latency, 4.5);
+  EXPECT_DOUBLE_EQ(m.max_latency, 6.0);
+  // Only the second packet is critical.
+  EXPECT_DOUBLE_EQ(m.avg_critical, 6.0);
+  EXPECT_DOUBLE_EQ(m.max_critical, 6.0);
 }
 
 TEST(Crossbar, UtilizationPerBus) {
-  auto cfg = crossbar_config::full(2);
-  cfg.transfer_overhead = 0;
-  crossbar xb(cfg, 1, 2);
-  xb.enqueue(make_packet(0, 0, 5, 0));
-  for (cycle_t now = 0; now < 10; ++now) {
-    xb.step(now, [](const packet&, cycle_t, cycle_t) {});
-  }
-  EXPECT_DOUBLE_EQ(xb.utilization(0, 10), 0.5);
-  EXPECT_DOUBLE_EQ(xb.utilization(1, 10), 0.0);
-  EXPECT_THROW(xb.utilization(0, 0), invalid_argument_error);
-  EXPECT_THROW(xb.utilization(7, 10), invalid_argument_error);
+  session s({{write_op(0, 5)}}, 2, config(crossbar_config::full(2), 1));
+  s.run(10);
+  const auto busy = s.request_trace().total_busy_per_target();
+  ASSERT_EQ(busy.size(), 2u);
+  EXPECT_EQ(busy[0], 5);  // half of the 10 cycles
+  EXPECT_EQ(busy[1], 0);
+  EXPECT_EQ(s.request_trace().horizon(), 10);
 }
 
-TEST(Crossbar, EnqueueRejectsUnknownDest) {
-  crossbar xb(crossbar_config::shared(2), 1, 2);
-  EXPECT_THROW(xb.enqueue(make_packet(0, 9, 1, 0)), invalid_argument_error);
+TEST(Crossbar, SessionRejectsMalformedConfigs) {
+  auto cfg = config(crossbar_config::shared(2), 1);
+  EXPECT_THROW(session({{write_op(9, 1)}}, 2, cfg), invalid_argument_error);
+  cfg.request = crossbar_config::partial(2, {0, 5});
+  EXPECT_THROW(session({{write_op(0, 1)}}, 2, cfg), invalid_argument_error);
+  cfg.request = crossbar_config::shared(3);  // binding size != targets
+  EXPECT_THROW(session({{write_op(0, 1)}}, 2, cfg), invalid_argument_error);
 }
 
 }  // namespace

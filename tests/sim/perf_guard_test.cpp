@@ -24,14 +24,16 @@ TEST(PerfGuard, EventKernelProcessesFarFewerEventsThanPollingWould) {
     cfg.seed = 1;
     cfg.record_traces = false;
     cfg.keep_latency_samples = false;
-    auto system = workloads::make_full_crossbar_system(app, cfg);
-    system.run(kPinnedHorizon);
+    auto session = workloads::make_full_crossbar_session(app, cfg);
+    session.run(kPinnedHorizon);
     // Defence against guarding a stuck simulation.
-    ASSERT_GT(system.total_transactions(), 0) << app.name;
+    ASSERT_GT(session.metrics().transactions, 0) << app.name;
 
+    // Cores + targets + one bus per endpoint on each full crossbar.
+    const std::int64_t components = 2 * app.total_cores();
     const std::int64_t polling_steps =
-        static_cast<std::int64_t>(kPinnedHorizon) * system.num_components();
-    const auto& stats = system.event_stats();
+        static_cast<std::int64_t>(kPinnedHorizon) * components;
+    const auto& stats = session.stats();
     // The dense paper apps run 5-8x fewer events than polling steps;
     // 50% is generous slack that still catches a per-cycle regression.
     EXPECT_LT(stats.events_processed, polling_steps / 2)

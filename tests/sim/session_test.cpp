@@ -1,4 +1,4 @@
-// sim::session: the unified build-run-harvest API.
+// sim::session: the unified build-run-harvest API, a batch of one.
 #include "sim/session.h"
 
 #include <gtest/gtest.h>
@@ -16,27 +16,36 @@ core_op read_op(int target, int cells) {
   return op;
 }
 
-TEST(Session, HarvestsTheSameMetricsAsTheBareSystem) {
+TEST(Session, EqualsItsInstanceInAnyBatch) {
+  // A session is a batch of one, and batch instances are independent:
+  // the same config simulated among other instances reports the same
+  // traces, metrics and kernel counters.
   const auto app = *workloads::make_app_by_name("qsort");
   system_config cfg;
   cfg.seed = 5;
-  auto session = workloads::make_full_crossbar_session(app, cfg);
-  session.run(20'000);
-  auto system = workloads::make_full_crossbar_system(app, cfg);
-  system.run(20'000);
+  auto s = workloads::make_full_crossbar_session(app, cfg);
+  s.run(20'000);
 
-  const auto& m = session.metrics();
-  EXPECT_EQ(m.transactions, system.total_transactions());
-  EXPECT_EQ(m.iterations, system.total_iterations());
-  EXPECT_EQ(m.packets, system.packet_latency().count());
-  EXPECT_DOUBLE_EQ(m.avg_latency, system.packet_latency().mean());
-  EXPECT_DOUBLE_EQ(m.max_latency, system.packet_latency().max());
-  EXPECT_EQ(m.total_buses, system.request_crossbar().num_buses() +
-                               system.response_crossbar().num_buses());
-  EXPECT_TRUE(session.request_trace() == system.request_trace());
-  EXPECT_TRUE(session.response_trace() == system.response_trace());
-  // The free-function harvest is the same maths.
-  EXPECT_TRUE(harvest_metrics(system) == m);
+  auto kernel = workloads::make_batch(app);
+  system_config other = cfg;
+  other.seed = 6;
+  other.request = crossbar_config::shared(app.num_targets);
+  other.response = crossbar_config::shared(app.num_initiators);
+  kernel.add_instance(other);
+  const int b = kernel.add_instance(workloads::make_system_config(
+      app, crossbar_config::full(app.num_targets),
+      crossbar_config::full(app.num_initiators), cfg));
+  kernel.run(20'000);
+
+  EXPECT_TRUE(kernel.metrics(b) == s.metrics());
+  EXPECT_TRUE(kernel.request_trace(b) == s.request_trace());
+  EXPECT_TRUE(kernel.response_trace(b) == s.response_trace());
+  EXPECT_EQ(kernel.instance_stats(b).events_processed,
+            s.stats().events_processed);
+  EXPECT_EQ(s.metrics().total_buses, app.total_cores());
+  EXPECT_EQ(s.metrics().packets,
+            static_cast<std::int64_t>(s.request_trace().events().size() +
+                                      s.response_trace().events().size()));
 }
 
 TEST(Session, MetricsAreCachedUntilTheNextRun) {
@@ -59,7 +68,7 @@ TEST(Session, RunsOnTheEventKernel) {
   const auto app = *workloads::make_app_by_name("mat2");
   auto evt = workloads::make_full_crossbar_session(app, {});
   evt.run(10'000);
-  EXPECT_GT(evt.system().event_stats().events_processed, 0);
+  EXPECT_GT(evt.stats().events_processed, 0);
   EXPECT_GT(evt.metrics().transactions, 0);
 }
 

@@ -1,9 +1,10 @@
-// Property tests: simulator invariants on randomly generated systems.
+// Property tests: simulator invariants on randomly generated systems,
+// observed through sim::session traces and metrics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "sim/system.h"
+#include "sim/session.h"
 #include "util/random.h"
 
 namespace stx::sim {
@@ -74,39 +75,53 @@ TEST_P(SimRandom, InvariantsHoldOnRandomConfigurations) {
   cfg.response =
       random_partial(r, static_cast<int>(spec.programs.size()));
   cfg.seed = static_cast<std::uint64_t>(GetParam());
-  mpsoc_system sys(spec.programs, spec.num_targets, cfg);
+  session sys(spec.programs, spec.num_targets, cfg);
   const cycle_t horizon = 4000;
   sys.run(horizon);
+  const auto& requests = sys.request_trace();
+  const auto& responses = sys.response_trace();
+  const auto transactions = sys.metrics().transactions;
 
   // 1. Requests delivered >= responses delivered >= completed txns.
-  std::int64_t req = 0, resp = 0;
-  for (int k = 0; k < sys.request_crossbar().num_buses(); ++k) {
-    req += sys.request_crossbar().bus_at(k).delivered_packets();
-  }
-  for (int k = 0; k < sys.response_crossbar().num_buses(); ++k) {
-    resp += sys.response_crossbar().bus_at(k).delivered_packets();
-  }
+  const auto req = static_cast<std::int64_t>(requests.events().size());
+  const auto resp = static_cast<std::int64_t>(responses.events().size());
   EXPECT_GE(req, resp) << "seed " << GetParam();
-  EXPECT_GE(resp, sys.total_transactions()) << "seed " << GetParam();
+  EXPECT_GE(resp, transactions) << "seed " << GetParam();
+  EXPECT_EQ(req + resp, sys.metrics().packets) << "seed " << GetParam();
   // At most one outstanding transaction per core.
-  EXPECT_LE(req - sys.total_transactions(),
+  EXPECT_LE(req - transactions,
             static_cast<std::int64_t>(spec.programs.size()) * 2)
       << "seed " << GetParam();
 
-  // 2. Latency is at least overhead + 1 cell for every packet.
-  if (sys.packet_latency().count() > 0) {
-    EXPECT_GE(sys.packet_latency().min(),
+  // 2. Every packet occupies its bus for at least overhead + 1 cell, and
+  // its latency (queueing included) is at least that occupancy.
+  for (const auto* tr : {&requests, &responses}) {
+    for (const auto& e : tr->events()) {
+      EXPECT_GE(e.end - e.begin, cfg.request.transfer_overhead + 1)
+          << "seed " << GetParam();
+    }
+  }
+  if (sys.metrics().packets > 0) {
+    EXPECT_GE(sys.metrics().avg_latency,
               static_cast<double>(cfg.request.transfer_overhead + 1))
         << "seed " << GetParam();
   }
 
-  // 3. Bus busy cycles never exceed elapsed time.
-  for (int k = 0; k < sys.request_crossbar().num_buses(); ++k) {
-    EXPECT_LE(sys.request_crossbar().bus_at(k).busy_cycles(), horizon);
+  // 3. Bus busy cycles never exceed elapsed time: a bus's transfers are
+  // disjoint, so their occupancies sum to at most the horizon.
+  std::vector<cycle_t> bus_busy(
+      static_cast<std::size_t>(cfg.request.num_buses), 0);
+  for (const auto& e : requests.events()) {
+    bus_busy[static_cast<std::size_t>(
+        cfg.request.binding[static_cast<std::size_t>(e.target)])] +=
+        e.end - e.begin;
+  }
+  for (const cycle_t busy : bus_busy) {
+    EXPECT_LE(busy, horizon) << "seed " << GetParam();
   }
 
   // 4. Trace events lie within the horizon and reference valid ids.
-  for (const auto& e : sys.request_trace().events()) {
+  for (const auto& e : requests.events()) {
     EXPECT_GE(e.begin, 0);
     EXPECT_LT(e.begin, e.end);
     EXPECT_LE(e.end, sys.now());
@@ -116,7 +131,7 @@ TEST_P(SimRandom, InvariantsHoldOnRandomConfigurations) {
 
   // 5. Per-target busy time never exceeds the horizon (a target receives
   // from exactly one bus).
-  for (const cycle_t busy : sys.request_trace().total_busy_per_target()) {
+  for (const cycle_t busy : requests.total_busy_per_target()) {
     EXPECT_LE(busy, horizon) << "seed " << GetParam();
   }
 }
@@ -130,23 +145,22 @@ TEST_P(SimRandom, FullCrossbarLatencyLowerBoundsPartial) {
   full_cfg.response =
       crossbar_config::full(static_cast<int>(spec.programs.size()));
   full_cfg.seed = 7;
-  mpsoc_system full(spec.programs, spec.num_targets, full_cfg);
+  session full(spec.programs, spec.num_targets, full_cfg);
   full.run(4000);
 
   system_config shared_cfg = full_cfg;
   shared_cfg.request = crossbar_config::shared(spec.num_targets);
   shared_cfg.response =
       crossbar_config::shared(static_cast<int>(spec.programs.size()));
-  mpsoc_system shared(spec.programs, spec.num_targets, shared_cfg);
+  session shared(spec.programs, spec.num_targets, shared_cfg);
   shared.run(4000);
 
-  if (full.packet_latency().count() > 100 &&
-      shared.packet_latency().count() > 100) {
+  if (full.metrics().packets > 100 && shared.metrics().packets > 100) {
     // The shared bus can never beat the full crossbar on mean latency
     // (same workload, strictly fewer resources). Tiny tolerance for
     // closed-loop scheduling noise.
-    EXPECT_GE(shared.packet_latency().mean(),
-              full.packet_latency().mean() * 0.98)
+    EXPECT_GE(shared.metrics().avg_latency,
+              full.metrics().avg_latency * 0.98)
         << "seed " << GetParam();
   }
 }

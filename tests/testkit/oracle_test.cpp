@@ -164,44 +164,35 @@ TEST(Oracle, FeasibilityCatchesModelViolatingBinding) {
   EXPECT_TRUE(has_invariant(vs, "feasibility")) << to_string(vs);
 }
 
-TEST(Oracle, ObserverEquivalenceAcceptsTheRealReport) {
+TEST(Oracle, FullReferenceAcceptsTheRealReport) {
   const auto& f = fixture();
   std::vector<violation> vs;
-  check_observer_equivalence(f.app, f.opts, f.report, oracle_options{}, &vs);
+  check_full_reference(f.app, f.opts, f.report, oracle_options{}, &vs);
   EXPECT_TRUE(vs.empty()) << to_string(vs);
 }
 
-TEST(Oracle, ObserverEquivalenceCatchesTamperedMetrics) {
+TEST(Oracle, FullReferenceCatchesTamperedFullReference) {
+  // The harvested full-crossbar reference disagrees with its
+  // recording-off re-simulation.
   const auto& f = fixture();
   auto broken = f.report;
-  broken.designed.avg_latency += 0.5;  // any double off by any amount
+  broken.full.p99_latency += 0.5;  // any double off by any amount
   std::vector<violation> vs;
-  check_observer_equivalence(f.app, f.opts, broken, oracle_options{}, &vs);
-  EXPECT_TRUE(has_invariant(vs, "observer-equivalence")) << to_string(vs);
-}
-
-TEST(Oracle, ObserverEquivalenceCatchesTamperedFullReference) {
-  // The designed section is intact; only the harvested full-crossbar
-  // reference disagrees with its recording-off re-simulation.
-  const auto& f = fixture();
-  auto broken = f.report;
-  broken.full.p99_latency += 0.5;
-  std::vector<violation> vs;
-  check_observer_equivalence(f.app, f.opts, broken, oracle_options{}, &vs);
+  check_full_reference(f.app, f.opts, broken, oracle_options{}, &vs);
   ASSERT_EQ(vs.size(), 1u) << to_string(vs);
-  EXPECT_EQ(vs.front().invariant, "observer-equivalence");
+  EXPECT_EQ(vs.front().invariant, "full-reference");
   EXPECT_NE(vs.front().detail.find("full-crossbar reference"),
             std::string::npos)
       << vs.front().detail;
 }
 
-TEST(Oracle, ObserverEquivalenceSkipsUnvalidatedReports) {
+TEST(Oracle, FullReferenceSkipsUnvalidatedReports) {
   const auto& f = fixture();
   auto unvalidated = f.report;
   unvalidated.designed = {};  // as a synthesis-only flow leaves it
+  unvalidated.full = {};
   std::vector<violation> vs;
-  check_observer_equivalence(f.app, f.opts, unvalidated, oracle_options{},
-                             &vs);
+  check_full_reference(f.app, f.opts, unvalidated, oracle_options{}, &vs);
   EXPECT_TRUE(vs.empty()) << to_string(vs);
 }
 

@@ -199,12 +199,12 @@ TEST(AppSpec, ValidateCatchesBrokenSpecs) {
   EXPECT_THROW(app2.validate(), invalid_argument_error);
 }
 
-TEST(AppSpec, MakeSystemRunsEveryApp) {
+TEST(AppSpec, MakeSessionRunsEveryApp) {
   for (const auto& app : all_mpsoc_apps()) {
-    auto sys = make_full_crossbar_system(app);
-    sys.run(5000);
-    EXPECT_GT(sys.total_transactions(), 0) << app.name;
-    EXPECT_FALSE(sys.request_trace().empty()) << app.name;
+    auto session = make_full_crossbar_session(app);
+    session.run(5000);
+    EXPECT_GT(session.metrics().transactions, 0) << app.name;
+    EXPECT_FALSE(session.request_trace().empty()) << app.name;
   }
 }
 
