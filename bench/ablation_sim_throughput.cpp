@@ -179,7 +179,9 @@ int main(int argc, char** argv) {
   for (const traffic::cycle_t ws : {200, 2'000, 20'000}) {
     const auto acc = bench::time_reps(repeats, [&](int) {
       obs::stopwatch sw;
-      traffic::window_analysis wa(traces.request, ws);
+      const traffic::window_analysis wa(
+          traces.request,
+          traffic::window_partition::uniform(traces.request.horizon(), ws));
       volatile auto keep = wa.total_overlap(0, 1);
       (void)keep;
       return sw.seconds();

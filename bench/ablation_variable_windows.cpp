@@ -6,8 +6,6 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "traffic/variable_windows.h"
-#include "traffic/windows.h"
 #include "util/table.h"
 #include "workloads/mpsoc_apps.h"
 #include "xbar/flow.h"
@@ -44,14 +42,11 @@ int main() {
       const auto n_windows =
           std::max<traffic::cycle_t>(1, tr.horizon() /
                                             opts.synth.params.window_size);
-      const auto per_window = std::max<traffic::cycle_t>(1, total / n_windows);
-      const auto part = traffic::window_partition::burst_adaptive(
-          tr, per_window, opts.synth.params.window_size / 4,
-          opts.synth.params.window_size * 4);
-      const traffic::variable_window_analysis vwa(tr, part);
-      const xbar::synthesis_input input(vwa, opts.synth.params);
+      auto params = opts.synth.params;
+      params.burst_window = std::max<traffic::cycle_t>(1, total / n_windows);
+      const auto input = xbar::input_from_trace(tr, params);
       return std::make_pair(xbar::synthesize(input, opts.synth),
-                            part.num_windows());
+                            input.num_windows());
     };
     const auto [var_req, req_windows] = design_variable(traces.request);
     const auto [var_resp, resp_windows] = design_variable(traces.response);

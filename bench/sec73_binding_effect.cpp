@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "traffic/windows.h"
 #include "util/table.h"
 #include "workloads/mpsoc_apps.h"
 #include "workloads/synthetic.h"
@@ -31,12 +30,10 @@ int main() {
   apps.push_back(workloads::make_synthetic());  // strong overlap gradient
   for (const auto& app : apps) {
     const auto traces = xbar::collect_traces(app, opts);
-    const traffic::window_analysis req_wa(traces.request,
-                                          opts.synth.params.window_size);
-    const traffic::window_analysis resp_wa(traces.response,
-                                           opts.synth.params.window_size);
-    const xbar::synthesis_input req_in(req_wa, opts.synth.params);
-    const xbar::synthesis_input resp_in(resp_wa, opts.synth.params);
+    const auto req_in =
+        xbar::input_from_trace(traces.request, opts.synth.params);
+    const auto resp_in =
+        xbar::input_from_trace(traces.response, opts.synth.params);
     const auto req_design = xbar::synthesize(req_in, opts.synth);
     const auto resp_design = xbar::synthesize(resp_in, opts.synth);
 

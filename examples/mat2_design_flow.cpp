@@ -3,10 +3,10 @@
 // "open the hood" companion to quickstart.cpp.
 //
 //   $ ./mat2_design_flow [--horizon=120000] [--window=400]
+#include <algorithm>
 #include <cstdio>
 
 #include "traffic/burst.h"
-#include "traffic/windows.h"
 #include "util/flags.h"
 #include "util/table.h"
 #include "workloads/mpsoc_apps.h"
@@ -35,19 +35,24 @@ int main(int argc, char** argv) {
               traffic::typical_burst_length(traces.request, 50));
 
   // ---- Phase 2: window analysis + pre-processing.
-  const traffic::window_analysis wa(traces.request,
-                                    opts.synth.params.window_size);
-  const xbar::synthesis_input input(wa, opts.synth.params);
+  const auto input =
+      xbar::input_from_trace(traces.request, opts.synth.params);
   std::printf("phase 2: %s\n", input.to_string().c_str());
 
   table demand({"Target", "total busy (cy)", "peak window (cy)",
                 "peak/WS"});
-  for (int t = 0; t < wa.num_targets(); ++t) {
+  for (int t = 0; t < input.num_targets(); ++t) {
+    traffic::cycle_t total = 0;
+    traffic::cycle_t peak = 0;
+    for (int m = 0; m < input.num_windows(); ++m) {
+      total += input.comm(t, m);
+      peak = std::max(peak, input.comm(t, m));
+    }
     demand.cell(app.target_names[static_cast<std::size_t>(t)])
-        .cell(static_cast<std::int64_t>(wa.total_comm(t)))
-        .cell(static_cast<std::int64_t>(wa.peak_comm(t)))
-        .cell(static_cast<double>(wa.peak_comm(t)) /
-                  static_cast<double>(wa.window_size()),
+        .cell(static_cast<std::int64_t>(total))
+        .cell(static_cast<std::int64_t>(peak))
+        .cell(static_cast<double>(peak) /
+                  static_cast<double>(input.window_size()),
               2)
         .end_row();
   }

@@ -9,7 +9,6 @@
 //   $ ./realtime_streams [--horizon=120000]
 #include <cstdio>
 
-#include "traffic/windows.h"
 #include "util/flags.h"
 #include "util/table.h"
 #include "workloads/mpsoc_apps.h"
@@ -47,10 +46,10 @@ int main(int argc, char** argv) {
   // through a conflict constraint (Eq. 7); the blind design can only
   // separate them by luck of the overlap-minimising objective.
   const auto traces = xbar::collect_traces(app, opts);
-  const traffic::window_analysis wa(traces.request,
-                                    opts.synth.params.window_size);
-  const xbar::synthesis_input aware_in(wa, opts.synth.params);
-  const xbar::synthesis_input blind_in(wa, blind_opts.synth.params);
+  const auto aware_in =
+      xbar::input_from_trace(traces.request, opts.synth.params);
+  const auto blind_in =
+      xbar::input_from_trace(traces.request, blind_opts.synth.params);
   std::printf("conflict(PrivateMemory0, PrivateMemory1): aware=%s blind=%s\n\n",
               aware_in.conflict(0, 1) ? "enforced" : "absent",
               blind_in.conflict(0, 1) ? "enforced" : "absent");

@@ -163,11 +163,22 @@ int main(int argc, char** argv) {
     print_usage(stderr);
     return 2;
   }
+  // So is a point no flow can run (e.g. --horizon=0): run_sweep would
+  // reject it too, but as a runtime error.
+  try {
+    spec.horizon = flags.get_int("horizon", 120'000);
+    for (const auto& p : explore::sweep_points(spec)) {
+      explore::options_for(spec, p).validate();
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "xbar-sweep: %s\n", e.what());
+    print_usage(stderr);
+    return 2;
+  }
 
   try {
     const cli::obs_output obs_out(flags);
     spec.apps = pick_apps(flags.get_string("app", "mat2"));
-    spec.horizon = flags.get_int("horizon", 120'000);
     spec.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
     pick_solver_limits(flags, &spec.synth_base.limits);
     spec.validate = flags.get_bool("validate", true);

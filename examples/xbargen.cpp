@@ -159,6 +159,23 @@ xbar::synthesis_options synth_options(const flag_set& flags) {
   return so;
 }
 
+/// The flow knobs of the scalar flags. Values no flow can run (--horizon
+/// or --window below 1, a negative or non-finite --threshold) exit 2 with
+/// usage before any simulation.
+xbar::flow_options flow_options_from_flags(const flag_set& flags) {
+  xbar::flow_options opts;
+  opts.horizon = flags.get_int("horizon", 120'000);
+  opts.synth = synth_options(flags);
+  try {
+    opts.validate();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "xbargen: %s\n", e.what());
+    print_usage(stderr);
+    std::exit(2);
+  }
+  return opts;
+}
+
 /// --grid mode: a design-space sweep over one application through the
 /// explore engine. The scalar flags (--window, --threshold, ...) supply
 /// the value of every axis the grid does not sweep. Grid validation is
@@ -189,7 +206,8 @@ int run_grid_sweep(const flag_set& flags) {
 
   // Unswept axes inherit the single-point flags; flags without an axis
   // (--conflicts, --critical) flow in through the synthesis base.
-  const auto base = synth_options(flags);
+  const auto flow = flow_options_from_flags(flags);
+  const auto& base = flow.synth;
   spec.synth_base = base;
   auto& g = spec.grid;
   if (g.window_sizes.empty()) g.window_sizes = {base.params.window_size};
@@ -202,7 +220,7 @@ int run_grid_sweep(const flag_set& flags) {
   if (g.solvers.empty()) g.solvers = {base.solver};
 
   spec.apps = {pick_app(flags.get_string("app", "mat2"))};
-  spec.horizon = flags.get_int("horizon", 120'000);
+  spec.horizon = flow.horizon;
   const unsigned hw = std::thread::hardware_concurrency();
   spec.threads = static_cast<int>(
       flags.get_int("threads", hw == 0 ? 1 : hw));
@@ -238,8 +256,9 @@ int design_from_trace(const flag_set& flags) {
     return 2;
   }
   const auto path = flags.get_string("trace", "");
+  const auto synth = flow_options_from_flags(flags).synth;
   const auto t = traffic::trace::load_file(path);
-  const auto design = xbar::synthesize_from_trace(t, synth_options(flags));
+  const auto design = xbar::synthesize_from_trace(t, synth);
   std::printf("%s\n", design.to_string().c_str());
   std::printf("savings vs full: %.2fx (%d -> %d buses)\n",
               design.savings_vs_full(), design.num_targets,
@@ -255,9 +274,7 @@ int design_from_app(const flag_set& flags) {
   if (flags.has("emit")) {
     gopts.backends = parse_emit_list(flags.get_string("emit", "all"));
   }
-  xbar::flow_options opts;
-  opts.horizon = flags.get_int("horizon", 120'000);
-  opts.synth = synth_options(flags);
+  const auto opts = flow_options_from_flags(flags);
 
   const auto save = flags.get_string("save-traces", "");
   if (!save.empty()) {

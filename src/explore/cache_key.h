@@ -12,7 +12,7 @@
 // version covering the code's result format.
 //
 // Wire form: one line, space-separated `k=v` fields in fixed order,
-//   stxkey/v1 v=1 stage=report app=mat2 horizon=120000 seed=1 ...
+//   stxkey/v1 v=2 stage=report app=mat2 horizon=120000 seed=1 ...
 // Values are percent-escaped so application identities may be arbitrary
 // strings (e.g. a full `stxfuzz/v1 ...` scenario token — the
 // content-addressed identity of a generated application).
@@ -30,7 +30,10 @@ namespace stx::explore {
 /// invalidates previously stored results (new flow_report fields, solver
 /// behaviour changes, trace format changes). Old entries then simply
 /// miss: the store is content-addressed, never migrated.
-inline constexpr int kCacheSchemaVersion = 1;
+/// 2: the overlap threshold became overlap / window length > threshold,
+/// which changes reports whose threshold times window size is fractional
+/// or overflows int64.
+inline constexpr int kCacheSchemaVersion = 2;
 
 /// Which stage result the key names.
 enum class cache_stage {

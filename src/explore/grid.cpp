@@ -1,6 +1,7 @@
 #include "explore/grid.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -54,7 +55,8 @@ cycle_t parse_cycles(const std::string& key, const std::string& v,
 double parse_fraction(const std::string& key, const std::string& v) {
   char* end = nullptr;
   const double d = std::strtod(v.c_str(), &end);
-  STX_REQUIRE(end != v.c_str() && *end == '\0' && d >= 0.0,
+  STX_REQUIRE(end != v.c_str() && *end == '\0' && std::isfinite(d) &&
+                  d >= 0.0,
               "grid axis " + key + ": bad value '" + v + "'");
   return d;
 }
@@ -171,8 +173,7 @@ void parse_grid_axis(const std::string& spec, sweep_grid& grid) {
   }
   for (const auto& v : values) {
     if (key == "win") {
-      // A zero window would only fail inside window_analysis after the
-      // expensive phase-1 run; reject it at parse time instead.
+      // Reject what flow_options::validate would, at parse time.
       grid.window_sizes.push_back(parse_cycles(key, v, /*min_value=*/1));
     } else if (key == "thr") {
       grid.overlap_thresholds.push_back(parse_fraction(key, v));

@@ -99,6 +99,7 @@ sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache) {
   }
   const auto points = sweep_points(spec);
   STX_REQUIRE(!points.empty(), "sweep spec expands to zero points");
+  for (const auto& point : points) options_for(spec, point).validate();
 
   // Flattened job list, app-major then grid order: results land at their
   // job index, so the report order never depends on scheduling. Workers

@@ -61,7 +61,8 @@ xbar::flow_options options_for(const sweep_spec& spec,
 /// Runs the sweep on `spec.threads` workers, sharing phase-1 work via
 /// `cache` (callers may pass a warm cache, or keep it to inspect hit
 /// statistics afterwards). Throws stx::invalid_argument_error on an
-/// empty app list, duplicate app names, or zero points. The report is
+/// empty app list, duplicate app names, zero points, or a point whose
+/// options fail flow_options::validate, before any simulation. The report is
 /// bit-identical across thread counts.
 sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache);
 

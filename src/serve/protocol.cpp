@@ -194,6 +194,7 @@ request parse_request(const std::string& line) {
     d.opts = s.make_flow_options();
   }
   apply_option_fields(doc, d);
+  d.opts.validate();
   return req;
 }
 

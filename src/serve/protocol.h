@@ -64,9 +64,10 @@ struct request {
 };
 
 /// Parses one request line. Malformed JSON, an unknown op, unknown
-/// fields, out-of-range values, or an app/scenario conflict throw
-/// stx::invalid_argument_error with a message fit for the error
-/// response.
+/// fields, out-of-range values (including flow knobs
+/// xbar::flow_options::validate rejects), or an app/scenario conflict
+/// throw stx::invalid_argument_error with a message fit for the error
+/// response, before the request reaches admission.
 request parse_request(const std::string& line);
 
 struct design_response {

@@ -47,25 +47,29 @@ bool trace::target_has_critical(int target) const {
   return false;
 }
 
-std::vector<std::pair<cycle_t, cycle_t>> trace::busy_intervals(
-    int target, bool critical_only) const {
+void merge_intervals(interval_list& spans) {
+  std::sort(spans.begin(), spans.end());
+  std::size_t kept = 0;
+  for (const auto& s : spans) {
+    if (kept > 0 && s.first <= spans[kept - 1].second) {
+      spans[kept - 1].second = std::max(spans[kept - 1].second, s.second);
+    } else {
+      spans[kept++] = s;
+    }
+  }
+  spans.resize(kept);
+}
+
+interval_list trace::busy_intervals(int target, bool critical_only) const {
   STX_REQUIRE(target >= 0 && target < num_targets_, "target out of range");
-  std::vector<std::pair<cycle_t, cycle_t>> spans;
+  interval_list spans;
   for (const auto& e : events_) {
     if (e.target != target) continue;
     if (critical_only && !e.critical) continue;
     spans.emplace_back(e.begin, e.end);
   }
-  std::sort(spans.begin(), spans.end());
-  std::vector<std::pair<cycle_t, cycle_t>> merged;
-  for (const auto& s : spans) {
-    if (!merged.empty() && s.first <= merged.back().second) {
-      merged.back().second = std::max(merged.back().second, s.second);
-    } else {
-      merged.push_back(s);
-    }
-  }
-  return merged;
+  merge_intervals(spans);
+  return spans;
 }
 
 namespace {

@@ -12,6 +12,13 @@ namespace stx::traffic {
 /// Simulation time in clock cycles.
 using cycle_t = std::int64_t;
 
+/// Half-open [begin, end) cycle intervals.
+using interval_list = std::vector<std::pair<cycle_t, cycle_t>>;
+
+/// Sorts `spans` and merges overlapping or adjacent intervals into the
+/// sorted, disjoint form trace::busy_intervals returns.
+void merge_intervals(interval_list& spans);
+
 /// One contiguous span of cycles during which a target was receiving data
 /// from some initiator (recorded by the simulator during the full-crossbar
 /// collection run, Fig. 3 phase 1).
@@ -58,8 +65,7 @@ class trace {
 
   /// Sorted, disjoint busy intervals of one target (overlapping or
   /// adjacent events to the same target are merged).
-  std::vector<std::pair<cycle_t, cycle_t>> busy_intervals(
-      int target, bool critical_only = false) const;
+  interval_list busy_intervals(int target, bool critical_only = false) const;
 
   /// Exact equality: dimensions, horizon and the full event sequence —
   /// what "bit-identical traces" means wherever runs are compared

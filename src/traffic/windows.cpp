@@ -1,127 +1,221 @@
 #include "traffic/windows.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/error.h"
 
 namespace stx::traffic {
 
-cycle_t interval_overlap(const std::vector<std::pair<cycle_t, cycle_t>>& a,
-                         const std::vector<std::pair<cycle_t, cycle_t>>& b,
-                         cycle_t lo, cycle_t hi) {
-  cycle_t acc = 0;
+namespace {
+
+/// Every target's merged busy intervals, and those of its critical
+/// events alone, built in one pass over the events.
+struct target_intervals {
+  std::vector<interval_list> busy;
+  std::vector<interval_list> critical;
+};
+
+target_intervals intervals_by_target(const trace& t) {
+  const auto n = static_cast<std::size_t>(t.num_targets());
+  target_intervals out{std::vector<interval_list>(n),
+                       std::vector<interval_list>(n)};
+  for (const auto& e : t.events()) {
+    const auto i = static_cast<std::size_t>(e.target);
+    out.busy[i].emplace_back(e.begin, e.end);
+    if (e.critical) out.critical[i].emplace_back(e.begin, e.end);
+  }
+  for (auto& list : out.busy) merge_intervals(list);
+  for (auto& list : out.critical) merge_intervals(list);
+  return out;
+}
+
+/// Calls fn(begin, end) for each interval of the intersection of two
+/// sorted disjoint interval lists, in increasing order.
+template <class Fn>
+void for_each_intersection(const interval_list& a, const interval_list& b,
+                           Fn&& fn) {
   std::size_t ia = 0, ib = 0;
   while (ia < a.size() && ib < b.size()) {
-    const cycle_t begin =
-        std::max({a[ia].first, b[ib].first, lo});
-    const cycle_t end = std::min({a[ia].second, b[ib].second, hi});
-    if (end > begin) acc += end - begin;
+    const cycle_t begin = std::max(a[ia].first, b[ib].first);
+    const cycle_t end = std::min(a[ia].second, b[ib].second);
+    if (end > begin) fn(begin, end);
     // Advance whichever interval finishes first.
     if (a[ia].second <= b[ib].second) {
       ++ia;
     } else {
       ++ib;
     }
-    if (begin >= hi) break;
   }
-  return acc;
 }
 
-namespace {
-
-/// Intersection of two sorted disjoint interval lists.
-std::vector<std::pair<cycle_t, cycle_t>> intersect(
-    const std::vector<std::pair<cycle_t, cycle_t>>& a,
-    const std::vector<std::pair<cycle_t, cycle_t>>& b) {
-  std::vector<std::pair<cycle_t, cycle_t>> out;
-  std::size_t ia = 0, ib = 0;
-  while (ia < a.size() && ib < b.size()) {
-    const cycle_t begin = std::max(a[ia].first, b[ib].first);
-    const cycle_t end = std::min(a[ia].second, b[ib].second);
-    if (end > begin) out.emplace_back(begin, end);
-    if (a[ia].second <= b[ib].second) {
-      ++ia;
-    } else {
-      ++ib;
-    }
+/// Splits [begin, end) over the windows of `bounds` (window m is
+/// [bounds[m], bounds[m + 1])), calling add(m, cycles) per piece. `m` is
+/// a forward cursor: spans must arrive in increasing order and end by
+/// bounds.back().
+template <class Add>
+void split_over_windows(const std::vector<cycle_t>& bounds, std::size_t& m,
+                        cycle_t begin, cycle_t end, Add&& add) {
+  while (begin < end) {
+    while (bounds[m + 1] <= begin) ++m;
+    const cycle_t stop = std::min(end, bounds[m + 1]);
+    add(m, stop - begin);
+    begin = stop;
   }
-  return out;
 }
 
 }  // namespace
 
-window_analysis::window_analysis(const trace& t, cycle_t window_size)
-    : window_size_(window_size), num_targets_(t.num_targets()) {
-  STX_REQUIRE(window_size > 0, "window size must be positive");
-  const cycle_t horizon = std::max<cycle_t>(t.horizon(), 1);
-  num_windows_ =
-      static_cast<int>((horizon + window_size - 1) / window_size);
+window_partition::window_partition(std::vector<cycle_t> boundaries)
+    : boundaries_(std::move(boundaries)) {
+  STX_REQUIRE(boundaries_.size() >= 2, "partition needs at least one window");
+  STX_REQUIRE(boundaries_.front() == 0, "partition must start at cycle 0");
+  for (std::size_t k = 1; k < boundaries_.size(); ++k) {
+    STX_REQUIRE(boundaries_[k] > boundaries_[k - 1],
+                "partition boundaries must be strictly increasing");
+  }
+}
 
+window_partition window_partition::uniform(cycle_t horizon,
+                                           cycle_t window_size) {
+  STX_REQUIRE(horizon > 0, "uniform partition needs a positive horizon");
+  STX_REQUIRE(window_size > 0, "window size must be positive");
+  const cycle_t count =
+      horizon / window_size + (horizon % window_size != 0 ? 1 : 0);
+  STX_REQUIRE(count <= std::numeric_limits<cycle_t>::max() / window_size,
+              "uniform partition end overflows the cycle range");
+  std::vector<cycle_t> bounds;
+  bounds.reserve(static_cast<std::size_t>(count) + 1);
+  for (cycle_t k = 0; k <= count; ++k) bounds.push_back(k * window_size);
+  return window_partition(std::move(bounds));
+}
+
+window_partition window_partition::burst_adaptive(
+    const trace& t, cycle_t target_busy_per_window, cycle_t min_size,
+    cycle_t max_size) {
+  STX_REQUIRE(target_busy_per_window > 0, "target busy must be positive");
+  STX_REQUIRE(min_size > 0 && min_size <= max_size,
+              "window size clamp malformed");
+  const cycle_t horizon = std::max<cycle_t>(t.horizon(), 1);
+
+  // Aggregate activity as merged per-target interval lists; walk forward
+  // placing a boundary whenever the accumulated busy mass reaches the
+  // target (clamped to [min_size, max_size] wall-clock length).
+  const auto busy = intervals_by_target(t).busy;
+  auto busy_in = [&](cycle_t lo, cycle_t hi) {
+    cycle_t acc = 0;
+    for (const auto& list : busy) {
+      for (const auto& [b, e] : list) {
+        if (b >= hi) break;
+        acc += std::max<cycle_t>(0, std::min(e, hi) - std::max(b, lo));
+      }
+    }
+    return acc;
+  };
+
+  std::vector<cycle_t> bounds = {0};
+  cycle_t cursor = 0;
+  while (cursor < horizon) {
+    // Grow the window until it holds enough busy mass or hits max_size.
+    cycle_t lo = cursor + min_size;
+    cycle_t hi = std::min(cursor + max_size, horizon);
+    if (lo >= horizon) {
+      bounds.push_back(horizon);
+      break;
+    }
+    // Binary search the smallest end in [lo, hi] reaching the target.
+    cycle_t left = lo, right = hi;
+    while (left < right) {
+      const cycle_t mid = left + (right - left) / 2;
+      if (busy_in(cursor, mid) >= target_busy_per_window) {
+        right = mid;
+      } else {
+        left = mid + 1;
+      }
+    }
+    cursor = left;
+    bounds.push_back(cursor);
+  }
+  if (bounds.back() != horizon) bounds.push_back(horizon);
+  return window_partition(std::move(bounds));
+}
+
+cycle_t window_partition::begin(int m) const {
+  STX_REQUIRE(m >= 0 && m < num_windows(), "window index out of range");
+  return boundaries_[static_cast<std::size_t>(m)];
+}
+
+cycle_t window_partition::end(int m) const {
+  STX_REQUIRE(m >= 0 && m < num_windows(), "window index out of range");
+  return boundaries_[static_cast<std::size_t>(m) + 1];
+}
+
+cycle_t window_partition::max_size() const {
+  cycle_t best = 0;
+  for (int m = 0; m < num_windows(); ++m) best = std::max(best, size(m));
+  return best;
+}
+
+window_analysis::window_analysis(const trace& t, window_partition part)
+    : part_(std::move(part)), num_targets_(t.num_targets()) {
+  STX_REQUIRE(part_.horizon() >= t.horizon(),
+              "window partition must cover the trace horizon");
+  const auto& bounds = part_.boundaries();
   const auto n = static_cast<std::size_t>(num_targets_);
-  const auto w = static_cast<std::size_t>(num_windows_);
+  const auto w = static_cast<std::size_t>(num_windows());
   comm_.assign(n * w, 0);
-  critical_targets_.assign(n, false);
   const std::size_t pairs = n * (n - 1) / 2;
   pair_total_.assign(pairs, 0);
-  pair_max_.assign(pairs, 0);
+  pair_max_fraction_.assign(pairs, 0.0);
   pair_critical_.assign(pairs, 0);
-  wo_.assign(pairs * w, 0);
 
-  // Per-target merged busy intervals (and critical-only intervals).
-  std::vector<std::vector<std::pair<cycle_t, cycle_t>>> busy(n), crit(n);
-  for (int i = 0; i < num_targets_; ++i) {
-    busy[static_cast<std::size_t>(i)] = t.busy_intervals(i);
-    crit[static_cast<std::size_t>(i)] =
-        t.busy_intervals(i, /*critical_only=*/true);
-    critical_targets_[static_cast<std::size_t>(i)] =
-        !crit[static_cast<std::size_t>(i)].empty();
-  }
+  const auto intervals = intervals_by_target(t);
+  const auto& busy = intervals.busy;
+  const auto& crit = intervals.critical;
 
-  // comm[i][m]: split each busy interval across window boundaries.
-  for (int i = 0; i < num_targets_; ++i) {
-    for (const auto& [b, e] : busy[static_cast<std::size_t>(i)]) {
-      cycle_t cur = b;
-      while (cur < e) {
-        const auto m = cur / window_size_;
-        const cycle_t wend = (m + 1) * window_size_;
-        const cycle_t stop = std::min(e, wend);
-        comm_[static_cast<std::size_t>(i) * w + static_cast<std::size_t>(m)] +=
-            stop - cur;
-        cur = stop;
-      }
+  for (std::size_t i = 0; i < n; ++i) {
+    cycle_t* row = comm_.data() + i * w;
+    std::size_t m = 0;
+    for (const auto& [b, e] : busy[i]) {
+      split_over_windows(bounds, m, b, e,
+                         [&](std::size_t k, cycle_t c) { row[k] += c; });
     }
   }
 
-  // Pairwise overlaps: intersect interval lists once per pair, then split
-  // the intersection across windows.
-  for (int i = 0; i < num_targets_; ++i) {
-    for (int j = i + 1; j < num_targets_; ++j) {
-      const auto p = static_cast<std::size_t>(pair_index(i, j));
-      const auto inter = intersect(busy[static_cast<std::size_t>(i)],
-                                   busy[static_cast<std::size_t>(j)]);
-      for (const auto& [b, e] : inter) {
-        cycle_t cur = b;
-        while (cur < e) {
-          const auto m = cur / window_size_;
-          const cycle_t wend = (m + 1) * window_size_;
-          const cycle_t stop = std::min(e, wend);
-          wo_[p * w + static_cast<std::size_t>(m)] += stop - cur;
-          cur = stop;
-        }
-      }
+  // Per pair, one merge of the two busy lists; the intersection is split
+  // over the windows as it is produced, and each window's overlap is
+  // complete once the cursor leaves it.
+  std::size_t p = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j, ++p) {
       cycle_t total = 0;
-      cycle_t peak = 0;
-      for (std::size_t m = 0; m < w; ++m) {
-        total += wo_[p * w + m];
-        peak = std::max(peak, wo_[p * w + m]);
-      }
+      double max_fraction = 0.0;
+      std::size_t m = 0;
+      std::size_t open = 0;  // the window `in_open` accumulates
+      cycle_t in_open = 0;
+      auto close = [&] {
+        max_fraction = std::max(
+            max_fraction, static_cast<double>(in_open) /
+                              static_cast<double>(bounds[open + 1] -
+                                                  bounds[open]));
+      };
+      for_each_intersection(busy[i], busy[j], [&](cycle_t b, cycle_t e) {
+        split_over_windows(bounds, m, b, e, [&](std::size_t k, cycle_t c) {
+          if (k != open) {
+            close();
+            open = k;
+            in_open = 0;
+          }
+          in_open += c;
+          total += c;
+        });
+      });
+      close();
       pair_total_[p] = total;
-      pair_max_[p] = peak;
-      for (const auto& [b, e] :
-           intersect(crit[static_cast<std::size_t>(i)],
-                     crit[static_cast<std::size_t>(j)])) {
+      pair_max_fraction_[p] = max_fraction;
+      for_each_intersection(crit[i], crit[j], [&](cycle_t b, cycle_t e) {
         pair_critical_[p] += e - b;
-      }
+      });
     }
   }
 }
@@ -137,18 +231,10 @@ int window_analysis::pair_index(int i, int j) const {
 
 cycle_t window_analysis::comm(int target, int window) const {
   STX_REQUIRE(target >= 0 && target < num_targets_, "target out of range");
-  STX_REQUIRE(window >= 0 && window < num_windows_, "window out of range");
+  STX_REQUIRE(window >= 0 && window < num_windows(), "window out of range");
   return comm_[static_cast<std::size_t>(target) *
-                   static_cast<std::size_t>(num_windows_) +
+                   static_cast<std::size_t>(num_windows()) +
                static_cast<std::size_t>(window)];
-}
-
-cycle_t window_analysis::pair_window_overlap(int i, int j, int window) const {
-  STX_REQUIRE(window >= 0 && window < num_windows_, "window out of range");
-  if (i == j) return 0;
-  return wo_[static_cast<std::size_t>(pair_index(i, j)) *
-                 static_cast<std::size_t>(num_windows_) +
-             static_cast<std::size_t>(window)];
 }
 
 cycle_t window_analysis::total_overlap(int i, int j) const {
@@ -156,28 +242,14 @@ cycle_t window_analysis::total_overlap(int i, int j) const {
   return pair_total_[static_cast<std::size_t>(pair_index(i, j))];
 }
 
-cycle_t window_analysis::max_window_overlap(int i, int j) const {
-  if (i == j) return 0;
-  return pair_max_[static_cast<std::size_t>(pair_index(i, j))];
+double window_analysis::max_overlap_fraction(int i, int j) const {
+  if (i == j) return 0.0;
+  return pair_max_fraction_[static_cast<std::size_t>(pair_index(i, j))];
 }
 
 cycle_t window_analysis::critical_overlap(int i, int j) const {
   if (i == j) return 0;
   return pair_critical_[static_cast<std::size_t>(pair_index(i, j))];
-}
-
-cycle_t window_analysis::peak_comm(int target) const {
-  cycle_t peak = 0;
-  for (int m = 0; m < num_windows_; ++m) {
-    peak = std::max(peak, comm(target, m));
-  }
-  return peak;
-}
-
-cycle_t window_analysis::total_comm(int target) const {
-  cycle_t total = 0;
-  for (int m = 0; m < num_windows_; ++m) total += comm(target, m);
-  return total;
 }
 
 }  // namespace stx::traffic

@@ -1,6 +1,8 @@
 #include "xbar/flow.h"
 
+#include <cmath>
 #include <optional>
+#include <string>
 
 #include "gen/registry.h"
 #include "obs/obs.h"
@@ -49,6 +51,24 @@ sim::session run_full_crossbars(const workloads::app_spec& app,
 }
 
 }  // namespace
+
+void flow_options::validate() const {
+  const auto check = [](bool ok, const char* rule, const std::string& got) {
+    if (!ok) {
+      throw invalid_argument_error(std::string("invalid flow options: ") +
+                                   rule + ", got " + got);
+    }
+  };
+  const auto& p = synth.params;
+  check(horizon >= 1, "horizon must be >= 1", std::to_string(horizon));
+  check(p.window_size >= 1, "window size must be >= 1",
+        std::to_string(p.window_size));
+  check(std::isfinite(p.overlap_threshold) && p.overlap_threshold >= 0.0,
+        "overlap threshold must be finite and >= 0",
+        std::to_string(p.overlap_threshold));
+  check(p.burst_window >= 0, "burst window must be >= 0",
+        std::to_string(p.burst_window));
+}
 
 design_params effective_synthesis_params(const flow_options& opts,
                                          bool request_direction) {
@@ -175,6 +195,7 @@ flow_report design_from_traces(const workloads::app_spec& app,
 flow_report run_design_flow(const workloads::app_spec& app,
                             const flow_options& opts) {
   app.validate();
+  opts.validate();
   // ---- Phase 1: cycle-accurate simulation with full crossbars. Its
   // metrics are phase 4's full-crossbar reference, so validation only
   // simulates the designed configuration.

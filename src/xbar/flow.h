@@ -33,6 +33,12 @@ struct flow_options {
   sim::arbitration policy = sim::arbitration::round_robin;
   traffic::cycle_t transfer_overhead = 2;
   std::uint64_t seed = 1;
+
+  /// Throws stx::invalid_argument_error for knobs no flow can run:
+  /// horizon < 1, window size < 1, a negative or non-finite overlap
+  /// threshold, or burst_window < 0. run_design_flow, explore::run_sweep,
+  /// the serve protocol and the CLIs call it before any simulation.
+  void validate() const;
 };
 
 /// Everything the flow produced for one application. This is also the

@@ -1,6 +1,5 @@
 #include "xbar/problem.h"
 
-#include <cmath>
 #include <sstream>
 
 #include "util/error.h"
@@ -11,46 +10,38 @@ synthesis_input::synthesis_input(const traffic::window_analysis& wa,
                                  const design_params& params)
     : num_targets_(wa.num_targets()),
       num_windows_(wa.num_windows()),
-      window_size_(wa.window_size()),
+      window_size_(wa.partition().max_size()),
       params_(params) {
   STX_REQUIRE(num_targets_ > 0, "synthesis needs at least one target");
-  STX_REQUIRE(params.window_size > 0, "window size must be positive");
   STX_REQUIRE(params.overlap_threshold >= 0.0,
               "overlap threshold must be non-negative");
 
   const auto n = static_cast<std::size_t>(num_targets_);
-  capacity_.assign(static_cast<std::size_t>(num_windows_), window_size_);
-  comm_.assign(n, std::vector<cycle_t>(
-                      static_cast<std::size_t>(num_windows_), 0));
+  const auto w = static_cast<std::size_t>(num_windows_);
+  capacity_.resize(w);
+  comm_.assign(n, std::vector<cycle_t>(w, 0));
   om_.assign(n, std::vector<cycle_t>(n, 0));
   conflict_.assign(n, std::vector<bool>(n, false));
 
+  for (int m = 0; m < num_windows_; ++m) {
+    capacity_[static_cast<std::size_t>(m)] = wa.partition().size(m);
+  }
   for (int i = 0; i < num_targets_; ++i) {
     for (int m = 0; m < num_windows_; ++m) {
       comm_[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)] =
           wa.comm(i, m);
     }
   }
-
-  const auto threshold = static_cast<cycle_t>(std::llround(
-      params.overlap_threshold * static_cast<double>(window_size_)));
   for (int i = 0; i < num_targets_; ++i) {
     for (int j = i + 1; j < num_targets_; ++j) {
-      om_[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-          wa.total_overlap(i, j);
-      om_[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)] =
-          om_[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
-
-      bool c = false;
-      if (params.use_overlap_conflicts &&
-          wa.max_window_overlap(i, j) > threshold) {
-        c = true;
-      }
-      if (params.separate_critical && wa.critical_overlap(i, j) > 0) {
-        c = true;
-      }
-      conflict_[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = c;
-      conflict_[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)] = c;
+      const auto si = static_cast<std::size_t>(i);
+      const auto sj = static_cast<std::size_t>(j);
+      om_[si][sj] = om_[sj][si] = wa.total_overlap(i, j);
+      const bool c =
+          (params.use_overlap_conflicts &&
+           wa.max_overlap_fraction(i, j) > params.overlap_threshold) ||
+          (params.separate_critical && wa.critical_overlap(i, j) > 0);
+      conflict_[si][sj] = conflict_[sj][si] = c;
     }
   }
 }
@@ -97,53 +88,6 @@ synthesis_input::synthesis_input(std::vector<std::vector<cycle_t>> comm,
   }
 }
 
-synthesis_input::synthesis_input(const traffic::variable_window_analysis& vwa,
-                                 const design_params& params)
-    : num_targets_(vwa.num_targets()),
-      num_windows_(vwa.num_windows()),
-      window_size_(vwa.partition().max_size()),
-      params_(params) {
-  STX_REQUIRE(num_targets_ > 0, "synthesis needs at least one target");
-  STX_REQUIRE(params.overlap_threshold >= 0.0,
-              "overlap threshold must be non-negative");
-
-  const auto n = static_cast<std::size_t>(num_targets_);
-  capacity_.resize(static_cast<std::size_t>(num_windows_));
-  for (int m = 0; m < num_windows_; ++m) {
-    capacity_[static_cast<std::size_t>(m)] = vwa.partition().size(m);
-  }
-  comm_.assign(n, std::vector<cycle_t>(
-                      static_cast<std::size_t>(num_windows_), 0));
-  om_.assign(n, std::vector<cycle_t>(n, 0));
-  conflict_.assign(n, std::vector<bool>(n, false));
-
-  for (int i = 0; i < num_targets_; ++i) {
-    for (int m = 0; m < num_windows_; ++m) {
-      comm_[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)] =
-          vwa.comm(i, m);
-    }
-  }
-  for (int i = 0; i < num_targets_; ++i) {
-    for (int j = i + 1; j < num_targets_; ++j) {
-      om_[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-          vwa.total_overlap(i, j);
-      om_[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)] =
-          om_[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
-      bool c = false;
-      // The threshold is a fraction of each window's own size here.
-      if (params.use_overlap_conflicts &&
-          vwa.max_window_overlap_fraction(i, j) > params.overlap_threshold) {
-        c = true;
-      }
-      if (params.separate_critical && vwa.critical_overlap(i, j) > 0) {
-        c = true;
-      }
-      conflict_[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = c;
-      conflict_[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)] = c;
-    }
-  }
-}
-
 int synthesis_input::num_conflicts() const {
   int acc = 0;
   for (int i = 0; i < num_targets_; ++i) {
@@ -180,7 +124,7 @@ bool synthesis_input::binding_feasible(const std::vector<int>& binding,
     }
   }
   // Eq. 4: per-window bandwidth on every bus (against the window's own
-  // capacity, which varies under variable partitions).
+  // capacity, which varies under burst-adaptive partitions).
   for (int m = 0; m < num_windows_; ++m) {
     std::vector<cycle_t> load(static_cast<std::size_t>(num_buses), 0);
     for (int i = 0; i < num_targets_; ++i) {

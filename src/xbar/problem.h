@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "traffic/variable_windows.h"
 #include "traffic/windows.h"
 
 namespace stx::xbar {
@@ -20,11 +19,15 @@ struct design_params {
   /// of thumb: 1-4x the typical burst size (aggressive..conservative).
   cycle_t window_size = 2000;
 
-  /// Pre-processing overlap threshold as a fraction of WS: target pairs
-  /// whose overlap exceeds it in ANY window are forced onto different
-  /// buses (Eq. 2). Values above 0.5 never trigger (Sec. 7.4: two
-  /// streams overlapping more than 50% of a window cannot share a bus
-  /// anyway because of the bandwidth constraint).
+  /// Pre-processing overlap threshold (Eq. 2) as a fraction of a
+  /// window's length: targets i and j are forced onto different buses
+  /// when overlap_m(i, j) / length(m) > overlap_threshold in ANY window
+  /// m, compared in double precision. The test is strict, so overlap of
+  /// exactly the threshold does not conflict. Values of 0.5 and above add
+  /// nothing Eq. 4 does not already exclude (Sec. 7.4: two streams
+  /// overlapping more than half a window cannot share a bus anyway
+  /// because of the bandwidth constraint); a huge threshold adds no
+  /// conflict at all.
   double overlap_threshold = 0.30;
 
   /// maxtb (Eq. 8): cap on targets bound to one bus, bounding the
@@ -32,11 +35,16 @@ struct design_params {
   int max_targets_per_bus = 4;
 
   /// Burst-adaptive variable analysis windows (the paper's Sec. 8 future
-  /// work): when > 0, the uniform window partition is replaced by
-  /// equal-work windows holding roughly `burst_window` aggregate busy
-  /// cycles each, clamped to [window_size/4, 4*window_size] — fine
-  /// resolution inside bursts, coarse in quiet phases. 0 keeps the
-  /// paper's uniform windows.
+  /// work). 0 keeps the paper's uniform windows: ceil(horizon / WS)
+  /// windows of exactly WS cycles, the last one extending past the
+  /// horizon. When > 0, the windows are equal-work instead
+  /// (traffic::window_partition::burst_adaptive): each ends at the first
+  /// cycle where the window holds at least `burst_window` aggregate busy
+  /// cycles of all targets, its length clamped to
+  /// [max(1, WS/4), max(1, 4*WS)], and the last one ends at the horizon —
+  /// fine resolution inside bursts, coarse in quiet phases. Each window's
+  /// bus capacity is its own length, and the overlap threshold is
+  /// relative to it.
   cycle_t burst_window = 0;
 
   /// Enables the overlap-threshold conflict pre-processing. Disabled by
@@ -55,8 +63,11 @@ struct design_params {
 class synthesis_input {
  public:
   /// Runs the pre-processing phase on `wa` with `params`: copies
-  /// comm[i][m], builds the overlap matrix OM (Eq. 1) and the conflict
-  /// matrix (Eq. 2) from the overlap threshold and critical overlaps.
+  /// comm[i][m], takes each window's length as its bus capacity, builds
+  /// the overlap matrix OM (Eq. 1) and the conflict matrix (Eq. 2): a
+  /// pair conflicts when params.use_overlap_conflicts and its
+  /// max_overlap_fraction exceeds params.overlap_threshold, or when
+  /// params.separate_critical and its critical streams overlap.
   synthesis_input(const traffic::window_analysis& wa,
                   const design_params& params);
 
@@ -65,22 +76,16 @@ class synthesis_input {
   /// rough estimates of the traffic flows ... is known"): supply
   /// comm[i][m], the overlap matrix and the conflict matrix directly.
   /// `om` must be symmetric with zero diagonal; `conflict` likewise.
+  /// Every window's capacity is `window_size`.
   synthesis_input(std::vector<std::vector<cycle_t>> comm,
                   std::vector<std::vector<cycle_t>> om,
                   std::vector<std::vector<bool>> conflict,
                   cycle_t window_size, const design_params& params);
 
-  /// Variable-window construction (the paper's future-work extension):
-  /// every window brings its own capacity (its length), the bandwidth
-  /// constraint becomes sum_i comm[i][m] x[i][k] <= size(m), and the
-  /// overlap threshold is tested against each window's own size.
-  synthesis_input(const traffic::variable_window_analysis& vwa,
-                  const design_params& params);
-
   int num_targets() const { return num_targets_; }
   int num_windows() const { return num_windows_; }
-  /// Nominal window size (== every window's capacity for uniform
-  /// analyses; the largest window for variable partitions).
+  /// The longest window (every window's length under a uniform
+  /// partition).
   cycle_t window_size() const { return window_size_; }
   /// Bus capacity of window m in cycles (Eq. 4 right-hand side).
   cycle_t capacity(int m) const {

@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "obs/obs.h"
-#include "traffic/variable_windows.h"
 #include "traffic/windows.h"
 #include "util/error.h"
 #include "xbar/milp_formulation.h"
@@ -254,16 +253,17 @@ crossbar_design synthesize(const synthesis_input& input,
 
 synthesis_input input_from_trace(const traffic::trace& t,
                                  const design_params& params) {
-  if (params.burst_window > 0) {
-    const auto part = traffic::window_partition::burst_adaptive(
-        t, params.burst_window,
-        std::max<traffic::cycle_t>(1, params.window_size / 4),
-        std::max<traffic::cycle_t>(1, params.window_size * 4));
-    const traffic::variable_window_analysis vwa(t, part);
-    return synthesis_input(vwa, params);
-  }
-  const traffic::window_analysis wa(t, params.window_size);
-  return synthesis_input(wa, params);
+  auto part =
+      params.burst_window > 0
+          ? traffic::window_partition::burst_adaptive(
+                t, params.burst_window,
+                std::max<traffic::cycle_t>(1, params.window_size / 4),
+                std::max<traffic::cycle_t>(1, params.window_size * 4))
+          : traffic::window_partition::uniform(
+                std::max<traffic::cycle_t>(t.horizon(), 1),
+                params.window_size);
+  return synthesis_input(traffic::window_analysis(t, std::move(part)),
+                         params);
 }
 
 crossbar_design synthesize_from_trace(const traffic::trace& t,

@@ -86,8 +86,10 @@ crossbar_design synthesize_from_trace(const traffic::trace& t,
                                       const synthesis_options& opts);
 
 /// Phases 2-3 model construction without the solve: window analysis
-/// (uniform, or burst-adaptive when params.burst_window > 0) followed by
-/// pre-processing, exactly as synthesize_from_trace performs it. Exposed
+/// followed by pre-processing, exactly as synthesize_from_trace performs
+/// it. The one place that picks the window partition: uniform windows of
+/// params.window_size, or burst-adaptive ones when params.burst_window >
+/// 0 (see design_params::burst_window). Exposed
 /// so verification harnesses (src/testkit) can rebuild the model a design
 /// was solved against and re-check feasibility and the Eq. 11 objective
 /// independently of the solver that produced the design.

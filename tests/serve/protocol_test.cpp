@@ -116,6 +116,28 @@ TEST(Protocol, RejectsMalformedRequests) {
                invalid_argument_error);
 }
 
+TEST(Protocol, RejectsFlowKnobsNoFlowCanRun) {
+  // flow_options::validate runs at parse time, so these are error
+  // responses before admission, not simulations that fail (or, for
+  // one-cycle burst windows, run for seconds) on a worker.
+  for (const char* fields :
+       {R"("horizon":0)", R"("window":0)", R"("window":-5,"burst_window":100)",
+        R"("threshold":-0.1)", R"("threshold":1e999)",
+        R"("burst_window":-1)"}) {
+    const auto line =
+        std::string(R"({"op":"design","app":"fft",)") + fields + "}";
+    EXPECT_THROW(parse_request(line), invalid_argument_error) << line;
+  }
+  EXPECT_THROW(parse_request(R"({"op":"design","scenario":"stxfuzz/v1 seed=1",)"
+                             R"("window":0})"),
+               invalid_argument_error);
+  // The boundary values are valid.
+  const auto edge = parse_request(
+      R"({"op":"design","app":"fft","horizon":1,"window":1,"threshold":0,)"
+      R"("burst_window":0})");
+  EXPECT_EQ(edge.design.opts.horizon, 1);
+}
+
 TEST(Protocol, RejectsIntegersThatDoNotFitAnInt) {
   // These fields land in an `int`; a wider value must not wrap into a
   // different, valid one (2^32 + 1 would read as 1, 2^31 as INT_MIN).

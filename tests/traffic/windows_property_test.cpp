@@ -1,7 +1,10 @@
-// Property tests: window-analysis identities on random traces.
+// Property tests: the window analysis against a per-cycle brute force, and
+// window-analysis identities, on small random traces over uniform and
+// burst-adaptive partitions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "traffic/windows.h"
 #include "util/random.h"
@@ -25,43 +28,109 @@ trace make_random_trace(rng& r, int targets, int initiators,
   return t;
 }
 
+cycle_t total_comm(const window_analysis& wa, int target) {
+  cycle_t total = 0;
+  for (int m = 0; m < wa.num_windows(); ++m) total += wa.comm(target, m);
+  return total;
+}
+
+/// Checks every quantity of `wa` against per-cycle occupancy of `t`.
+void expect_matches_brute_force(const trace& t, const window_analysis& wa,
+                                const std::string& ctx) {
+  const auto& part = wa.partition();
+  const auto cycles = static_cast<std::size_t>(part.horizon());
+  const auto n = static_cast<std::size_t>(t.num_targets());
+  std::vector<std::vector<char>> busy(n, std::vector<char>(cycles, 0));
+  std::vector<std::vector<char>> crit(n, std::vector<char>(cycles, 0));
+  for (const auto& e : t.events()) {
+    for (cycle_t c = e.begin; c < e.end; ++c) {
+      busy[static_cast<std::size_t>(e.target)][static_cast<std::size_t>(c)] =
+          1;
+      if (e.critical) {
+        crit[static_cast<std::size_t>(e.target)]
+            [static_cast<std::size_t>(c)] = 1;
+      }
+    }
+  }
+  const auto at = [](const std::vector<char>& v, cycle_t c) {
+    return v[static_cast<std::size_t>(c)] != 0;
+  };
+  ASSERT_EQ(wa.num_targets(), t.num_targets()) << ctx;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (int m = 0; m < part.num_windows(); ++m) {
+      cycle_t comm = 0;
+      for (cycle_t c = part.begin(m); c < part.end(m); ++c) {
+        comm += at(busy[i], c) ? 1 : 0;
+      }
+      EXPECT_EQ(wa.comm(static_cast<int>(i), m), comm)
+          << ctx << " target " << i << " window " << m;
+    }
+    for (std::size_t j = i + 1; j < n; ++j) {
+      cycle_t total = 0;
+      double max_fraction = 0.0;
+      for (int m = 0; m < part.num_windows(); ++m) {
+        cycle_t overlap = 0;
+        for (cycle_t c = part.begin(m); c < part.end(m); ++c) {
+          overlap += at(busy[i], c) && at(busy[j], c) ? 1 : 0;
+        }
+        total += overlap;
+        max_fraction =
+            std::max(max_fraction, static_cast<double>(overlap) /
+                                       static_cast<double>(part.size(m)));
+      }
+      cycle_t critical = 0;
+      for (cycle_t c = 0; c < part.horizon(); ++c) {
+        critical += at(crit[i], c) && at(crit[j], c) ? 1 : 0;
+      }
+      const int a = static_cast<int>(i);
+      const int b = static_cast<int>(j);
+      EXPECT_EQ(wa.total_overlap(a, b), total) << ctx << " Eq. 1";
+      EXPECT_EQ(wa.total_overlap(b, a), total) << ctx;
+      EXPECT_EQ(wa.max_overlap_fraction(a, b), max_fraction) << ctx;
+      EXPECT_EQ(wa.max_overlap_fraction(b, a), max_fraction) << ctx;
+      EXPECT_EQ(wa.critical_overlap(a, b), critical) << ctx;
+      EXPECT_EQ(wa.critical_overlap(b, a), critical) << ctx;
+    }
+  }
+}
+
 class WindowsRandom : public ::testing::TestWithParam<int> {};
+
+TEST_P(WindowsRandom, UniformMatchesBruteForce) {
+  rng r(static_cast<std::uint64_t>(GetParam()) * 7349 + 3);
+  const auto t = make_random_trace(r, 5, 2, 1500,
+                                   static_cast<int>(r.uniform_int(5, 50)));
+  const auto ws = r.uniform_int(40, 500);
+  const window_analysis wa(t, window_partition::uniform(t.horizon(), ws));
+  expect_matches_brute_force(t, wa, "seed " + std::to_string(GetParam()) +
+                                        " ws " + std::to_string(ws));
+}
+
+TEST_P(WindowsRandom, BurstAdaptiveMatchesBruteForce) {
+  rng r(static_cast<std::uint64_t>(GetParam()) * 15485863 + 5);
+  const auto t = make_random_trace(r, 4, 2, 1500,
+                                   static_cast<int>(r.uniform_int(5, 50)));
+  const auto busy_per_window = r.uniform_int(20, 400);
+  const auto min_size = r.uniform_int(10, 100);
+  const auto max_size = min_size + r.uniform_int(0, 600);
+  const window_analysis wa(
+      t, window_partition::burst_adaptive(t, busy_per_window, min_size,
+                                          max_size));
+  expect_matches_brute_force(
+      t, wa, "seed " + std::to_string(GetParam()) + " busy/window " +
+                 std::to_string(busy_per_window));
+}
 
 TEST_P(WindowsRandom, CommSumsToMergedBusyTotal) {
   rng r(static_cast<std::uint64_t>(GetParam()) * 90001 + 7);
   const auto t = make_random_trace(r, 4, 2, 2000,
                                    static_cast<int>(r.uniform_int(5, 60)));
   const auto ws = r.uniform_int(50, 700);
-  const window_analysis wa(t, ws);
+  const window_analysis wa(t, window_partition::uniform(t.horizon(), ws));
   const auto busy = t.total_busy_per_target();
   for (int i = 0; i < t.num_targets(); ++i) {
-    EXPECT_EQ(wa.total_comm(i), busy[static_cast<std::size_t>(i)])
+    EXPECT_EQ(total_comm(wa, i), busy[static_cast<std::size_t>(i)])
         << "target " << i << " seed " << GetParam();
-  }
-}
-
-TEST_P(WindowsRandom, OverlapBoundedByComm) {
-  rng r(static_cast<std::uint64_t>(GetParam()) * 7349 + 3);
-  const auto t = make_random_trace(r, 5, 2, 1500,
-                                   static_cast<int>(r.uniform_int(5, 50)));
-  const auto ws = r.uniform_int(40, 500);
-  const window_analysis wa(t, ws);
-  for (int i = 0; i < t.num_targets(); ++i) {
-    for (int j = i + 1; j < t.num_targets(); ++j) {
-      cycle_t total = 0;
-      for (int m = 0; m < wa.num_windows(); ++m) {
-        const auto wo = wa.pair_window_overlap(i, j, m);
-        EXPECT_GE(wo, 0);
-        EXPECT_LE(wo, std::min(wa.comm(i, m), wa.comm(j, m)))
-            << "seed " << GetParam();
-        EXPECT_LE(wo, ws);
-        total += wo;
-      }
-      EXPECT_EQ(total, wa.total_overlap(i, j)) << "Eq. 1, seed " << GetParam();
-      EXPECT_EQ(wa.total_overlap(i, j), wa.total_overlap(j, i));
-      EXPECT_LE(wa.max_window_overlap(i, j), ws);
-      EXPECT_LE(wa.critical_overlap(i, j), wa.total_overlap(i, j));
-    }
   }
 }
 
@@ -70,7 +139,7 @@ TEST_P(WindowsRandom, CommNeverExceedsWindowSize) {
   const auto t = make_random_trace(r, 3, 2, 1200,
                                    static_cast<int>(r.uniform_int(5, 40)));
   const auto ws = r.uniform_int(30, 400);
-  const window_analysis wa(t, ws);
+  const window_analysis wa(t, window_partition::uniform(t.horizon(), ws));
   for (int i = 0; i < t.num_targets(); ++i) {
     for (int m = 0; m < wa.num_windows(); ++m) {
       EXPECT_GE(wa.comm(i, m), 0);
@@ -85,10 +154,11 @@ TEST_P(WindowsRandom, WindowSizeUnionIsInvariant) {
   rng r(static_cast<std::uint64_t>(GetParam()) * 104659 + 23);
   const auto t = make_random_trace(r, 4, 2, 1000,
                                    static_cast<int>(r.uniform_int(5, 40)));
-  const window_analysis fine(t, 37);
-  const window_analysis coarse(t, 1000);
+  const window_analysis fine(t, window_partition::uniform(t.horizon(), 37));
+  const window_analysis coarse(t,
+                               window_partition::uniform(t.horizon(), 1000));
   for (int i = 0; i < t.num_targets(); ++i) {
-    EXPECT_EQ(fine.total_comm(i), coarse.total_comm(i));
+    EXPECT_EQ(total_comm(fine, i), total_comm(coarse, i));
     for (int j = i + 1; j < t.num_targets(); ++j) {
       EXPECT_EQ(fine.total_overlap(i, j), coarse.total_overlap(i, j))
           << "seed " << GetParam();

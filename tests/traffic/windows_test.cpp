@@ -1,37 +1,77 @@
-// Unit tests for window-based traffic analysis.
+// Unit tests for window partitions and the window analysis over them.
 #include "traffic/windows.h"
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "util/error.h"
 
 namespace stx::traffic {
 namespace {
 
-TEST(IntervalOverlap, BasicCases) {
-  const std::vector<std::pair<cycle_t, cycle_t>> a = {{0, 10}, {20, 30}};
-  const std::vector<std::pair<cycle_t, cycle_t>> b = {{5, 25}};
-  // a∩b = [5,10) + [20,25) = 10 cycles.
-  EXPECT_EQ(interval_overlap(a, b, 0, 100), 10);
-  EXPECT_EQ(interval_overlap(b, a, 0, 100), 10);  // commutative
+window_analysis analyze(const trace& t, cycle_t window_size) {
+  return window_analysis(t, window_partition::uniform(t.horizon(),
+                                                      window_size));
 }
 
-TEST(IntervalOverlap, RespectsClipRange) {
-  const std::vector<std::pair<cycle_t, cycle_t>> a = {{0, 100}};
-  const std::vector<std::pair<cycle_t, cycle_t>> b = {{0, 100}};
-  EXPECT_EQ(interval_overlap(a, b, 10, 40), 30);
+TEST(WindowPartition, UniformFactoryCoversHorizon) {
+  // Every window is full length: the last one runs past the horizon.
+  const auto p = window_partition::uniform(1000, 300);
+  EXPECT_EQ(p.num_windows(), 4);  // 300,300,300,300
+  EXPECT_EQ(p.begin(0), 0);
+  EXPECT_EQ(p.begin(3), 900);
+  EXPECT_EQ(p.end(3), 1200);
+  EXPECT_EQ(p.size(3), 300);
+  EXPECT_EQ(p.max_size(), 300);
+  EXPECT_EQ(p.horizon(), 1200);
+
+  const auto exact = window_partition::uniform(1200, 300);
+  EXPECT_EQ(exact.num_windows(), 4);
+  EXPECT_EQ(exact.horizon(), 1200);
 }
 
-TEST(IntervalOverlap, DisjointIsZero) {
-  const std::vector<std::pair<cycle_t, cycle_t>> a = {{0, 10}};
-  const std::vector<std::pair<cycle_t, cycle_t>> b = {{10, 20}};
-  EXPECT_EQ(interval_overlap(a, b, 0, 100), 0);
+TEST(WindowPartition, UniformRejectsBadArguments) {
+  EXPECT_THROW(window_partition::uniform(1000, 0), invalid_argument_error);
+  EXPECT_THROW(window_partition::uniform(1000, -5), invalid_argument_error);
+  EXPECT_THROW(window_partition::uniform(0, 100), invalid_argument_error);
+  // The last boundary would not fit in a cycle_t.
+  constexpr cycle_t kMax = std::numeric_limits<cycle_t>::max();
+  EXPECT_THROW(window_partition::uniform(kMax, kMax - 1),
+               invalid_argument_error);
 }
 
-TEST(IntervalOverlap, EmptyLists) {
-  const std::vector<std::pair<cycle_t, cycle_t>> a = {{0, 10}};
-  EXPECT_EQ(interval_overlap(a, {}, 0, 100), 0);
-  EXPECT_EQ(interval_overlap({}, {}, 0, 100), 0);
+TEST(WindowPartition, ValidatesBoundaries) {
+  EXPECT_THROW(window_partition({0}), invalid_argument_error);
+  EXPECT_THROW(window_partition({5, 10}), invalid_argument_error);
+  EXPECT_THROW(window_partition({0, 10, 10}), invalid_argument_error);
+  EXPECT_THROW(window_partition({0, 20, 10}), invalid_argument_error);
+  EXPECT_NO_THROW(window_partition({0, 10, 30}));
+}
+
+TEST(WindowPartition, BurstAdaptiveShrinksInDensePhases) {
+  // Dense activity in [0,200), silence until 2000.
+  trace t(2, 1, 2000);
+  t.add({0, 0, 0, 200, false});
+  t.add({1, 0, 0, 200, false});
+  const auto p = window_partition::burst_adaptive(
+      t, /*target_busy_per_window=*/100, /*min_size=*/50, /*max_size=*/1000);
+  // Dense region: ~100 busy per 50-cycle window -> several small windows;
+  // quiet region: max_size windows.
+  ASSERT_GE(p.num_windows(), 4);
+  EXPECT_LE(p.size(0), 100);
+  EXPECT_EQ(p.max_size(), 1000);
+  EXPECT_EQ(p.horizon(), 2000);
+}
+
+TEST(WindowPartition, BurstAdaptiveRespectsClamp) {
+  trace t(1, 1, 5000);
+  t.add({0, 0, 0, 5000, false});  // uniformly busy
+  const auto p = window_partition::burst_adaptive(t, 100, 200, 400);
+  for (int m = 0; m < p.num_windows() - 1; ++m) {
+    EXPECT_GE(p.size(m), 200);
+    EXPECT_LE(p.size(m), 400);
+  }
 }
 
 /// Two targets with hand-computable layout:
@@ -47,7 +87,7 @@ trace make_hand_trace() {
 
 TEST(WindowAnalysis, CommSplitsAcrossWindowBoundaries) {
   const auto t = make_hand_trace();
-  const window_analysis wa(t, 100);  // windows [0,100) and [100,200)
+  const auto wa = analyze(t, 100);  // windows [0,100) and [100,200)
   EXPECT_EQ(wa.num_windows(), 2);
   EXPECT_EQ(wa.comm(0, 0), 15);  // [0,10) + [95,100)
   EXPECT_EQ(wa.comm(0, 1), 5);   // [100,105)
@@ -55,87 +95,96 @@ TEST(WindowAnalysis, CommSplitsAcrossWindowBoundaries) {
   EXPECT_EQ(wa.comm(1, 1), 3);
 }
 
-TEST(WindowAnalysis, PairOverlapPerWindow) {
+TEST(WindowAnalysis, OverlapMatrixAndMaxFraction) {
   const auto t = make_hand_trace();
-  const window_analysis wa(t, 100);
-  // Window 0: [5,10) = 5; window 1: [100,103) = 3.
-  EXPECT_EQ(wa.pair_window_overlap(0, 1, 0), 5);
-  EXPECT_EQ(wa.pair_window_overlap(0, 1, 1), 3);
-  EXPECT_EQ(wa.pair_window_overlap(1, 0, 0), 5);  // symmetric
-}
-
-TEST(WindowAnalysis, OverlapMatrixIsSumOverWindows) {
-  const auto t = make_hand_trace();
-  const window_analysis wa(t, 100);
+  const auto wa = analyze(t, 100);
+  // Window 0: [5,10) = 5 of 100; window 1: [100,103) = 3 of 100.
   EXPECT_EQ(wa.total_overlap(0, 1), 8);
-  EXPECT_EQ(wa.max_window_overlap(0, 1), 5);
+  EXPECT_DOUBLE_EQ(wa.max_overlap_fraction(0, 1), 0.05);
+  EXPECT_EQ(wa.total_overlap(1, 0), 8);  // symmetric
+  EXPECT_DOUBLE_EQ(wa.max_overlap_fraction(1, 0), 0.05);
   EXPECT_EQ(wa.total_overlap(0, 0), 0);  // diagonal convention
+  EXPECT_DOUBLE_EQ(wa.max_overlap_fraction(0, 0), 0.0);
 }
 
 TEST(WindowAnalysis, OverlapSpanningWindowBoundary) {
   trace t(2, 1, 200);
   t.add({0, 0, 90, 110, false});
   t.add({1, 0, 95, 120, false});
-  const window_analysis wa(t, 100);
-  EXPECT_EQ(wa.pair_window_overlap(0, 1, 0), 5);   // [95,100)
-  EXPECT_EQ(wa.pair_window_overlap(0, 1, 1), 10);  // [100,110)
+  const auto wa = analyze(t, 100);
+  // [95,100) = 5 in window 0, [100,110) = 10 in window 1.
   EXPECT_EQ(wa.total_overlap(0, 1), 15);
+  EXPECT_DOUBLE_EQ(wa.max_overlap_fraction(0, 1), 0.10);
 }
 
 TEST(WindowAnalysis, SingleWindowEqualsTotals) {
   const auto t = make_hand_trace();
-  const window_analysis wa(t, 1000);  // one window covers everything
+  const auto wa = analyze(t, 1000);  // one window covers everything
   EXPECT_EQ(wa.num_windows(), 1);
   EXPECT_EQ(wa.comm(0, 0), 20);
-  EXPECT_EQ(wa.total_overlap(0, 1), wa.max_window_overlap(0, 1));
+  EXPECT_DOUBLE_EQ(wa.max_overlap_fraction(0, 1),
+                   static_cast<double>(wa.total_overlap(0, 1)) / 1000.0);
 }
 
-TEST(WindowAnalysis, PeakAndTotalComm) {
-  const auto t = make_hand_trace();
-  const window_analysis wa(t, 100);
-  EXPECT_EQ(wa.peak_comm(0), 15);
-  EXPECT_EQ(wa.total_comm(0), 20);
-  EXPECT_EQ(wa.total_comm(1), 10);
+TEST(WindowAnalysis, CommOverUnequalWindows) {
+  trace t(1, 1, 1000);
+  t.add({0, 0, 0, 1000, false});
+  const window_analysis wa(t, window_partition({0, 100, 400, 1000}));
+  EXPECT_EQ(wa.comm(0, 0), 100);
+  EXPECT_EQ(wa.comm(0, 1), 300);
+  EXPECT_EQ(wa.comm(0, 2), 600);
+}
+
+TEST(WindowAnalysis, OverlapFractionUsesOwnWindowLength) {
+  // Overlap of 50 cycles inside a 100-cycle window is 50%, even though a
+  // later window is 10x larger.
+  trace t(2, 1, 1100);
+  t.add({0, 0, 0, 60, false});
+  t.add({1, 0, 10, 60, false});
+  const window_analysis wa(t, window_partition({0, 100, 1100}));
+  EXPECT_DOUBLE_EQ(wa.max_overlap_fraction(0, 1), 0.5);
 }
 
 TEST(WindowAnalysis, CriticalOverlapOnlyCountsCriticalEvents) {
   trace t(2, 1, 100);
   t.add({0, 0, 0, 10, true});
   t.add({1, 0, 5, 15, false});  // overlaps but not critical
-  const window_analysis wa1(t, 100);
+  const auto wa1 = analyze(t, 100);
   EXPECT_EQ(wa1.critical_overlap(0, 1), 0);
   EXPECT_EQ(wa1.total_overlap(0, 1), 5);  // plain overlap still seen
 
   trace t2(2, 1, 100);
   t2.add({0, 0, 0, 10, true});
   t2.add({1, 0, 5, 15, true});
-  const window_analysis wa2(t2, 100);
+  const auto wa2 = analyze(t2, 100);
   EXPECT_EQ(wa2.critical_overlap(0, 1), 5);
-  EXPECT_TRUE(wa2.critical_targets()[0]);
-  EXPECT_TRUE(wa2.critical_targets()[1]);
+  EXPECT_EQ(wa2.critical_overlap(1, 0), 5);
 }
 
-TEST(WindowAnalysis, RejectsBadWindowSize) {
-  const auto t = make_hand_trace();
-  EXPECT_THROW(window_analysis(t, 0), invalid_argument_error);
-  EXPECT_THROW(window_analysis(t, -5), invalid_argument_error);
+TEST(WindowAnalysis, PartitionMustCoverTheTrace) {
+  const auto t = make_hand_trace();  // horizon 200
+  EXPECT_THROW(window_analysis(t, window_partition({0, 100})),
+               invalid_argument_error);
+  EXPECT_NO_THROW(window_analysis(t, window_partition({0, 100, 250})));
 }
 
 TEST(WindowAnalysis, EmptyTraceYieldsZeroes) {
   trace t(3, 1, 1000);
-  const window_analysis wa(t, 100);
+  const auto wa = analyze(t, 100);
   EXPECT_EQ(wa.num_windows(), 10);
   EXPECT_EQ(wa.comm(0, 5), 0);
   EXPECT_EQ(wa.total_overlap(0, 1), 0);
-  EXPECT_EQ(wa.peak_comm(2), 0);
+  EXPECT_DOUBLE_EQ(wa.max_overlap_fraction(1, 2), 0.0);
+  EXPECT_EQ(wa.critical_overlap(0, 2), 0);
 }
 
 TEST(WindowAnalysis, BoundsChecking) {
   const auto t = make_hand_trace();
-  const window_analysis wa(t, 100);
+  const auto wa = analyze(t, 100);
   EXPECT_THROW(wa.comm(5, 0), invalid_argument_error);
   EXPECT_THROW(wa.comm(0, 9), invalid_argument_error);
-  EXPECT_THROW(wa.pair_window_overlap(0, 1, 9), invalid_argument_error);
+  EXPECT_THROW(wa.total_overlap(0, 5), invalid_argument_error);
+  EXPECT_THROW(wa.max_overlap_fraction(-1, 0), invalid_argument_error);
 }
 
 }  // namespace

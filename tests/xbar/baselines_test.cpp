@@ -5,7 +5,6 @@
 
 #include <set>
 
-#include "traffic/windows.h"
 
 namespace stx::xbar {
 namespace {
@@ -76,8 +75,7 @@ TEST(Baselines, RandomRebindKeepsBusCountAndFeasibility) {
   synthesis_options opts;
   opts.params.window_size = 200;
   opts.params.max_targets_per_bus = 0;
-  const traffic::window_analysis wa(t, 200);
-  const synthesis_input in(wa, opts.params);
+  const auto in = input_from_trace(t, opts.params);
   const auto design = synthesize(in, opts);
 
   std::set<std::vector<int>> bindings;

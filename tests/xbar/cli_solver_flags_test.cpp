@@ -3,7 +3,9 @@
 // out-of-range values with exit code 2 (usage error) BEFORE any
 // simulation starts, and must actually reach solver_options when valid —
 // a starved node budget on the generic-MILP path fails the run (exit 1,
-// runtime error), proving the plumbing is live.
+// runtime error), proving the plumbing is live. The flow knobs
+// flow_options::validate rejects (horizon, window, threshold, burst
+// window) exit 2 the same way.
 //
 // The binaries are exercised through std::system; their paths are
 // injected by CMake. Output is routed to /dev/null so failures stay
@@ -41,6 +43,20 @@ TEST(CliSolverFlags, XbarSweepRejectsInvalidBudgetsWithExit2) {
   EXPECT_EQ(run(kXbarSweep + grid + " --solver-node-limit=0"), 2);
   EXPECT_EQ(run(kXbarSweep + grid + " --solver-node-limit=x"), 2);
   EXPECT_EQ(run(kXbarSweep + grid + " --solver-time-ms=-20"), 2);
+}
+
+TEST(CliSolverFlags, InvalidFlowKnobsExit2BeforeSimulating) {
+  // At --window=0 the flow used to fail only after phase 1 (exit 1), and
+  // at --horizon=0 it printed a -nan latency ratio and exited 0.
+  EXPECT_EQ(run(kXbargen + " --app=qsort --window=0"), 2);
+  EXPECT_EQ(run(kXbargen + " --app=qsort --horizon=0"), 2);
+  EXPECT_EQ(run(kXbargen + " --app=qsort --threshold=-0.5"), 2);
+  EXPECT_EQ(run(kXbargen + " --app=qsort --threshold=nan"), 2);
+  EXPECT_EQ(run(kXbargen + " --trace=/nonexistent.req --window=0"), 2);
+  EXPECT_EQ(run(kXbargen + " --app=qsort --grid thr=0.3 --horizon=0"), 2);
+  EXPECT_EQ(run(kXbarSweep + " --grid win=200 --horizon=0"), 2);
+  EXPECT_EQ(run(kXbarSweep + " --grid thr=inf"), 2);
+  EXPECT_EQ(run(kXbarSweep + " --grid burstwin=-1"), 2);
 }
 
 TEST(CliSolverFlags, ValidBudgetsRunAndStarvedBudgetsFailAtRuntime) {

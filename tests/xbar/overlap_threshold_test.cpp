@@ -1,18 +1,26 @@
 // Edge values of design_params::overlap_threshold (Sec. 7.4): at 0.0
 // every overlapping pair conflicts; above 0.5 the pre-processing adds no
 // constraint beyond the Eq. 4 bandwidth limit (two streams overlapping
-// more than half a window cannot share a bus anyway).
+// more than half a window cannot share a bus anyway). The rule is
+// overlap / window length > threshold, exactly, at every threshold.
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "traffic/windows.h"
+#include "workloads/mpsoc_apps.h"
+#include "xbar/flow.h"
 #include "xbar/problem.h"
 
 namespace stx::xbar {
 namespace {
 
 constexpr cycle_t kWS = 100;
+
+traffic::window_analysis analyze(const traffic::trace& t, cycle_t ws) {
+  return traffic::window_analysis(
+      t, traffic::window_partition::uniform(t.horizon(), ws));
+}
 
 design_params params_with_threshold(double th) {
   design_params p;
@@ -38,12 +46,12 @@ traffic::trace mixed_trace() {
 
 TEST(OverlapThreshold, ZeroConflictsEveryOverlappingPair) {
   const auto t = mixed_trace();
-  const traffic::window_analysis wa(t, kWS);
+  const auto wa = analyze(t, kWS);
   const synthesis_input input(wa, params_with_threshold(0.0));
 
   for (int i = 0; i < input.num_targets(); ++i) {
     for (int j = i + 1; j < input.num_targets(); ++j) {
-      EXPECT_EQ(input.conflict(i, j), wa.max_window_overlap(i, j) > 0)
+      EXPECT_EQ(input.conflict(i, j), wa.max_overlap_fraction(i, j) > 0.0)
           << "pair (" << i << "," << j << ")";
     }
   }
@@ -59,8 +67,8 @@ TEST(OverlapThreshold, ExactlyHalfWindowNeverTriggersAboveHalf) {
   // Both targets busy [0, 50): overlap exactly WS/2.
   t.add({0, 0, 0, 50, false});
   t.add({1, 0, 0, 50, false});
-  const traffic::window_analysis wa(t, kWS);
-  ASSERT_EQ(wa.max_window_overlap(0, 1), kWS / 2);
+  const auto wa = analyze(t, kWS);
+  ASSERT_EQ(wa.max_overlap_fraction(0, 1), 0.5);
 
   for (double th : {0.5, 0.51, 0.75, 1.0}) {
     const synthesis_input input(wa, params_with_threshold(th));
@@ -89,7 +97,7 @@ TEST(OverlapThreshold, AboveHalfAddsNothingBeyondBandwidth) {
       const cycle_t end = begin + len_dist(rng);
       t.add({tgt, 0, begin, end, false});
     }
-    const traffic::window_analysis wa(t, kWS);
+    const auto wa = analyze(t, kWS);
 
     for (double th : {0.51, 0.6, 0.75, 0.99}) {
       const synthesis_input input(wa, params_with_threshold(th));
@@ -116,12 +124,74 @@ TEST(OverlapThreshold, FullWindowOverlapStillConflictsAboveHalf) {
   traffic::trace t(2, 1, kWS);
   t.add({0, 0, 0, kWS, false});
   t.add({1, 0, 0, kWS, false});
-  const traffic::window_analysis wa(t, kWS);
+  const auto wa = analyze(t, kWS);
   // Overlap is the whole window: above any threshold < 1.0, and the pair
   // indeed cannot share a bus (comm sums to 2*WS).
   const synthesis_input input(wa, params_with_threshold(0.75));
   EXPECT_TRUE(input.conflict(0, 1));
   EXPECT_GT(input.comm(0, 0) + input.comm(1, 0), input.capacity(0));
+}
+
+// thr * WS = 49.5 here. An overlap of 50 of 150 cycles (a third of the
+// window) exceeds 0.33; rounding the threshold to 50 cycles first would
+// miss it.
+TEST(OverlapThreshold, FractionalThresholdProductIsNotRounded) {
+  traffic::trace t(2, 1, 150);
+  t.add({0, 0, 0, 50, false});
+  t.add({1, 0, 0, 50, false});
+  auto p = params_with_threshold(0.33);
+  p.window_size = 150;
+  const synthesis_input input(analyze(t, 150), p);
+  EXPECT_TRUE(input.conflict(0, 1));
+}
+
+// A threshold whose product with WS overflows int64 must behave like any
+// other huge threshold: no overlap exceeds it.
+TEST(OverlapThreshold, HugeThresholdsAddNoConflict) {
+  traffic::trace t(3, 1, 2 * kWS);
+  t.add({0, 0, 0, 40, false});
+  t.add({1, 0, 40, 90, false});
+  t.add({2, 0, 120, 180, false});
+  const auto wa = analyze(t, kWS);
+  for (double th : {1e17, 1e300}) {
+    const synthesis_input input(wa, params_with_threshold(th));
+    EXPECT_EQ(input.num_conflicts(), 0) << "threshold " << th;
+  }
+}
+
+TEST(OverlapThreshold, HugeThresholdDesignsLikeThresholdOne) {
+  // What `xbargen --app=mat2 --threshold=...` runs, at its defaults.
+  const auto app = workloads::make_mat2();
+  auto design_buses = [&](double th) {
+    xbar::flow_options opts;
+    opts.synth.params.window_size = 400;
+    opts.synth.params.overlap_threshold = th;
+    opts.synth.params.max_targets_per_bus = 4;
+    return xbar::run_design_flow(app, opts).designed_buses;
+  };
+  const int at_one = design_buses(1.0);
+  EXPECT_LT(at_one, app.total_cores());
+  EXPECT_EQ(design_buses(1e17), at_one);
+}
+
+// The uniform partition gives a partial last window a full window's
+// length and bus capacity: 20,000 cycles at WS 1,600 are 13 windows.
+TEST(OverlapThreshold, PartialLastWindowHasFullCapacity) {
+  traffic::trace t(2, 1, 20'000);
+  t.add({0, 0, 19'500, 20'000, false});
+  t.add({1, 0, 19'600, 20'000, false});
+  design_params p = params_with_threshold(0.5);
+  p.window_size = 1'600;
+  const auto input = input_from_trace(t, p);
+  ASSERT_EQ(input.num_windows(), 13);
+  for (int m = 0; m < input.num_windows(); ++m) {
+    EXPECT_EQ(input.capacity(m), 1'600) << "window " << m;
+  }
+  EXPECT_EQ(input.window_size(), 1'600);
+  // 400 of 1,600 cycles: a quarter of the window, not 400 / 800.
+  EXPECT_FALSE(input.conflict(0, 1));
+  p.overlap_threshold = 0.24;
+  EXPECT_TRUE(input_from_trace(t, p).conflict(0, 1));
 }
 
 }  // namespace

@@ -19,6 +19,11 @@ traffic::trace make_trace() {
   return t;
 }
 
+traffic::window_analysis analyze(const traffic::trace& t) {
+  return traffic::window_analysis(
+      t, traffic::window_partition::uniform(t.horizon(), 100));
+}
+
 design_params params_with(double threshold, int maxtb = 0) {
   design_params p;
   p.window_size = 100;
@@ -28,7 +33,7 @@ design_params params_with(double threshold, int maxtb = 0) {
 }
 
 TEST(SynthesisInput, CopiesCommAndOverlapMatrices) {
-  const traffic::window_analysis wa(make_trace(), 100);
+  const auto wa = analyze(make_trace());
   const synthesis_input in(wa, params_with(0.5));
   EXPECT_EQ(in.num_targets(), 3);
   EXPECT_EQ(in.num_windows(), 2);
@@ -43,16 +48,16 @@ TEST(SynthesisInput, CopiesCommAndOverlapMatrices) {
 
 TEST(SynthesisInput, ThresholdIsStrictlyExceeded) {
   // Overlap(0,1) in window 0 is 30 cycles = 0.30 of WS.
-  const traffic::window_analysis wa(make_trace(), 100);
+  const auto wa = analyze(make_trace());
   const synthesis_input at_threshold(wa, params_with(0.30));
-  EXPECT_FALSE(at_threshold.conflict(0, 1));  // 30 > 30 is false
+  EXPECT_FALSE(at_threshold.conflict(0, 1));  // 0.30 > 0.30 is false
   const synthesis_input below(wa, params_with(0.29));
-  EXPECT_TRUE(below.conflict(0, 1));  // 30 > 29
+  EXPECT_TRUE(below.conflict(0, 1));  // 0.30 > 0.29
   EXPECT_EQ(below.num_conflicts(), 1);
 }
 
 TEST(SynthesisInput, OverlapConflictsCanBeDisabled) {
-  const traffic::window_analysis wa(make_trace(), 100);
+  const auto wa = analyze(make_trace());
   auto p = params_with(0.0);
   p.use_overlap_conflicts = false;
   const synthesis_input in(wa, p);
@@ -63,7 +68,7 @@ TEST(SynthesisInput, CriticalOverlapForcesConflict) {
   traffic::trace t(2, 1, 100);
   t.add({0, 0, 0, 50, true});
   t.add({1, 0, 25, 75, true});
-  const traffic::window_analysis wa(t, 100);
+  const auto wa = analyze(t);
   auto p = params_with(1.0);  // overlap threshold never fires
   const synthesis_input in(wa, p);
   EXPECT_TRUE(in.conflict(0, 1));
@@ -75,7 +80,7 @@ TEST(SynthesisInput, CriticalOverlapForcesConflict) {
 }
 
 TEST(SynthesisInput, BindingFeasibilityChecksAllConstraints) {
-  const traffic::window_analysis wa(make_trace(), 100);
+  const auto wa = analyze(make_trace());
   const synthesis_input in(wa, params_with(0.5));
 
   // Bandwidth: window 0 has comm 60 + 60 = 120 > 100 for targets {0,1}.
@@ -90,14 +95,14 @@ TEST(SynthesisInput, BindingFeasibilityChecksAllConstraints) {
 }
 
 TEST(SynthesisInput, MaxTbLimitsBusPopulation) {
-  const traffic::window_analysis wa(make_trace(), 100);
+  const auto wa = analyze(make_trace());
   const synthesis_input in(wa, params_with(0.5, /*maxtb=*/1));
   EXPECT_FALSE(in.binding_feasible({0, 1, 0}, 2));  // bus 0 holds 2 > 1
   EXPECT_TRUE(in.binding_feasible({0, 1, 2}, 3));
 }
 
 TEST(SynthesisInput, ConflictBlocksSharedBus) {
-  const traffic::window_analysis wa(make_trace(), 100);
+  const auto wa = analyze(make_trace());
   const synthesis_input in(wa, params_with(0.1));  // 0-1 conflict
   ASSERT_TRUE(in.conflict(0, 1));
   EXPECT_FALSE(in.binding_feasible({0, 0, 1}, 2));
@@ -105,7 +110,7 @@ TEST(SynthesisInput, ConflictBlocksSharedBus) {
 }
 
 TEST(SynthesisInput, MaxBusOverlapMatchesHandComputation) {
-  const traffic::window_analysis wa(make_trace(), 100);
+  const auto wa = analyze(make_trace());
   const synthesis_input in(wa, params_with(0.5));
   // Targets 0,1 share bus 0 -> overlap 30. Target 2 alone -> 0.
   EXPECT_EQ(in.max_bus_overlap({0, 0, 1}, 2), 30);

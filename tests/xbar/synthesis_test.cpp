@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "traffic/windows.h"
 #include "util/error.h"
 #include "workloads/mpsoc_apps.h"
 #include "xbar/flow.h"
@@ -122,8 +121,7 @@ TEST(Synthesis, DesignOnRealAppTraceIsValidatable) {
   const auto design = synthesize_from_trace(traces.request, opts);
   EXPECT_LT(design.num_buses, app.num_targets);
   EXPECT_GE(design.num_buses, 2);
-  const traffic::window_analysis wa(traces.request, 400);
-  const synthesis_input in(wa, opts.params);
+  const auto in = input_from_trace(traces.request, opts.params);
   EXPECT_TRUE(in.binding_feasible(design.binding, design.num_buses));
 }
 

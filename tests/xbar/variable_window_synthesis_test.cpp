@@ -1,9 +1,10 @@
 // Tests for synthesis over variable window partitions (future-work
 // extension): per-window capacities flow through the feasibility model,
-// the specialised solver and the MILP identically.
+// the specialised solver and the MILP identically, and burst_window
+// selects the burst-adaptive partition in input_from_trace.
 #include <gtest/gtest.h>
 
-#include "traffic/variable_windows.h"
+#include "traffic/windows.h"
 #include "xbar/bb_solver.h"
 #include "xbar/milp_formulation.h"
 #include "xbar/synthesis.h"
@@ -30,7 +31,7 @@ TEST(VariableWindowSynthesis, FinePartitionSeparatesDensePhase) {
   p.max_targets_per_bus = 0;
 
   // Fine window over the dense phase: 60+60 > 100 -> two buses.
-  const traffic::variable_window_analysis fine(
+  const traffic::window_analysis fine(
       t, traffic::window_partition({0, 100, 1000}));
   const synthesis_input fine_in(fine, p);
   EXPECT_EQ(fine_in.capacity(0), 100);
@@ -40,7 +41,7 @@ TEST(VariableWindowSynthesis, FinePartitionSeparatesDensePhase) {
 
   // One coarse window: 170 busy in 1000 -> a single bus "fits" (exactly
   // the averaging failure mode variable windows exist to avoid).
-  const traffic::variable_window_analysis coarse(
+  const traffic::window_analysis coarse(
       t, traffic::window_partition({0, 1000}));
   const synthesis_input coarse_in(coarse, p);
   EXPECT_TRUE(find_feasible_binding(coarse_in, 1).has_value());
@@ -52,7 +53,7 @@ TEST(VariableWindowSynthesis, MilpAgreesWithSpecialisedSolver) {
   p.window_size = 100;
   p.use_overlap_conflicts = false;
   p.max_targets_per_bus = 0;
-  const traffic::variable_window_analysis vwa(
+  const traffic::window_analysis vwa(
       t, traffic::window_partition({0, 100, 400, 1000}));
   const synthesis_input in(vwa, p);
   for (int buses = 1; buses <= 2; ++buses) {
@@ -69,7 +70,7 @@ TEST(VariableWindowSynthesis, SynthesizeWorksOnVariableInput) {
   p.use_overlap_conflicts = true;
   p.overlap_threshold = 0.30;
   p.max_targets_per_bus = 0;
-  const traffic::variable_window_analysis vwa(
+  const traffic::window_analysis vwa(
       t, traffic::window_partition::burst_adaptive(t, 80, 50, 500));
   const synthesis_input in(vwa, p);
   synthesis_options opts;
@@ -85,16 +86,37 @@ TEST(VariableWindowSynthesis, ThresholdRelativeToOwnWindow) {
   p.window_size = 100;
   p.overlap_threshold = 0.30;  // overlap [20,60) = 40 cycles, 40% of 100
   p.max_targets_per_bus = 0;
-  const traffic::variable_window_analysis fine(
+  const traffic::window_analysis fine(
       t, traffic::window_partition({0, 100, 1000}));
   const synthesis_input in(fine, p);
   EXPECT_TRUE(in.conflict(0, 1));
 
   // With a single 1000-cycle window the same 40 cycles is only 4%.
-  const traffic::variable_window_analysis coarse(
+  const traffic::window_analysis coarse(
       t, traffic::window_partition({0, 1000}));
   const synthesis_input in2(coarse, p);
   EXPECT_FALSE(in2.conflict(0, 1));
+}
+
+TEST(VariableWindowSynthesis, InputFromTraceUsesTheBurstAdaptivePartition) {
+  const auto t = make_two_phase_trace();
+  design_params p;
+  p.window_size = 100;
+  p.burst_window = 80;
+  const auto in = input_from_trace(t, p);
+  const traffic::window_analysis wa(
+      t, traffic::window_partition::burst_adaptive(t, 80, 25, 400));
+  const synthesis_input expected(wa, p);
+  ASSERT_EQ(in.num_windows(), expected.num_windows());
+  EXPECT_EQ(in.window_size(), wa.partition().max_size());
+  for (int m = 0; m < in.num_windows(); ++m) {
+    EXPECT_EQ(in.capacity(m), wa.partition().size(m));
+    for (int i = 0; i < in.num_targets(); ++i) {
+      EXPECT_EQ(in.comm(i, m), expected.comm(i, m));
+    }
+  }
+  EXPECT_EQ(in.om(0, 1), expected.om(0, 1));
+  EXPECT_EQ(in.conflict(0, 1), expected.conflict(0, 1));
 }
 
 }  // namespace
