@@ -60,10 +60,10 @@ xbar::flow_options options_for(const sweep_spec& spec,
 
 /// Runs the sweep on `spec.threads` workers, sharing phase-1 work via
 /// `cache` (callers may pass a warm cache, or keep it to inspect hit
-/// statistics afterwards). Throws stx::invalid_argument_error on an
-/// empty app list, duplicate app names, zero points, or a point whose
-/// options fail flow_options::validate, before any simulation. The report is
-/// bit-identical across thread counts.
+/// statistics afterwards). Throws stx::invalid_argument_error, before
+/// any simulation, on an empty app list, duplicate app names, zero
+/// points, or a point whose options fail flow_options::validate. The
+/// report is bit-identical across thread counts.
 sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache);
 
 /// run_sweep with a private cache.

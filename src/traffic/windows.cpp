@@ -116,15 +116,16 @@ window_partition window_partition::burst_adaptive(
   std::vector<cycle_t> bounds = {0};
   cycle_t cursor = 0;
   while (cursor < horizon) {
-    // Grow the window until it holds enough busy mass or hits max_size.
-    cycle_t lo = cursor + min_size;
-    cycle_t hi = std::min(cursor + max_size, horizon);
-    if (lo >= horizon) {
+    // Grow the window until it holds enough busy mass or hits max_size
+    // (compared against the cycles left, so huge clamps cannot overflow).
+    if (min_size >= horizon - cursor) {
       bounds.push_back(horizon);
       break;
     }
-    // Binary search the smallest end in [lo, hi] reaching the target.
-    cycle_t left = lo, right = hi;
+    // Binary search the smallest end in [cursor + min_size, cursor +
+    // max_size] (capped at the horizon) reaching the target.
+    cycle_t left = cursor + min_size;
+    cycle_t right = cursor + std::min(max_size, horizon - cursor);
     while (left < right) {
       const cycle_t mid = left + (right - left) / 2;
       if (busy_in(cursor, mid) >= target_busy_per_window) {

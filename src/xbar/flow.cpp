@@ -53,21 +53,22 @@ sim::session run_full_crossbars(const workloads::app_spec& app,
 }  // namespace
 
 void flow_options::validate() const {
-  const auto check = [](bool ok, const char* rule, const std::string& got) {
-    if (!ok) {
-      throw invalid_argument_error(std::string("invalid flow options: ") +
-                                   rule + ", got " + got);
-    }
-  };
   const auto& p = synth.params;
-  check(horizon >= 1, "horizon must be >= 1", std::to_string(horizon));
-  check(p.window_size >= 1, "window size must be >= 1",
-        std::to_string(p.window_size));
-  check(std::isfinite(p.overlap_threshold) && p.overlap_threshold >= 0.0,
-        "overlap threshold must be finite and >= 0",
-        std::to_string(p.overlap_threshold));
-  check(p.burst_window >= 0, "burst window must be >= 0",
-        std::to_string(p.burst_window));
+  std::string bad;
+  if (horizon < 1) {
+    bad = "horizon must be >= 1, got " + std::to_string(horizon);
+  } else if (p.window_size < 1) {
+    bad = "window size must be >= 1, got " + std::to_string(p.window_size);
+  } else if (!std::isfinite(p.overlap_threshold) ||
+             p.overlap_threshold < 0.0) {
+    bad = "overlap threshold must be finite and >= 0, got " +
+          std::to_string(p.overlap_threshold);
+  } else if (p.burst_window < 0) {
+    bad = "burst window must be >= 0, got " + std::to_string(p.burst_window);
+  }
+  if (!bad.empty()) {
+    throw invalid_argument_error("invalid flow options: " + bad);
+  }
 }
 
 design_params effective_synthesis_params(const flow_options& opts,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -253,15 +254,17 @@ crossbar_design synthesize(const synthesis_input& input,
 
 synthesis_input input_from_trace(const traffic::trace& t,
                                  const design_params& params) {
+  // 4 * WS saturates instead of overflowing: past the horizon every
+  // clamp is the same.
+  constexpr auto kMaxCycle = std::numeric_limits<traffic::cycle_t>::max();
+  const auto ws = params.window_size;
   auto part =
       params.burst_window > 0
           ? traffic::window_partition::burst_adaptive(
-                t, params.burst_window,
-                std::max<traffic::cycle_t>(1, params.window_size / 4),
-                std::max<traffic::cycle_t>(1, params.window_size * 4))
+                t, params.burst_window, std::max<traffic::cycle_t>(1, ws / 4),
+                std::max<traffic::cycle_t>(1, std::min(ws, kMaxCycle / 4) * 4))
           : traffic::window_partition::uniform(
-                std::max<traffic::cycle_t>(t.horizon(), 1),
-                params.window_size);
+                std::max<traffic::cycle_t>(t.horizon(), 1), ws);
   return synthesis_input(traffic::window_analysis(t, std::move(part)),
                          params);
 }

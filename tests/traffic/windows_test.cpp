@@ -74,6 +74,18 @@ TEST(WindowPartition, BurstAdaptiveRespectsClamp) {
   }
 }
 
+TEST(WindowPartition, BurstAdaptiveTakesHugeClamps) {
+  trace t(1, 1, 1000);
+  t.add({0, 0, 0, 1000, false});
+  constexpr cycle_t kMax = std::numeric_limits<cycle_t>::max();
+  const auto p = window_partition::burst_adaptive(t, 100, 1, kMax);
+  EXPECT_EQ(p.num_windows(), 10);  // 100 busy cycles each
+  EXPECT_EQ(p.horizon(), 1000);
+  const auto one = window_partition::burst_adaptive(t, 100, kMax / 2, kMax);
+  EXPECT_EQ(one.num_windows(), 1);
+  EXPECT_EQ(one.horizon(), 1000);
+}
+
 /// Two targets with hand-computable layout:
 /// target 0 busy [0,10) and [95,105); target 1 busy [5,12) and [100,103).
 trace make_hand_trace() {

@@ -119,5 +119,18 @@ TEST(VariableWindowSynthesis, InputFromTraceUsesTheBurstAdaptivePartition) {
   EXPECT_EQ(in.conflict(0, 1), expected.conflict(0, 1));
 }
 
+TEST(VariableWindowSynthesis, HugeWindowWithBurstWindowIsOneWindow) {
+  // The clamp [WS/4, 4*WS] lies past the horizon: one window, whose
+  // capacity is its length.
+  const auto t = make_two_phase_trace();
+  design_params p;
+  p.window_size = 3'000'000'000'000'000'000;
+  p.burst_window = 80;
+  const auto in = input_from_trace(t, p);
+  ASSERT_EQ(in.num_windows(), 1);
+  EXPECT_EQ(in.capacity(0), 1000);
+  EXPECT_EQ(in.window_size(), 1000);
+}
+
 }  // namespace
 }  // namespace stx::xbar
