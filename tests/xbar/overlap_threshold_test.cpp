@@ -163,11 +163,11 @@ TEST(OverlapThreshold, HugeThresholdDesignsLikeThresholdOne) {
   // What `xbargen --app=mat2 --threshold=...` runs, at its defaults.
   const auto app = workloads::make_mat2();
   auto design_buses = [&](double th) {
-    xbar::flow_options opts;
+    flow_options opts;
     opts.synth.params.window_size = 400;
     opts.synth.params.overlap_threshold = th;
     opts.synth.params.max_targets_per_bus = 4;
-    return xbar::run_design_flow(app, opts).designed_buses;
+    return run_design_flow(app, opts).designed_buses;
   };
   const int at_one = design_buses(1.0);
   EXPECT_LT(at_one, app.total_cores());
@@ -180,7 +180,7 @@ TEST(OverlapThreshold, PartialLastWindowHasFullCapacity) {
   traffic::trace t(2, 1, 20'000);
   t.add({0, 0, 19'500, 20'000, false});
   t.add({1, 0, 19'600, 20'000, false});
-  design_params p = params_with_threshold(0.5);
+  design_params p = params_with_threshold(0.3);
   p.window_size = 1'600;
   const auto input = input_from_trace(t, p);
   ASSERT_EQ(input.num_windows(), 13);
@@ -188,7 +188,8 @@ TEST(OverlapThreshold, PartialLastWindowHasFullCapacity) {
     EXPECT_EQ(input.capacity(m), 1'600) << "window " << m;
   }
   EXPECT_EQ(input.window_size(), 1'600);
-  // 400 of 1,600 cycles: a quarter of the window, not 400 / 800.
+  // 400 of 1,600 cycles is a quarter of the window; a last window cut
+  // at the horizon (800 cycles) would make it half and conflict at 0.3.
   EXPECT_FALSE(input.conflict(0, 1));
   p.overlap_threshold = 0.24;
   EXPECT_TRUE(input_from_trace(t, p).conflict(0, 1));
