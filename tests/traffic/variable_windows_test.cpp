@@ -1,7 +1,8 @@
-// Unit tests for variable-size analysis windows.
-#include "traffic/variable_windows.h"
-
+// Unit tests for window partitions (uniform and burst-adaptive) and the
+// window analysis over windows of unequal length.
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "traffic/windows.h"
 #include "util/error.h"
@@ -10,13 +11,29 @@ namespace stx::traffic {
 namespace {
 
 TEST(WindowPartition, UniformFactoryCoversHorizon) {
+  // Every window is full length: the last one runs past the horizon.
   const auto p = window_partition::uniform(1000, 300);
-  EXPECT_EQ(p.num_windows(), 4);  // 300,300,300,100
+  EXPECT_EQ(p.num_windows(), 4);  // 300,300,300,300
   EXPECT_EQ(p.begin(0), 0);
-  EXPECT_EQ(p.end(3), 1000);
-  EXPECT_EQ(p.size(3), 100);
+  EXPECT_EQ(p.begin(3), 900);
+  EXPECT_EQ(p.end(3), 1200);
+  EXPECT_EQ(p.size(3), 300);
   EXPECT_EQ(p.max_size(), 300);
-  EXPECT_EQ(p.horizon(), 1000);
+  EXPECT_EQ(p.horizon(), 1200);
+
+  const auto exact = window_partition::uniform(1200, 300);
+  EXPECT_EQ(exact.num_windows(), 4);
+  EXPECT_EQ(exact.horizon(), 1200);
+}
+
+TEST(WindowPartition, UniformRejectsBadArguments) {
+  EXPECT_THROW(window_partition::uniform(1000, 0), invalid_argument_error);
+  EXPECT_THROW(window_partition::uniform(1000, -5), invalid_argument_error);
+  EXPECT_THROW(window_partition::uniform(0, 100), invalid_argument_error);
+  // The last boundary would not fit in a cycle_t.
+  constexpr cycle_t kMax = std::numeric_limits<cycle_t>::max();
+  EXPECT_THROW(window_partition::uniform(kMax, kMax - 1),
+               invalid_argument_error);
 }
 
 TEST(WindowPartition, ValidatesBoundaries) {
@@ -52,43 +69,25 @@ TEST(WindowPartition, BurstAdaptiveRespectsClamp) {
   }
 }
 
-TEST(VariableWindows, AgreesWithUniformAnalysisOnUniformPartition) {
-  trace t(3, 1, 500);
-  t.add({0, 0, 10, 80, false});
-  t.add({1, 0, 40, 140, false});
-  t.add({2, 0, 300, 420, false});
-  t.add({0, 0, 350, 380, true});
-
-  const window_analysis uniform(t, 100);
-  const variable_window_analysis variable(
-      t, window_partition::uniform(500, 100));
-
-  ASSERT_EQ(variable.num_windows(), uniform.num_windows());
-  for (int i = 0; i < 3; ++i) {
-    for (int m = 0; m < uniform.num_windows(); ++m) {
-      EXPECT_EQ(variable.comm(i, m), uniform.comm(i, m))
-          << "i=" << i << " m=" << m;
-    }
-    for (int j = i + 1; j < 3; ++j) {
-      EXPECT_EQ(variable.total_overlap(i, j), uniform.total_overlap(i, j));
-      EXPECT_EQ(variable.critical_overlap(i, j),
-                uniform.critical_overlap(i, j));
-      for (int m = 0; m < uniform.num_windows(); ++m) {
-        EXPECT_EQ(variable.pair_window_overlap(i, j, m),
-                  uniform.pair_window_overlap(i, j, m));
-      }
-    }
-  }
+TEST(WindowPartition, BurstAdaptiveTakesHugeClamps) {
+  trace t(1, 1, 1000);
+  t.add({0, 0, 0, 1000, false});
+  constexpr cycle_t kMax = std::numeric_limits<cycle_t>::max();
+  const auto p = window_partition::burst_adaptive(t, 100, 1, kMax);
+  EXPECT_EQ(p.num_windows(), 10);  // 100 busy cycles each
+  EXPECT_EQ(p.horizon(), 1000);
+  const auto one = window_partition::burst_adaptive(t, 100, kMax / 2, kMax);
+  EXPECT_EQ(one.num_windows(), 1);
+  EXPECT_EQ(one.horizon(), 1000);
 }
 
 TEST(VariableWindows, CommBoundedByWindowSize) {
   trace t(1, 1, 1000);
   t.add({0, 0, 0, 1000, false});
-  const variable_window_analysis vwa(
-      t, window_partition({0, 100, 400, 1000}));
-  EXPECT_EQ(vwa.comm(0, 0), 100);
-  EXPECT_EQ(vwa.comm(0, 1), 300);
-  EXPECT_EQ(vwa.comm(0, 2), 600);
+  const window_analysis wa(t, window_partition({0, 100, 400, 1000}));
+  EXPECT_EQ(wa.comm(0, 0), 100);
+  EXPECT_EQ(wa.comm(0, 1), 300);
+  EXPECT_EQ(wa.comm(0, 2), 600);
 }
 
 TEST(VariableWindows, OverlapFractionUsesOwnWindowSize) {
@@ -97,9 +96,8 @@ TEST(VariableWindows, OverlapFractionUsesOwnWindowSize) {
   trace t(2, 1, 1100);
   t.add({0, 0, 0, 60, false});
   t.add({1, 0, 10, 60, false});
-  const variable_window_analysis vwa(t,
-                                     window_partition({0, 100, 1100}));
-  EXPECT_DOUBLE_EQ(vwa.max_window_overlap_fraction(0, 1), 0.5);
+  const window_analysis wa(t, window_partition({0, 100, 1100}));
+  EXPECT_DOUBLE_EQ(wa.max_overlap_fraction(0, 1), 0.5);
 }
 
 }  // namespace
