@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <compare>
+#include <cstddef>
 #include <exception>
+#include <map>
 #include <optional>
 #include <thread>
+#include <utility>
 
 #include "explore/codec.h"
 #include "obs/obs.h"
@@ -46,44 +50,63 @@ xbar::flow_options options_for(const sweep_spec& spec,
 namespace {
 
 /// Phase-4 validation cohort width: run_sweep simulates up to this many
-/// same-app design points as one kernel batch. Results do not depend on
-/// it — batch instances are independent.
+/// distinct same-app instances as one kernel batch. Results do not depend
+/// on it — batch instances are independent.
 constexpr std::size_t cohort_size = 32;
 
-/// Phases 2-3 for one point against the cached phase-1 state. The report
-/// comes back with the full-crossbar reference filled when validating
-/// and `designed` zeroed: run_sweep simulates the designed configurations
-/// afterwards, in cohorts.
-sweep_result evaluate_point(const sweep_spec& spec,
-                            const workloads::app_spec& app,
-                            const sweep_point& point, trace_cache& cache) {
-  const auto opts = options_for(spec, point);
-  const auto traces = cache.traces(app, opts);
-  sweep_result result;
-  result.app_name = app.name;
-  result.point = point;
-  result.validated = spec.validate;
-  std::optional<xbar::validation_metrics> full;
-  if (spec.validate) full = *cache.full_metrics(app, opts);
-  result.report = xbar::synthesize_design(app, *traces, opts);
-  if (full.has_value()) result.report.full = *full;
-  return result;
-}
-
-/// Runs `worker(0..threads-1)` on a pool (inline when threads <= 1).
+/// One stage of the sweep: calls `fn(k)` once for every k in [0, n), on
+/// up to `threads` workers (inline when that is one) that claim the next
+/// k in order. `fn` records its own failures; it must not throw.
 template <typename Fn>
-void run_workers(int threads, std::size_t num_jobs, const Fn& worker) {
-  const int n = std::min<int>(std::max(threads, 1),
-                              static_cast<int>(num_jobs));
-  if (n <= 1) {
+void run_stage(int threads, std::size_t n, const Fn& fn) {
+  std::atomic<std::size_t> next{0};
+  const auto worker = [&](int worker_index) {
+    // One span per worker thread and stage: its duration against the
+    // sweep span's is the worker's utilization.
+    obs::span wsp("explore.worker", {{"worker", worker_index}});
+    std::int64_t claimed = 0;
+    for (std::size_t k = next.fetch_add(1); k < n; k = next.fetch_add(1)) {
+      ++claimed;
+      fn(k);
+    }
+    wsp.set_attr({"jobs", claimed});
+  };
+  const int workers =
+      std::min<int>(std::max(threads, 1), static_cast<int>(n));
+  if (workers <= 1) {
     worker(0);
     return;
   }
   std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(n));
-  for (int t = 0; t < n; ++t) pool.emplace_back(worker, t);
+  pool.reserve(static_cast<std::size_t>(workers));
+  for (int t = 0; t < workers; ++t) pool.emplace_back(worker, t);
   for (auto& t : pool) t.join();
 }
+
+/// What one window analysis depends on inside a sweep. Horizon, seed and
+/// transfer overhead are sweep-wide, so the app and the policy name the
+/// phase-1 trace (exactly what trace_cache keys it by); the direction
+/// picks one of its two traces; the effective window and burst_window
+/// are all analysis_partition reads.
+struct analysis_key {
+  std::size_t app = 0;
+  sim::arbitration policy = sim::arbitration::round_robin;
+  bool request = true;
+  cycle_t window_size = 0;
+  cycle_t burst_window = 0;
+
+  auto operator<=>(const analysis_key&) const = default;
+};
+
+/// What one synthesis depends on besides its analysis: the options with
+/// the overlap threshold left out, and the conflict matrix. The threshold
+/// reaches the solvers only through the conflict matrix.
+struct synthesis_key {
+  xbar::synthesis_options opts;
+  std::vector<std::vector<bool>> conflicts;
+
+  bool operator==(const synthesis_key&) const = default;
+};
 
 }  // namespace
 
@@ -102,81 +125,186 @@ sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache) {
   for (const auto& point : points) options_for(spec, point).validate();
 
   // Flattened job list, app-major then grid order: results land at their
-  // job index, so the report order never depends on scheduling. Workers
-  // CLAIM jobs app-interleaved, though — app-major claiming would pile
-  // every early worker onto app 0's trace future while its one loader
-  // simulates, serialising the expensive per-app phase-1 runs.
+  // job index, so the report order never depends on scheduling.
   struct job {
-    const workloads::app_spec* app;
+    std::size_t app;
     const sweep_point* point;
+    xbar::flow_options opts;
   };
   const std::size_t num_apps = spec.apps.size();
   const std::size_t num_points = points.size();
   std::vector<job> jobs;
   jobs.reserve(num_apps * num_points);
-  for (const auto& app : spec.apps) {
+  for (std::size_t a = 0; a < num_apps; ++a) {
     for (const auto& point : points) {
-      jobs.push_back({&app, &point});
+      jobs.push_back({a, &point, options_for(spec, point)});
     }
   }
+  const std::size_t num_jobs = jobs.size();
 
   obs::span sweep_span("explore.sweep",
                        {{"apps", static_cast<std::int64_t>(num_apps)},
-                        {"jobs", static_cast<std::int64_t>(jobs.size())}});
-  obs::add_counter("explore.points", static_cast<std::int64_t>(jobs.size()));
+                        {"jobs", static_cast<std::int64_t>(num_jobs)}});
+  obs::add_counter("explore.points", static_cast<std::int64_t>(num_jobs));
 
   const auto stats_before = cache.stats();
   const auto by_app_before = cache.stats_by_app();
-  std::vector<sweep_result> results(jobs.size());
-  std::vector<std::exception_ptr> errors(jobs.size());
-  std::atomic<std::size_t> next{0};
-  const auto worker = [&](int worker_index) {
-    // One span per worker thread: its duration against the sweep span's
-    // is the worker's utilization, and each claimed job lands as a child
-    // span on the worker's own trace track.
-    obs::span wsp("explore.worker", {{"worker", worker_index}});
-    std::int64_t claimed = 0;
-    for (std::size_t k = next.fetch_add(1); k < jobs.size();
-         k = next.fetch_add(1)) {
-      // k-th claim -> app (k mod A), point (k div A).
-      const std::size_t i = (k % num_apps) * num_points + k / num_apps;
-      ++claimed;
+  std::vector<sweep_result> results(num_jobs);
+  std::vector<std::exception_ptr> errors(num_jobs);
+
+  // Every stage below computes each distinct key once, on whichever
+  // worker claims it: the keys are grouped serially in job order before
+  // the stage runs, so the work done (and every obs counter) is the same
+  // at any thread count. A failing shared item fails every point that
+  // shares it.
+
+  // ---- Phase 1: one trace_cache lookup per point, as a per-point flow
+  // would make (the report's cache section counts them). Workers CLAIM
+  // jobs app-interleaved: app-major claiming would pile every early
+  // worker onto app 0's trace future while its one loader simulates,
+  // serialising the expensive per-app phase-1 runs.
+  std::vector<std::shared_ptr<const xbar::collected_traces>> traces(num_jobs);
+  std::vector<std::shared_ptr<const xbar::validation_metrics>> full(num_jobs);
+  run_stage(spec.threads, num_jobs, [&](std::size_t k) {
+    // k-th claim -> app (k mod A), point (k div A).
+    const std::size_t i = (k % num_apps) * num_points + k / num_apps;
+    const auto& app = spec.apps[jobs[i].app];
+    try {
+      traces[i] = cache.traces(app, jobs[i].opts);
+      if (spec.validate) full[i] = cache.full_metrics(app, jobs[i].opts);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  });
+
+  // ---- Phases 2-3: one window analysis per analysis_key, and within it
+  // one synthesis per synthesis_key. A direction of job i is 2i
+  // (request) or 2i + 1 (response).
+  std::map<analysis_key, std::size_t> analysis_index;
+  std::vector<std::vector<std::size_t>> analyses;  // directions, job order
+  for (std::size_t i = 0; i < num_jobs; ++i) {
+    if (errors[i] != nullptr) continue;
+    for (const bool request : {true, false}) {
+      const auto params = xbar::effective_synthesis_params(jobs[i].opts,
+                                                           request);
+      const analysis_key key{jobs[i].app, jobs[i].opts.policy, request,
+                             params.window_size, params.burst_window};
+      const auto [it, added] = analysis_index.emplace(key, analyses.size());
+      if (added) analyses.emplace_back();
+      analyses[it->second].push_back(2 * i + (request ? 0 : 1));
+    }
+  }
+  std::vector<xbar::crossbar_design> designs(2 * num_jobs);
+  std::vector<std::exception_ptr> design_errors(2 * num_jobs);
+  run_stage(spec.threads, analyses.size(), [&](std::size_t g) {
+    const auto& members = analyses[g];
+    const auto direction = [&](std::size_t d) {
+      auto opts = jobs[d / 2].opts.synth;
+      opts.params = xbar::effective_synthesis_params(jobs[d / 2].opts,
+                                                     d % 2 == 0);
+      return opts;
+    };
+    // Every member shares the first one's trace and partition (the key
+    // says so). The analysis lives only while its group runs, so a worker
+    // holds one at a time.
+    std::optional<traffic::window_analysis> analysis;
+    try {
+      const auto d = members.front();
+      obs::span sp("flow.analyze",
+                   {{"app", spec.apps[jobs[d / 2].app].name}});
+      const auto& trace =
+          d % 2 == 0 ? traces[d / 2]->request : traces[d / 2]->response;
+      analysis.emplace(trace,
+                       xbar::analysis_partition(trace, direction(d).params));
+    } catch (...) {
+      for (const auto d : members) design_errors[d] = std::current_exception();
+      return;
+    }
+    struct synthesis {
+      synthesis_key key;
+      xbar::crossbar_design design;
+      std::exception_ptr error;
+    };
+    std::vector<synthesis> done;
+    for (const auto d : members) {
       try {
-        obs::span jsp("explore.point", {{"app", jobs[i].app->name}});
-        results[i] = evaluate_point(spec, *jobs[i].app, *jobs[i].point, cache);
+        const auto opts = direction(d);
+        const xbar::synthesis_input input(*analysis, opts.params);
+        synthesis_key key{opts, input.conflicts()};
+        key.opts.params.overlap_threshold = 0.0;
+        auto it = std::find_if(done.begin(), done.end(), [&](const auto& s) {
+          return s.key == key;
+        });
+        if (it == done.end()) {
+          synthesis s{std::move(key), {}, nullptr};
+          try {
+            s.design = xbar::synthesize(input, opts);
+          } catch (...) {
+            s.error = std::current_exception();
+          }
+          it = done.insert(done.end(), std::move(s));
+        }
+        if (it->error != nullptr) std::rethrow_exception(it->error);
+        designs[d] = it->design;
+        designs[d].params = opts.params;  // the point's own threshold
       } catch (...) {
-        errors[i] = std::current_exception();
+        design_errors[d] = std::current_exception();
       }
     }
-    wsp.set_attr({"jobs", claimed});
-  };
-  run_workers(spec.threads, jobs.size(), worker);
+  });
+
+  // Report assembly, one code path with xbar::synthesize_design.
+  run_stage(spec.threads, num_jobs, [&](std::size_t i) {
+    if (errors[i] == nullptr) {
+      errors[i] = design_errors[2 * i] != nullptr ? design_errors[2 * i]
+                                                  : design_errors[2 * i + 1];
+    }
+    if (errors[i] != nullptr) return;
+    auto& result = results[i];
+    try {
+      result.app_name = spec.apps[jobs[i].app].name;
+      result.point = *jobs[i].point;
+      result.validated = spec.validate;
+      result.report = xbar::report_from_designs(
+          spec.apps[jobs[i].app], *traces[i], std::move(designs[2 * i]),
+          std::move(designs[2 * i + 1]));
+      if (full[i] != nullptr) result.report.full = *full[i];
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  });
 
   std::int64_t designed_store_hits = 0;
   if (spec.validate) {
-    // ---- Phase 4. The synthesis pass above left every report's
-    // `designed` metrics empty; pack same-app design points into cohorts
-    // of cohort_size and simulate each cohort as one kernel batch.
-    // Per-instance results are independent of cohort membership, so the
-    // report does not depend on which worker claims which cohort.
+    // ---- Phase 4: one simulated instance per distinct (app, request
+    // config, response config); seed, horizon and overhead are
+    // sweep-wide, and each config carries its policy. Each app's
+    // instances pack into cohorts of cohort_size, each cohort one kernel
+    // batch. Per-instance results are independent of cohort membership,
+    // so the report does not depend on which worker claims which cohort.
     //
     // With a persistent store behind the cache, each point's designed
-    // metrics are content-addressed under the stage=metrics key: hits
-    // drop out of the cohorts entirely (a re-run of the same sweep skips
-    // the whole re-simulation), and every simulated result is written
-    // through for the next run. Safe because a warm result is
-    // bit-identical to a fresh one by the codec round-trip contract.
+    // metrics are content-addressed under its stage=metrics key: hits
+    // drop out before instances are formed (a re-run of the same sweep
+    // skips the whole re-simulation), and every simulated result is
+    // written through under every key that shares it. Safe because a
+    // warm result is bit-identical to a fresh one by the codec
+    // round-trip contract.
     kv_store* const store = cache.backing();
-    std::vector<std::vector<std::size_t>> cohorts;
+    struct instance {
+      xbar::validation_job job;         // opts of the first sharing point
+      std::vector<std::size_t> points;  // every point it serves, job order
+    };
+    std::vector<instance> instances;  // app-major
+    std::vector<std::pair<std::size_t, std::size_t>> cohorts;  // [begin, end)
     for (std::size_t a = 0; a < num_apps; ++a) {
-      std::vector<std::size_t> eligible;
+      const std::size_t first = instances.size();
       for (std::size_t p = 0; p < num_points; ++p) {
         const std::size_t i = a * num_points + p;
         if (errors[i] != nullptr) continue;
+        const auto& opts = jobs[i].opts;
         if (store != nullptr) {
-          const auto key = metrics_key(jobs[i].app->name,
-                                       options_for(spec, *jobs[i].point));
-          if (auto blob = store->get(key)) {
+          if (auto blob = store->get(metrics_key(spec.apps[a].name, opts))) {
             try {
               results[i].report.designed = decode_metrics(*blob);
               ++designed_store_hits;
@@ -186,50 +314,62 @@ sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache) {
             }
           }
         }
-        eligible.push_back(i);
-      }
-      for (std::size_t off = 0; off < eligible.size(); off += cohort_size) {
-        const auto end = std::min(eligible.size(), off + cohort_size);
-        cohorts.emplace_back(
-            eligible.begin() + static_cast<std::ptrdiff_t>(off),
-            eligible.begin() + static_cast<std::ptrdiff_t>(end));
-      }
-    }
-    std::atomic<std::size_t> next_cohort{0};
-    const auto validate_worker = [&](int) {
-      for (std::size_t c = next_cohort.fetch_add(1); c < cohorts.size();
-           c = next_cohort.fetch_add(1)) {
-        const auto& members = cohorts[c];
-        const auto& app = *jobs[members.front()].app;
         try {
-          std::vector<xbar::validation_job> vjobs;
-          vjobs.reserve(members.size());
-          for (const std::size_t i : members) {
-            const auto opts = options_for(spec, *jobs[i].point);
-            const auto& report = results[i].report;
-            vjobs.push_back({report.request_design.to_config(
-                                 opts.policy, opts.transfer_overhead),
-                             report.response_design.to_config(
-                                 opts.policy, opts.transfer_overhead),
-                             opts});
-          }
-          const auto metrics = xbar::validate_configurations(app, vjobs);
-          for (std::size_t m = 0; m < members.size(); ++m) {
-            const std::size_t i = members[m];
-            results[i].report.designed = metrics[m];
-            if (store != nullptr) {
-              store->put(metrics_key(app.name, vjobs[m].opts),
-                         encode_metrics(metrics[m]));
-            }
+          const auto& report = results[i].report;
+          auto request = report.request_design.to_config(
+              opts.policy, opts.transfer_overhead);
+          auto response = report.response_design.to_config(
+              opts.policy, opts.transfer_overhead);
+          const auto it = std::find_if(
+              instances.begin() + static_cast<std::ptrdiff_t>(first),
+              instances.end(), [&](const instance& in) {
+                return in.job.request == request &&
+                       in.job.response == response;
+              });
+          if (it != instances.end()) {
+            it->points.push_back(i);
+          } else {
+            instances.push_back(
+                {{std::move(request), std::move(response), opts}, {i}});
           }
         } catch (...) {
-          for (const std::size_t i : members) {
+          errors[i] = std::current_exception();
+        }
+      }
+      for (std::size_t off = first; off < instances.size();
+           off += cohort_size) {
+        cohorts.emplace_back(off,
+                             std::min(instances.size(), off + cohort_size));
+      }
+    }
+    run_stage(spec.threads, cohorts.size(), [&](std::size_t c) {
+      const auto [begin, end] = cohorts[c];
+      const auto& app = spec.apps[jobs[instances[begin].points.front()].app];
+      try {
+        std::vector<xbar::validation_job> vjobs;
+        vjobs.reserve(end - begin);
+        for (std::size_t n = begin; n < end; ++n) {
+          vjobs.push_back(instances[n].job);
+        }
+        const auto metrics = xbar::validate_configurations(app, vjobs);
+        for (std::size_t n = begin; n < end; ++n) {
+          const auto& m = metrics[n - begin];
+          const std::string blob = store != nullptr ? encode_metrics(m) : "";
+          for (const std::size_t i : instances[n].points) {
+            results[i].report.designed = m;
+            if (store != nullptr) {
+              store->put(metrics_key(app.name, jobs[i].opts), blob);
+            }
+          }
+        }
+      } catch (...) {
+        for (std::size_t n = begin; n < end; ++n) {
+          for (const std::size_t i : instances[n].points) {
             errors[i] = std::current_exception();
           }
         }
       }
-    };
-    run_workers(spec.threads, cohorts.size(), validate_worker);
+    });
     if (designed_store_hits > 0) {
       obs::add_counter("explore.designed.store_hits", designed_store_hits);
     }

@@ -1,9 +1,25 @@
 // Parallel design-space exploration engine: evaluates a grid of
 // methodology parameter points across one or many applications on a
-// worker thread pool, sharing the phase-1 full-crossbar trace per
-// (app, settings) key through a trace_cache instead of re-simulating it
-// per point. Results are deterministic and ordered app-major /
-// grid-order regardless of the thread count.
+// worker thread pool. Most points of a sweep land on the same crossbar,
+// so run_sweep computes each distinct unit of work once and hands the
+// result to every point that needs it:
+//
+//  * phase 1: one full-crossbar simulation per (app, horizon, seed,
+//    policy, transfer overhead), through a trace_cache that also serves
+//    the full-crossbar reference;
+//  * window analysis: one per (phase-1 trace, direction, effective
+//    window after the per-direction override, burst_window);
+//  * synthesis: one per (window analysis, conflict matrix, synthesis
+//    options without the overlap threshold), since the threshold reaches
+//    the solvers only through the conflict matrix; each point gets the
+//    shared design back with its own design_params;
+//  * validation: one simulated instance per (app, request crossbar
+//    config, response crossbar config), in same-app cohorts of up to 32.
+//
+// The keys are exact, so each point's report equals its own
+// run_design_flow. Reports are ordered app-major / grid-order, and both
+// they and the work done (every obs counter) are bit-identical across
+// thread counts.
 #pragma once
 
 #include <cstdint>
@@ -60,10 +76,15 @@ xbar::flow_options options_for(const sweep_spec& spec,
 
 /// Runs the sweep on `spec.threads` workers, sharing phase-1 work via
 /// `cache` (callers may pass a warm cache, or keep it to inspect hit
-/// statistics afterwards). Throws stx::invalid_argument_error, before
-/// any simulation, on an empty app list, duplicate app names, zero
-/// points, or a point whose options fail flow_options::validate. The
-/// report is bit-identical across thread counts.
+/// statistics afterwards; every point makes its own lookups, so the
+/// report's cache section counts one per point). With a store behind
+/// the cache, a point whose stage=metrics entry is present skips
+/// validation, and every simulated point writes its own entry. Throws
+/// stx::invalid_argument_error, before any simulation, on an empty app
+/// list, duplicate app names, zero points, or a point whose options fail
+/// flow_options::validate. A failing shared item fails every point that
+/// shares it; the first failure in report order is rethrown. The report
+/// is bit-identical across thread counts.
 sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache);
 
 /// run_sweep with a private cache.

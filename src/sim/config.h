@@ -94,6 +94,8 @@ struct crossbar_config {
 
   /// Human-readable summary, e.g. "partial(3 buses: [0,0,1,2,...])".
   std::string to_string() const;
+
+  bool operator==(const crossbar_config&) const = default;
 };
 
 /// Everything needed to instantiate a system around a set of programs.

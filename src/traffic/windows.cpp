@@ -98,43 +98,60 @@ window_partition window_partition::burst_adaptive(
               "window size clamp malformed");
   const cycle_t horizon = std::max<cycle_t>(t.horizon(), 1);
 
-  // Aggregate activity as merged per-target interval lists; walk forward
-  // placing a boundary whenever the accumulated busy mass reaches the
-  // target (clamped to [min_size, max_size] wall-clock length).
-  const auto busy = intervals_by_target(t).busy;
-  auto busy_in = [&](cycle_t lo, cycle_t hi) {
-    cycle_t acc = 0;
-    for (const auto& list : busy) {
+  // The aggregate activity of all targets as a step function: from
+  // steps[k].first until the next step, steps[k].second targets are busy.
+  std::vector<std::pair<cycle_t, cycle_t>> steps = {{0, 0}};
+  {
+    std::vector<std::pair<cycle_t, int>> edges;
+    for (const auto& list : intervals_by_target(t).busy) {
       for (const auto& [b, e] : list) {
-        if (b >= hi) break;
-        acc += std::max<cycle_t>(0, std::min(e, hi) - std::max(b, lo));
+        edges.emplace_back(b, 1);
+        edges.emplace_back(e, -1);
       }
     }
-    return acc;
-  };
+    std::sort(edges.begin(), edges.end());
+    for (const auto& [at, delta] : edges) {
+      const cycle_t active = steps.back().second;
+      if (at != steps.back().first) steps.emplace_back(at, active);
+      steps.back().second += delta;
+    }
+  }
 
+  // Walk forward placing a boundary at the first cycle where the window
+  // holds the target busy mass, clamped to [min_size, max_size] cycles.
+  // Window ends only move forward, so one cursor over the steps serves
+  // every window.
   std::vector<cycle_t> bounds = {0};
   cycle_t cursor = 0;
+  std::size_t k = 0;  // the step holding the cursor
   while (cursor < horizon) {
-    // Grow the window until it holds enough busy mass or hits max_size
-    // (compared against the cycles left, so huge clamps cannot overflow).
+    // Compared against the cycles left, so huge clamps cannot overflow.
     if (min_size >= horizon - cursor) {
       bounds.push_back(horizon);
       break;
     }
-    // Binary search the smallest end in [cursor + min_size, cursor +
-    // max_size] (capped at the horizon) reaching the target.
-    cycle_t left = cursor + min_size;
-    cycle_t right = cursor + std::min(max_size, horizon - cursor);
-    while (left < right) {
-      const cycle_t mid = left + (right - left) / 2;
-      if (busy_in(cursor, mid) >= target_busy_per_window) {
-        right = mid;
-      } else {
-        left = mid + 1;
+    const cycle_t left = cursor + min_size;
+    const cycle_t right = cursor + std::min(max_size, horizon - cursor);
+    while (k + 1 < steps.size() && steps[k + 1].first <= cursor) ++k;
+    cycle_t end = right;
+    cycle_t need = target_busy_per_window;
+    cycle_t from = cursor;  // step j covers [from, stop) of the window
+    for (std::size_t j = k; from < right; ++j) {
+      const cycle_t stop = j + 1 < steps.size()
+                               ? std::min(steps[j + 1].first, right)
+                               : right;
+      const cycle_t active = steps[j].second;
+      if (active > 0) {
+        const cycle_t cycles = need / active + (need % active != 0 ? 1 : 0);
+        if (cycles <= stop - from) {
+          end = std::max(left, from + cycles);
+          break;
+        }
+        need -= active * (stop - from);  // < need: cannot overflow
       }
+      from = stop;
     }
-    cursor = left;
+    cursor = end;
     bounds.push_back(cursor);
   }
   if (bounds.back() != horizon) bounds.push_back(horizon);

@@ -316,18 +316,30 @@ int lower_bound_buses(const synthesis_input& input) {
   const int T = input.num_targets();
   int lb = 1;
 
-  // Bandwidth: every window's total demand must fit in B buses.
+  // Bandwidth: every window's total demand must fit in B buses, so B is
+  // at least ceil(sum_i comm(i, m) / capacity(m)). Each comm fits in its
+  // window's capacity, so counting whole capacities with a remainder kept
+  // below the capacity never overflows, where forming the sum (or adding
+  // capacity - 1 to it) would for capacities near INT64_MAX.
   for (int m = 0; m < input.num_windows(); ++m) {
-    cycle_t total = 0;
-    for (int i = 0; i < T; ++i) total += input.comm(i, m);
-    const auto need = static_cast<int>(
-        (total + input.capacity(m) - 1) / input.capacity(m));
-    lb = std::max(lb, need);
+    const cycle_t capacity = input.capacity(m);
+    int need = 0;
+    cycle_t rest = 0;  // in [0, capacity)
+    for (int i = 0; i < T; ++i) {
+      const cycle_t c = input.comm(i, m);
+      if (c >= capacity - rest) {
+        ++need;
+        rest = c - (capacity - rest);
+      } else {
+        rest += c;
+      }
+    }
+    lb = std::max(lb, need + (rest > 0 ? 1 : 0));
   }
 
-  // Cardinality (Eq. 8).
+  // Cardinality (Eq. 8): ceil(T / maxtb), without forming T + maxtb - 1.
   const int maxtb = input.params().max_targets_per_bus;
-  if (maxtb > 0) lb = std::max(lb, (T + maxtb - 1) / maxtb);
+  if (maxtb > 0) lb = std::max(lb, T / maxtb + (T % maxtb != 0 ? 1 : 0));
 
   // Conflict clique (greedy): every clique member needs its own bus.
   std::vector<int> degree(static_cast<std::size_t>(T), 0);

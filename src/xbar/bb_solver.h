@@ -50,6 +50,8 @@ struct solver_options {
   /// (the portfolio uses this to cancel the losing engine). The caller
   /// keeps ownership.
   const std::atomic<bool>* cancel = nullptr;
+
+  bool operator==(const solver_options&) const = default;
 };
 
 /// Search telemetry.

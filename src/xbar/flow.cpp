@@ -128,10 +128,10 @@ validation_metrics validate_full_crossbars(const workloads::app_spec& app,
   return run_full_crossbars(app, opts, /*record_traces=*/false).metrics();
 }
 
-flow_report synthesize_design(const workloads::app_spec& app,
-                              const collected_traces& traces,
-                              const flow_options& opts) {
-  app.validate();
+flow_report report_from_designs(const workloads::app_spec& app,
+                                const collected_traces& traces,
+                                crossbar_design request,
+                                crossbar_design response) {
   flow_report report;
   report.app_name = app.name;
   report.num_initiators = app.num_initiators;
@@ -143,7 +143,18 @@ flow_report synthesize_design(const workloads::app_spec& app,
   }
   report.request_traffic = link_totals(traces.request);
   report.response_traffic = link_totals(traces.response);
+  report.request_design = std::move(request);
+  report.response_design = std::move(response);
+  report.full_buses = app.total_cores();
+  report.designed_buses =
+      report.request_design.num_buses + report.response_design.num_buses;
+  return report;
+}
 
+flow_report synthesize_design(const workloads::app_spec& app,
+                              const collected_traces& traces,
+                              const flow_options& opts) {
+  app.validate();
   // ---- Phases 2+3: window analysis, pre-processing, synthesis — run
   // independently per direction, as the paper does.
   synthesis_options req_opts = opts.synth;
@@ -157,16 +168,15 @@ flow_report synthesize_design(const workloads::app_spec& app,
     req_input = input_from_trace(traces.request, req_opts.params);
     resp_input = input_from_trace(traces.response, resp_opts.params);
   }
+  crossbar_design request;
+  crossbar_design response;
   {
     obs::span sp("flow.synthesize", {{"app", app.name}});
-    report.request_design = synthesize(*req_input, req_opts);
-    report.response_design = synthesize(*resp_input, resp_opts);
+    request = synthesize(*req_input, req_opts);
+    response = synthesize(*resp_input, resp_opts);
   }
-
-  report.full_buses = app.total_cores();
-  report.designed_buses =
-      report.request_design.num_buses + report.response_design.num_buses;
-  return report;
+  return report_from_designs(app, traces, std::move(request),
+                             std::move(response));
 }
 
 void validate_design(const workloads::app_spec& app, const flow_options& opts,

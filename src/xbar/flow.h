@@ -174,6 +174,16 @@ flow_report synthesize_design(const workloads::app_spec& app,
                               const collected_traces& traces,
                               const flow_options& opts);
 
+/// Report assembly for a synthesised design pair: the app's endpoint
+/// names (padded with "tgt<i>"), the phase-1 traffic matrices of
+/// `traces`, the two designs and both bus counts, with zeroed latency
+/// metrics. synthesize_design ends with it; explore::run_sweep calls it
+/// per point with designs it shares between points.
+flow_report report_from_designs(const workloads::app_spec& app,
+                                const collected_traces& traces,
+                                crossbar_design request,
+                                crossbar_design response);
+
 /// Stage "validate" (phase 4) against an already-synthesised report:
 /// simulates the designed configuration and fills report.designed, then
 /// report.full from `full` when provided (else re-simulates the

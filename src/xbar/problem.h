@@ -105,6 +105,8 @@ class synthesis_input {
   bool conflict(int i, int j) const {
     return conflict_[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
   }
+  /// The whole conflict matrix, c[i][j] at [i][j].
+  const std::vector<std::vector<bool>>& conflicts() const { return conflict_; }
 
   int num_conflicts() const;
 

@@ -252,21 +252,26 @@ crossbar_design synthesize(const synthesis_input& input,
   return out;
 }
 
-synthesis_input input_from_trace(const traffic::trace& t,
-                                 const design_params& params) {
+traffic::window_partition analysis_partition(const traffic::trace& t,
+                                             const design_params& params) {
   // 4 * WS saturates instead of overflowing: past the horizon every
   // clamp is the same.
   constexpr auto kMaxCycle = std::numeric_limits<traffic::cycle_t>::max();
   const auto ws = params.window_size;
-  auto part =
-      params.burst_window > 0
-          ? traffic::window_partition::burst_adaptive(
-                t, params.burst_window, std::max<traffic::cycle_t>(1, ws / 4),
-                std::max<traffic::cycle_t>(1, std::min(ws, kMaxCycle / 4) * 4))
-          : traffic::window_partition::uniform(
-                std::max<traffic::cycle_t>(t.horizon(), 1), ws);
-  return synthesis_input(traffic::window_analysis(t, std::move(part)),
-                         params);
+  return params.burst_window > 0
+             ? traffic::window_partition::burst_adaptive(
+                   t, params.burst_window,
+                   std::max<traffic::cycle_t>(1, ws / 4),
+                   std::max<traffic::cycle_t>(
+                       1, std::min(ws, kMaxCycle / 4) * 4))
+             : traffic::window_partition::uniform(
+                   std::max<traffic::cycle_t>(t.horizon(), 1), ws);
+}
+
+synthesis_input input_from_trace(const traffic::trace& t,
+                                 const design_params& params) {
+  return synthesis_input(
+      traffic::window_analysis(t, analysis_partition(t, params)), params);
 }
 
 crossbar_design synthesize_from_trace(const traffic::trace& t,

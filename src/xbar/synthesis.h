@@ -31,6 +31,8 @@ struct synthesis_options {
   /// Skip the Eq. 11 binding optimisation and keep the feasibility
   /// binding (the random/first binding ablation uses this).
   bool optimize_binding = true;
+
+  bool operator==(const synthesis_options&) const = default;
 };
 
 /// A synthesised crossbar for one direction.
@@ -85,14 +87,21 @@ crossbar_design synthesize(const synthesis_input& input,
 crossbar_design synthesize_from_trace(const traffic::trace& t,
                                       const synthesis_options& opts);
 
-/// Phases 2-3 model construction without the solve: window analysis
-/// followed by pre-processing, exactly as synthesize_from_trace performs
-/// it. The one place that picks the window partition: uniform windows of
+/// The window partition phase 2 analyses `t` over: uniform windows of
 /// params.window_size, or burst-adaptive ones when params.burst_window >
-/// 0 (see design_params::burst_window). Exposed
-/// so verification harnesses (src/testkit) can rebuild the model a design
-/// was solved against and re-check feasibility and the Eq. 11 objective
-/// independently of the solver that produced the design.
+/// 0 (see design_params::burst_window). The one place that picks the
+/// partition: input_from_trace and explore::run_sweep (which shares one
+/// analysis between the sweep points whose partitions agree) both call
+/// it. Reads only window_size and burst_window of `params`.
+traffic::window_partition analysis_partition(const traffic::trace& t,
+                                             const design_params& params);
+
+/// Phases 2-3 model construction without the solve: window analysis over
+/// analysis_partition(t, params) followed by pre-processing, exactly as
+/// synthesize_from_trace performs it. Exposed so verification harnesses
+/// (src/testkit) can rebuild the model a design was solved against and
+/// re-check feasibility and the Eq. 11 objective independently of the
+/// solver that produced the design.
 synthesis_input input_from_trace(const traffic::trace& t,
                                  const design_params& params);
 

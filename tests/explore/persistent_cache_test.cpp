@@ -384,6 +384,59 @@ TEST(PersistentCache, SweepRerunServesDesignedMetricsFromStore) {
   fs::remove_all(dir);
 }
 
+// Points that share one simulated design still get their own
+// stage=metrics entry, under their own key, and a warm rerun serves all
+// of them bit-identically.
+TEST(PersistentCache, SharedDesignsStillPutOneMetricsEntryPerPoint) {
+  const auto dir = test_dir("sweep-metrics-shared");
+  sweep_spec spec;
+  spec.apps = {small_app()};
+  // Thresholds past 0.5 add no conflict Eq. 4 does not already exclude,
+  // so these points collide on few designs.
+  spec.grid.overlap_thresholds = {0.5, 0.6, 0.7, 0.8};
+  spec.grid.max_targets_per_bus = {0, 4};
+  spec.horizon = 8'000;
+  spec.validate = true;
+  const auto points = sweep_points(spec);
+
+  obs::reset();
+  obs::enable();
+  auto store = std::make_shared<disk_store>(dir.string());
+  sweep_report cold;
+  {
+    trace_cache cache(store);
+    cold = run_sweep(spec, cache);
+  }
+  const auto sim_runs = obs::snapshot().counter("sim.runs");
+  obs::disable();
+  obs::reset();
+  // Sharing happened: one phase-1 run plus fewer designs than points.
+  ASSERT_LT(sim_runs, 1 + static_cast<std::int64_t>(points.size()));
+  // Phase 1 wrote its trace and full entries; phase 4 one per point.
+  EXPECT_EQ(store->stats().puts,
+            2 + static_cast<std::int64_t>(points.size()));
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    const auto blob = store->get(
+        metrics_key(spec.apps[0].name, options_for(spec, points[p])));
+    ASSERT_TRUE(blob.has_value()) << points[p].to_string();
+    EXPECT_EQ(*blob, encode_metrics(cold.results[p].report.designed))
+        << points[p].to_string();
+  }
+
+  sweep_report warm;
+  {
+    trace_cache cache(std::make_shared<disk_store>(dir.string()));
+    warm = run_sweep(spec, cache);
+  }
+  EXPECT_EQ(warm.designed_store_hits,
+            static_cast<std::int64_t>(points.size()));
+  EXPECT_EQ(warm.phase1_simulations, 0);
+  // Warm results (designed metrics included) are bit-identical to cold.
+  EXPECT_EQ(warm.results, cold.results);
+  EXPECT_EQ(warm.pareto, cold.pareto);
+  fs::remove_all(dir);
+}
+
 // The metrics key carries every synthesis knob: a sweep at different
 // knobs on the same store directory must never alias into warm hits.
 TEST(PersistentCache, DesignedMetricsKeyedBySynthesisKnobs) {

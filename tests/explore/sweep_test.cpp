@@ -1,10 +1,18 @@
 // The sweep engine: point evaluation equals the serial flow, phase 1 is
-// shared, and reports are bit-identical across thread counts.
+// shared, each distinct analysis, synthesis and validation runs once, and
+// reports and work counters are bit-identical across thread counts.
 #include "explore/sweep.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "obs/obs.h"
 #include "util/error.h"
+#include "workloads/mpsoc_apps.h"
 #include "workloads/synthetic.h"
 #include "xbar/flow.h"
 
@@ -52,18 +60,40 @@ TEST(Sweep, PointReportsEqualTheSerialDesignFlow) {
   }
 }
 
+/// The distinct (request config, response config) pairs among `app`'s
+/// designs in a report: what phase 4 simulates once each.
+std::size_t distinct_designs(const sweep_spec& spec,
+                             const sweep_report& report,
+                             const std::string& app) {
+  std::vector<std::pair<sim::crossbar_config, sim::crossbar_config>> seen;
+  for (const auto& r : report.results) {
+    if (r.app_name != app) continue;
+    const auto opts = options_for(spec, r.point);
+    std::pair<sim::crossbar_config, sim::crossbar_config> key{
+        r.report.request_design.to_config(opts.policy,
+                                          opts.transfer_overhead),
+        r.report.response_design.to_config(opts.policy,
+                                           opts.transfer_overhead)};
+    if (std::find(seen.begin(), seen.end(), key) == seen.end()) {
+      seen.push_back(std::move(key));
+    }
+  }
+  return seen.size();
+}
+
 TEST(Sweep, ValidationCohortBoundariesDoNotChangeResults) {
-  // 36 points per app: each app validates as one full 32-point cohort
-  // plus a 4-point one. Every point must equal its serial design flow,
-  // on one thread and on eight.
+  // 72 points per app land on 36 and 46 distinct designs, so each app
+  // validates as one full 32-instance cohort plus a partial one. Every
+  // point must equal its serial design flow, on one thread and on eight.
   auto spec = small_spec();
-  spec.apps = {small_app(6), small_app(8)};
-  spec.apps[0].name += "-6";
-  spec.apps[1].name += "-8";
+  spec.apps = {small_app(16), small_app(20)};
+  spec.apps[0].name += "-16";
+  spec.apps[1].name += "-20";
   spec.grid.window_sizes = {200, 300, 400, 500, 600, 800, 1000, 1500, 2000};
   spec.grid.overlap_thresholds = {0.1, 0.3, 0.5, 0.7};
+  spec.grid.policies = {sim::arbitration::fixed_priority,
+                        sim::arbitration::round_robin};
   const auto points = sweep_points(spec);
-  ASSERT_GT(points.size(), 32u);
   std::vector<xbar::flow_report> serial;
   for (const auto& app : spec.apps) {
     for (const auto& point : points) {
@@ -74,6 +104,11 @@ TEST(Sweep, ValidationCohortBoundariesDoNotChangeResults) {
   for (const int threads : {1, 8}) {
     spec.threads = threads;
     const auto report = run_sweep(spec);
+    for (const auto& app : spec.apps) {
+      const auto designs = distinct_designs(spec, report, app.name);
+      EXPECT_GT(designs, 32u) << app.name;
+      EXPECT_LT(designs, 64u) << app.name;
+    }
     ASSERT_EQ(report.results.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(report.results[i].report, serial[i])
@@ -82,6 +117,98 @@ TEST(Sweep, ValidationCohortBoundariesDoNotChangeResults) {
           << points[i % points.size()].to_string();
     }
   }
+}
+
+/// A grid built so that points share work: thresholds that leave the
+/// conflict matrix unchanged, maxtb values that may not bind, and two
+/// policies. On these two apps the policies' phase-1 traces lead to
+/// different designs, so an analysis keyed by app alone designs the
+/// fixed-priority points from the round-robin trace and gets them wrong.
+sweep_spec colliding_spec() {
+  workloads::synthetic_params lockstep;
+  lockstep.num_cores = 8;
+  lockstep.phase_spread = 0.0;
+  lockstep.gap_cycles = 200;
+  sweep_spec spec;
+  spec.apps = {workloads::make_synthetic(lockstep), workloads::make_qsort()};
+  spec.horizon = 8'000;
+  spec.grid.overlap_thresholds = {0.1, 0.3, 0.5, 0.7};
+  spec.grid.max_targets_per_bus = {0, 4};
+  spec.grid.policies = {sim::arbitration::round_robin,
+                        sim::arbitration::fixed_priority};
+  spec.grid.burst_windows = {0, 100};
+  return spec;
+}
+
+TEST(Sweep, SharedWorkPointsEqualTheirDesignFlows) {
+  auto spec = colliding_spec();
+  const auto points = sweep_points(spec);
+  ASSERT_EQ(points.size(), 32u);
+  std::vector<xbar::flow_report> serial;
+  for (const auto& app : spec.apps) {
+    for (const auto& point : points) {
+      serial.push_back(xbar::run_design_flow(app, options_for(spec, point)));
+    }
+  }
+  for (const int threads : {1, 4}) {
+    spec.threads = threads;
+    const auto report = run_sweep(spec);
+    ASSERT_EQ(report.results.size(), serial.size());
+    // One phase-1 simulation per (app, policy).
+    EXPECT_EQ(report.phase1_simulations, 4);
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(report.results[i].report, serial[i])
+          << "threads " << threads << " app " << report.results[i].app_name
+          << " point " << points[i % points.size()].to_string();
+    }
+  }
+}
+
+TEST(Sweep, WorkCountersAreIdenticalAcrossThreadCounts) {
+  auto spec = colliding_spec();
+  std::vector<obs::metrics_snapshot> snaps;
+  for (const int threads : {1, 2, 8}) {
+    spec.threads = threads;
+    obs::reset();
+    obs::enable();
+    (void)run_sweep(spec);
+    obs::disable();
+    snaps.push_back(obs::snapshot());
+  }
+  obs::reset();
+  ASSERT_GT(snaps[0].counter("sim.runs"), 0);
+  ASSERT_GT(snaps[0].counter("xbar.synth.runs"), 0);
+  for (std::size_t k = 1; k < snaps.size(); ++k) {
+    for (const char* name :
+         {"sim.runs", "sim.events_processed", "xbar.synth.runs"}) {
+      EXPECT_EQ(snaps[k].counter(name), snaps[0].counter(name))
+          << name << " at run " << k;
+    }
+    EXPECT_EQ(snaps[k].counters, snaps[0].counters) << "run " << k;
+    EXPECT_EQ(snaps[k].gauges, snaps[0].gauges) << "run " << k;
+  }
+}
+
+TEST(Sweep, SimulatesEachDistinctDesignOnce) {
+  const auto spec = colliding_spec();
+  obs::reset();
+  obs::enable();
+  const auto report = run_sweep(spec);
+  obs::disable();
+  const auto snap = obs::snapshot();
+  obs::reset();
+  std::size_t distinct = 0;
+  for (const auto& app : spec.apps) {
+    distinct += distinct_designs(spec, report, app.name);
+  }
+  // The grid collides: fewer designs than points, and fewer syntheses
+  // than point directions.
+  EXPECT_LT(distinct, report.results.size());
+  EXPECT_LT(snap.counter("xbar.synth.runs"),
+            static_cast<std::int64_t>(2 * report.results.size()));
+  EXPECT_EQ(snap.counter("sim.runs"),
+            report.phase1_simulations +
+                static_cast<std::int64_t>(distinct));
 }
 
 TEST(Sweep, ReportIsBitIdenticalAcrossThreadCounts) {

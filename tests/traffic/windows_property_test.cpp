@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "traffic/windows.h"
@@ -119,6 +121,74 @@ TEST_P(WindowsRandom, BurstAdaptiveMatchesBruteForce) {
   expect_matches_brute_force(
       t, wa, "seed " + std::to_string(GetParam()) + " busy/window " +
                  std::to_string(busy_per_window));
+}
+
+/// burst_adaptive's boundaries by their definition, cycle by cycle: each
+/// window ends at the first cycle in [cursor + min_size, cursor +
+/// max_size] (capped at the horizon) where it holds `busy_per_window`
+/// busy cycles summed over targets, or at that cap when none does.
+std::vector<cycle_t> burst_boundaries_brute_force(const trace& t,
+                                                  cycle_t busy_per_window,
+                                                  cycle_t min_size,
+                                                  cycle_t max_size) {
+  const cycle_t horizon = std::max<cycle_t>(t.horizon(), 1);
+  const auto cycles = static_cast<std::size_t>(horizon);
+  const auto n = static_cast<std::size_t>(t.num_targets());
+  std::vector<std::vector<char>> busy(n, std::vector<char>(cycles, 0));
+  for (const auto& e : t.events()) {
+    for (cycle_t c = e.begin; c < e.end; ++c) {
+      busy[static_cast<std::size_t>(e.target)][static_cast<std::size_t>(c)] =
+          1;
+    }
+  }
+  std::vector<cycle_t> active(cycles, 0);
+  for (const auto& row : busy) {
+    for (std::size_t c = 0; c < cycles; ++c) active[c] += row[c];
+  }
+  std::vector<cycle_t> bounds = {0};
+  cycle_t cursor = 0;
+  while (cursor < horizon) {
+    if (min_size >= horizon - cursor) break;
+    const cycle_t left = cursor + min_size;
+    const cycle_t right = cursor + std::min(max_size, horizon - cursor);
+    cycle_t end = right;
+    cycle_t mass = 0;
+    for (cycle_t x = cursor + 1; x <= right; ++x) {
+      mass += active[static_cast<std::size_t>(x - 1)];
+      if (x >= left && mass >= busy_per_window) {
+        end = x;
+        break;
+      }
+    }
+    cursor = end;
+    bounds.push_back(cursor);
+  }
+  if (bounds.back() != horizon) bounds.push_back(horizon);
+  return bounds;
+}
+
+TEST_P(WindowsRandom, BurstAdaptiveBoundariesMatchPerCycleDefinition) {
+  rng r(static_cast<std::uint64_t>(GetParam()) * 2750159 + 13);
+  constexpr cycle_t kMax = std::numeric_limits<cycle_t>::max();
+  for (int round = 0; round < 8; ++round) {
+    const auto t = make_random_trace(r, static_cast<int>(r.uniform_int(1, 5)),
+                                     2, r.uniform_int(50, 1500),
+                                     static_cast<int>(r.uniform_int(0, 60)));
+    // Mostly ordinary targets and clamps; sometimes one no window can
+    // reach, a one-cycle minimum or an unbounded maximum.
+    const cycle_t busy_per_window =
+        r.chance(0.1) ? kMax : r.uniform_int(1, 600);
+    const cycle_t min_size = r.chance(0.2) ? 1 : r.uniform_int(1, 120);
+    const cycle_t max_size =
+        r.chance(0.1) ? kMax : min_size + r.uniform_int(0, 600);
+    const auto p = window_partition::burst_adaptive(t, busy_per_window,
+                                                    min_size, max_size);
+    EXPECT_EQ(p.boundaries(), burst_boundaries_brute_force(
+                                  t, busy_per_window, min_size, max_size))
+        << "seed " << GetParam() << " round " << round << " busy/window "
+        << busy_per_window << " clamp [" << min_size << ", " << max_size
+        << "]";
+  }
 }
 
 TEST_P(WindowsRandom, CommSumsToMergedBusyTotal) {

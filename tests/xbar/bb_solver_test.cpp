@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -98,6 +100,37 @@ TEST(BbSolver, LowerBoundComponents) {
   const auto clique = make_input({{1}, {1}, {1}}, {},
                                  {{0, 1}, {0, 2}, {1, 2}}, basic_params());
   EXPECT_EQ(lower_bound_buses(clique), 3);
+}
+
+TEST(BbSolver, LowerBoundTakesExtremeWindowsAndCaps) {
+  // The ceiling divisions must not overflow: a window near INT64_MAX
+  // (total + capacity - 1 did), demands summing past INT64_MAX, and
+  // maxtb = INT_MAX (T + maxtb - 1 did).
+  constexpr cycle_t kMax = std::numeric_limits<cycle_t>::max();
+  EXPECT_EQ(lower_bound_buses(
+                make_input({{10}, {10}}, {}, {}, basic_params(kMax))),
+            1);
+  EXPECT_EQ(lower_bound_buses(make_input({{kMax - 1}, {2}}, {}, {},
+                                         basic_params(kMax))),
+            2);
+  EXPECT_EQ(lower_bound_buses(
+                make_input({{kMax}, {kMax}}, {}, {}, basic_params(kMax))),
+            2);
+  EXPECT_EQ(lower_bound_buses(make_input({{10}, {10}}, {}, {},
+                                         basic_params(100, INT_MAX))),
+            1);
+  // Exact multiples and remainders still round up: 3 x 40 over 100
+  // needs 2 buses, 5 x 20 exactly fills 1.
+  EXPECT_EQ(lower_bound_buses(
+                make_input({{40}, {40}, {40}}, {}, {}, basic_params())),
+            2);
+  EXPECT_EQ(lower_bound_buses(make_input({{20}, {20}, {20}, {20}, {20}},
+                                         {}, {}, basic_params())),
+            1);
+  // 7 targets under maxtb 3 need ceil(7 / 3) = 3 buses.
+  EXPECT_EQ(lower_bound_buses(make_input({{1}, {1}, {1}, {1}, {1}, {1}, {1}},
+                                         {}, {}, basic_params(100, 3))),
+            3);
 }
 
 TEST(BbSolver, MinOverlapBindingMatchesHandOptimum) {
