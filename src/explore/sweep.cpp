@@ -98,16 +98,6 @@ struct analysis_key {
   auto operator<=>(const analysis_key&) const = default;
 };
 
-/// What one synthesis depends on besides its analysis: the options with
-/// the overlap threshold left out, and the conflict matrix. The threshold
-/// reaches the solvers only through the conflict matrix.
-struct synthesis_key {
-  xbar::synthesis_options opts;
-  std::vector<std::vector<bool>> conflicts;
-
-  bool operator==(const synthesis_key&) const = default;
-};
-
 }  // namespace
 
 sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache) {
@@ -178,8 +168,10 @@ sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache) {
   });
 
   // ---- Phases 2-3: one window analysis per analysis_key, and within it
-  // one synthesis per synthesis_key. A direction of job i is 2i
-  // (request) or 2i + 1 (response).
+  // one synthesis per distinct (synthesis options without the overlap
+  // threshold, conflict matrix): the threshold reaches the solvers only
+  // through the conflict matrix. A direction of job i is 2i (request) or
+  // 2i + 1 (response).
   std::map<analysis_key, std::size_t> analysis_index;
   std::vector<std::vector<std::size_t>> analyses;  // directions, job order
   for (std::size_t i = 0; i < num_jobs; ++i) {
@@ -194,64 +186,84 @@ sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache) {
       analyses[it->second].push_back(2 * i + (request ? 0 : 1));
     }
   }
+  const auto direction = [&](std::size_t d) {
+    auto opts = jobs[d / 2].opts.synth;
+    opts.params =
+        xbar::effective_synthesis_params(jobs[d / 2].opts, d % 2 == 0);
+    return opts;
+  };
+  struct synthesis {
+    std::size_t analysis = 0;
+    xbar::synthesis_options opts;  // overlap_threshold zeroed
+    std::vector<std::vector<bool>> conflicts;
+    std::vector<std::size_t> members;  // directions sharing it, job order
+  };
+  std::vector<std::optional<traffic::window_analysis>> analysis(
+      analyses.size());
+  std::vector<std::vector<synthesis>> found(analyses.size());
   std::vector<xbar::crossbar_design> designs(2 * num_jobs);
   std::vector<std::exception_ptr> design_errors(2 * num_jobs);
   run_stage(spec.threads, analyses.size(), [&](std::size_t g) {
     const auto& members = analyses[g];
-    const auto direction = [&](std::size_t d) {
-      auto opts = jobs[d / 2].opts.synth;
-      opts.params = xbar::effective_synthesis_params(jobs[d / 2].opts,
-                                                     d % 2 == 0);
-      return opts;
-    };
     // Every member shares the first one's trace and partition (the key
-    // says so). The analysis lives only while its group runs, so a worker
-    // holds one at a time.
-    std::optional<traffic::window_analysis> analysis;
+    // says so).
     try {
       const auto d = members.front();
       obs::span sp("flow.analyze",
                    {{"app", spec.apps[jobs[d / 2].app].name}});
       const auto& trace =
           d % 2 == 0 ? traces[d / 2]->request : traces[d / 2]->response;
-      analysis.emplace(trace,
-                       xbar::analysis_partition(trace, direction(d).params));
+      analysis[g].emplace(
+          trace, xbar::analysis_partition(trace, direction(d).params));
     } catch (...) {
       for (const auto d : members) design_errors[d] = std::current_exception();
       return;
     }
-    struct synthesis {
-      synthesis_key key;
-      xbar::crossbar_design design;
-      std::exception_ptr error;
-    };
-    std::vector<synthesis> done;
+    // Each member's own pre-processing gives its synthesis key.
     for (const auto d : members) {
       try {
-        const auto opts = direction(d);
-        const xbar::synthesis_input input(*analysis, opts.params);
-        synthesis_key key{opts, input.conflicts()};
-        key.opts.params.overlap_threshold = 0.0;
-        auto it = std::find_if(done.begin(), done.end(), [&](const auto& s) {
-          return s.key == key;
-        });
-        if (it == done.end()) {
-          synthesis s{std::move(key), {}, nullptr};
-          try {
-            s.design = xbar::synthesize(input, opts);
-          } catch (...) {
-            s.error = std::current_exception();
-          }
-          it = done.insert(done.end(), std::move(s));
+        auto opts = direction(d);
+        const xbar::synthesis_input input(*analysis[g], opts.params);
+        opts.params.overlap_threshold = 0.0;
+        const auto it =
+            std::find_if(found[g].begin(), found[g].end(), [&](const auto& s) {
+              return s.opts == opts && s.conflicts == input.conflicts();
+            });
+        if (it != found[g].end()) {
+          it->members.push_back(d);
+        } else {
+          found[g].push_back({g, std::move(opts), input.conflicts(), {d}});
         }
-        if (it->error != nullptr) std::rethrow_exception(it->error);
-        designs[d] = it->design;
-        designs[d].params = opts.params;  // the point's own threshold
       } catch (...) {
         design_errors[d] = std::current_exception();
       }
     }
   });
+  // The distinct syntheses run as their own stage, so the points that
+  // share one analysis still spread over the workers. Each rebuilds its
+  // first member's input; every member gets the design back with its own
+  // design_params.
+  std::vector<synthesis> syntheses;
+  for (auto& group : found) {
+    for (auto& item : group) syntheses.push_back(std::move(item));
+  }
+  run_stage(spec.threads, syntheses.size(), [&](std::size_t k) {
+    const auto& item = syntheses[k];
+    try {
+      const auto opts = direction(item.members.front());
+      const auto design = xbar::synthesize(
+          xbar::synthesis_input(*analysis[item.analysis], opts.params), opts);
+      for (const auto d : item.members) {
+        designs[d] = design;
+        designs[d].params = direction(d).params;
+      }
+    } catch (...) {
+      for (const auto d : item.members) {
+        design_errors[d] = std::current_exception();
+      }
+    }
+  });
+  analysis.clear();
 
   // Report assembly, one code path with xbar::synthesize_design.
   run_stage(spec.threads, num_jobs, [&](std::size_t i) {
