@@ -369,8 +369,13 @@ sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache) {
           const std::string blob = store != nullptr ? encode_metrics(m) : "";
           for (const std::size_t i : instances[n].points) {
             results[i].report.designed = m;
-            if (store != nullptr) {
+            if (store == nullptr) continue;
+            try {
               store->put(metrics_key(app.name, jobs[i].opts), blob);
+            } catch (const std::exception&) {
+              // A failed write-through only loses persistence: the
+              // point's metrics are computed, as in trace_cache.
+              obs::add_counter("explore.cache.put_dropped", 1);
             }
           }
         }

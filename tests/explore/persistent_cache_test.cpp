@@ -21,6 +21,7 @@
 #include "explore/trace_cache.h"
 #include "obs/obs.h"
 #include "serve/service.h"
+#include "util/failpoint.h"
 #include "workloads/synthetic.h"
 
 namespace stx::explore {
@@ -457,6 +458,40 @@ TEST(PersistentCache, DesignedMetricsKeyedBySynthesisKnobs) {
   const auto report = run_sweep(spec, cache);
   EXPECT_EQ(report.designed_store_hits, 0);
   EXPECT_EQ(report.phase1_simulations, 0);
+  fs::remove_all(dir);
+}
+
+// A failed stage=metrics write-through only loses persistence: the sweep
+// still returns every point, bit-identical to a sweep with no store, and
+// counts each dropped put.
+TEST(PersistentCache, FailedMetricsWriteThroughDoesNotFailTheSweep) {
+  const auto dir = test_dir("sweep-metrics-put-fails");
+  sweep_spec spec;
+  spec.apps = {small_app()};
+  spec.grid.window_sizes = {200, 400};
+  spec.horizon = 4'000;
+  spec.validate = true;
+
+  trace_cache plain;
+  const auto expected = run_sweep(spec, plain);
+
+  obs::reset();
+  obs::enable();
+  failpoint::arm("store.put.before_rename", "error");
+  sweep_report report;
+  {
+    trace_cache cache(std::make_shared<disk_store>(dir.string()));
+    EXPECT_NO_THROW(report = run_sweep(spec, cache));
+  }
+  failpoint::disarm_all();
+  const auto dropped =
+      obs::snapshot().counter("explore.cache.put_dropped");
+  obs::disable();
+  obs::reset();
+  EXPECT_EQ(report.results, expected.results);
+  EXPECT_EQ(report.pareto, expected.pareto);
+  // Phase 1's trace and full entries plus one metrics entry per point.
+  EXPECT_EQ(dropped, 2 + 2);
   fs::remove_all(dir);
 }
 
