@@ -16,21 +16,20 @@ namespace {
 /// `timer_` value of a component with no pending wake.
 constexpr cycle_t timer_none = std::numeric_limits<cycle_t>::max();
 
-/// One calendar entry: [flat component index g : 30][instance : 16]
-/// [phase : 2][component : 16]. The flat index is strictly monotone in
-/// (instance, phase, component), so sorting entries as integers yields
-/// exactly event_key order within a cycle while the drain reads the
-/// timer_ slot straight out of the entry's high bits. The constructor and
-/// add_instance() enforce the field widths. Entries are built as
-/// `ebase[phase] + comp * entry_step`: the step adds comp to both the g
-/// field and the comp field in one multiply.
-constexpr std::uint64_t entry_step = (std::uint64_t{1} << 34) + 1;
-
-/// Ids of one 16-bit entry field: 0 .. field_ids - 1.
+/// Ids of one 16-bit comp_ref field: 0 .. field_ids - 1.
 constexpr int field_ids = 1 << 16;
 
-/// End of a ring slot's node list.
-constexpr std::uint32_t no_node = std::numeric_limits<std::uint32_t>::max();
+/// Index of barrier (id, epoch) on a barrier board, searched newest first
+/// (the live epochs sit at the back), or the board's size when absent.
+std::size_t board_find(const std::vector<std::pair<std::int64_t, int>>& board,
+                       int barrier_id, std::int64_t epoch) {
+  const std::int64_t key =
+      (static_cast<std::int64_t>(barrier_id) << 32) | (epoch & 0xffffffff);
+  for (std::size_t i = board.size(); i-- > 0;) {
+    if (board[i].first == key) return i;
+  }
+  return board.size();
+}
 
 }  // namespace
 
@@ -173,23 +172,20 @@ int batch::add_instance(const system_config& cfg) {
   barrier_visits_.resize(barrier_visits_.size() + ops_total_, 0);
   targets_.resize(targets_.size() + static_cast<std::size_t>(num_targets_));
 
-  const auto pack = [&](int phase, int gbase) {
-    return (static_cast<std::uint64_t>(gbase) << 34) |
-           (static_cast<std::uint64_t>(b) << 18) |
-           (static_cast<std::uint64_t>(phase) << 16);
-  };
-  in.ebase[phase_core] = pack(phase_core, total_comps_);
-  in.ebase[phase_request_bus] =
-      pack(phase_request_bus, total_comps_ + num_cores_);
-  in.ebase[phase_target] = pack(
-      phase_target, total_comps_ + num_cores_ + cfg.request.num_buses);
-  in.ebase[phase_response_bus] =
-      pack(phase_response_bus,
-           total_comps_ + num_cores_ + cfg.request.num_buses + num_targets_);
-  total_comps_ += num_cores_ + cfg.request.num_buses + num_targets_ +
-                  cfg.response.num_buses;
+  // Flat component indices, phase-major within the instance.
+  const int counts[] = {num_cores_, cfg.request.num_buses, num_targets_,
+                        cfg.response.num_buses};
+  for (int phase = phase_core; phase <= phase_response_bus; ++phase) {
+    in.gbase[static_cast<std::size_t>(phase)] = total_comps_;
+    for (int k = 0; k < counts[phase]; ++k) {
+      comp_of_.push_back({static_cast<std::uint16_t>(b),
+                          static_cast<std::uint16_t>(k),
+                          static_cast<std::uint8_t>(phase)});
+    }
+    total_comps_ += counts[phase];
+  }
   STX_REQUIRE(total_comps_ < (1 << 30),
-              "kernel calendar packs flat component indices into 30 bits");
+              "kernel calendar indexes at most 2^30 flat components");
   return b;
 }
 
@@ -214,63 +210,54 @@ void batch::schedule(int b, int phase, int comp, cycle_t cycle) {
   // the component state, so the step at `timer_` sees it and the
   // post-step re-arm (next_wake over that state) recomputes any later
   // wake that is still needed.
-  const auto e = instances_[static_cast<std::size_t>(b)]
-                     .ebase[static_cast<std::size_t>(phase)] +
-                 static_cast<std::uint64_t>(comp) * entry_step;
-  const auto g = static_cast<std::size_t>(e >> 34);
+  const auto g = static_cast<std::size_t>(
+      instances_[static_cast<std::size_t>(b)]
+          .gbase[static_cast<std::size_t>(phase)] +
+      comp);
   if (timer_[g] <= k.cycle) return;
   timer_[g] = k.cycle;
-  if (processing_ && k.cycle == cur_.cycle) {
-    // A later-ordered wake at the cycle being drained (request issue,
-    // same-cycle delivery): the drain merges these in key order.
-    same_cycle_.push_back(e);
-    std::push_heap(same_cycle_.begin(), same_cycle_.end(), std::greater<>());
-  } else if (k.cycle - ring_head_ < ring_size) {
-    ring_push(k.cycle, e);
+  if (k.cycle - ring_head_ < ring_size) {
+    mark(k.cycle, g);
   } else {
-    overflow_.emplace_back(k.cycle, e);
+    overflow_.emplace_back(k.cycle, g);
     std::push_heap(overflow_.begin(), overflow_.end(), std::greater<>());
   }
 }
 
-void batch::ring_push(cycle_t cycle, std::uint64_t e) {
+void batch::mark(cycle_t cycle, std::size_t g) {
   const auto slot = static_cast<std::size_t>(cycle & (ring_size - 1));
-  const std::uint64_t bit = std::uint64_t{1} << slot;
-  // A slot's head is meaningful only while its occupancy bit is set.
-  const std::uint32_t next =
-      (occupied_ & bit) != 0 ? slot_head_[slot] : no_node;
-  std::uint32_t node = free_node_;
-  if (node == no_node) {
-    node = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.push_back({e, next});
-  } else {
-    free_node_ = nodes_[node].next;
-    nodes_[node] = {e, next};
+  auto& word = slot_bits_[slot * words_ + g / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (g % 64);
+  // Already marked: this wake duplicates one the drain will take.
+  if ((word & bit) != 0) {
+    ++instances_[comp_of_[g].instance].stats.events_skipped;
   }
-  slot_head_[slot] = node;
-  occupied_ |= bit;
+  word |= bit;
+  occupied_ |= std::uint64_t{1} << slot;
 }
 
-void batch::take_wakes(cycle_t cycle) {
-  drain_.clear();
+void batch::drain(cycle_t cycle) {
   const auto slot = static_cast<std::size_t>(cycle & (ring_size - 1));
-  const std::uint64_t bit = std::uint64_t{1} << slot;
-  if ((occupied_ & bit) != 0) {
-    std::uint32_t last = slot_head_[slot];
-    for (std::uint32_t node = last; node != no_node;
-         node = nodes_[node].next) {
-      drain_.push_back(nodes_[node].entry);
-      last = node;
+  std::uint64_t* const bits = slot_bits_.data() + slot * words_;
+  for (std::size_t w = 0; w < words_; ++w) {
+    // Re-read the word after every step: a wake scheduled at this cycle
+    // marks a higher bit, in this word or a later one.
+    while (bits[w] != 0) {
+      const auto g =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits[w]));
+      bits[w] &= bits[w] - 1;
+      const comp_ref c = comp_of_[g];
+      if (timer_[g] != cycle) {
+        // Superseded by an earlier wake that already stepped this
+        // component (and re-armed it).
+        ++instances_[c.instance].stats.events_skipped;
+        continue;
+      }
+      timer_[g] = timer_none;  // consumed; the step re-arms
+      process_event(c.instance, {cycle, c.phase, c.component});
     }
-    nodes_[last].next = free_node_;
-    free_node_ = slot_head_[slot];
-    occupied_ &= ~bit;
   }
-  while (!overflow_.empty() && overflow_.front().first == cycle) {
-    drain_.push_back(overflow_.front().second);
-    std::pop_heap(overflow_.begin(), overflow_.end(), std::greater<>());
-    overflow_.pop_back();
-  }
+  occupied_ &= ~(std::uint64_t{1} << slot);
 }
 
 cycle_t batch::next_wake_cycle(cycle_t from, cycle_t limit) const {
@@ -305,28 +292,22 @@ void batch::seed_instance(int b) {
 // count; the barrier opens when `group_size` arrived.
 
 void batch::board_arrive(instance& in, int barrier_id, std::int64_t epoch) {
-  const std::int64_t key =
-      (static_cast<std::int64_t>(barrier_id) << 32) | (epoch & 0xffffffff);
-  bool found = false;
-  for (auto& [k, n] : in.board_counts) {
-    if (k == key) {
-      ++n;
-      found = true;
-      break;
-    }
+  auto& board = in.board_counts;
+  const auto i = board_find(board, barrier_id, epoch);
+  if (i < board.size()) {
+    ++board[i].second;
+  } else {
+    board.emplace_back(
+        (static_cast<std::int64_t>(barrier_id) << 32) | (epoch & 0xffffffff),
+        1);
   }
-  if (!found) in.board_counts.emplace_back(key, 1);
   ++in.board_version;
 }
 
 bool batch::board_open(const instance& in, int barrier_id, std::int64_t epoch,
                        int group_size) {
-  const std::int64_t key =
-      (static_cast<std::int64_t>(barrier_id) << 32) | (epoch & 0xffffffff);
-  for (const auto& [k, n] : in.board_counts) {
-    if (k == key) return n >= group_size;
-  }
-  return false;
+  const auto i = board_find(in.board_counts, barrier_id, epoch);
+  return i < in.board_counts.size() && in.board_counts[i].second >= group_size;
 }
 
 // ---------------------------------------------------------------------------
@@ -692,58 +673,31 @@ void batch::run(cycle_t horizon) {
     for (auto& in : instances_) in.last_cycle = start_ - 1;
     // Fresh calendar per run: wakes past the old horizon were dropped,
     // and seeding re-derives them.
-    timer_.assign(static_cast<std::size_t>(total_comps_), timer_none);
-    occupied_ = 0;
-    nodes_.clear();
-    free_node_ = no_node;
-    overflow_.clear();
-    same_cycle_.clear();
-    // Each component holds at most one live wake: size the pools for
-    // that once, instead of growing them through the first cycles.
     const auto comps = static_cast<std::size_t>(total_comps_);
-    nodes_.reserve(comps);
-    drain_.reserve(comps);
+    timer_.assign(comps, timer_none);
+    words_ = (comps + 63) / 64;
+    slot_bits_.assign(static_cast<std::size_t>(ring_size) * words_, 0);
+    occupied_ = 0;
+    overflow_.clear();
     ring_head_ = start_;
     for (int b = 0; b < size(); ++b) seed_instance(b);
 
     // Lockstep frontier: the calendar walks every instance through cycle
     // c before any instance moves past it. Instances are independent, so
-    // this grouping cannot change any per-instance event order. Sorting a
-    // cycle's wakes yields (instance, phase, component) order; wakes
-    // scheduled *at* the drain cycle (always later in key order, enforced
-    // by the clamp in schedule) merge in from the same_cycle_ heap. The
-    // frontier then jumps straight to the next cycle holding a wake.
+    // this grouping cannot change any per-instance event order. The
+    // overflow wakes due at c join c's slot, the slot drains in
+    // (instance, phase, component) order, and the frontier jumps
+    // straight to the next cycle holding a wake.
     processing_ = true;
     for (cycle_t c = next_wake_cycle(start_, horizon); c < horizon;
          c = next_wake_cycle(c + 1, horizon)) {
       ring_head_ = c;
-      take_wakes(c);
-      if (drain_.size() > 1) std::sort(drain_.begin(), drain_.end());
-      std::size_t idx = 0;
-      while (idx < drain_.size() || !same_cycle_.empty()) {
-        std::uint64_t e;
-        if (!same_cycle_.empty() &&
-            (idx == drain_.size() || same_cycle_.front() < drain_[idx])) {
-          std::pop_heap(same_cycle_.begin(), same_cycle_.end(),
-                        std::greater<>());
-          e = same_cycle_.back();
-          same_cycle_.pop_back();
-        } else {
-          e = drain_[idx++];
-        }
-        const int b = static_cast<int>((e >> 18) & 0xffff);
-        const event_key key{c, static_cast<int>((e >> 16) & 3),
-                            static_cast<int>(e & 0xffff)};
-        const auto g = static_cast<std::size_t>(e >> 34);
-        if (timer_[g] != c) {
-          // Superseded by an earlier wake that already stepped this
-          // component (and re-armed it).
-          ++instances_[static_cast<std::size_t>(b)].stats.events_skipped;
-          continue;
-        }
-        timer_[g] = timer_none;  // consumed; the step re-arms
-        process_event(b, key);
+      while (!overflow_.empty() && overflow_.front().first == c) {
+        mark(c, overflow_.front().second);
+        std::pop_heap(overflow_.begin(), overflow_.end(), std::greater<>());
+        overflow_.pop_back();
       }
+      drain(c);
     }
     processing_ = false;
     cur_instance_ = -1;

@@ -280,11 +280,12 @@ class batch {
     target_params target_cfg;
     bool keep_samples = true;
     bool record_traces = true;
-    /// Barrier board: arrivals per (barrier_id << 32 | epoch).
+    /// Barrier board: arrivals per (barrier_id << 32 | epoch), in first-
+    /// arrival order.
     std::vector<std::pair<std::int64_t, int>> board_counts;
     std::int64_t board_version = 0;
-    /// Packed calendar entry bases, one per phase.
-    std::array<std::uint64_t, 4> ebase{};
+    /// Flat component index of each phase's component 0.
+    std::array<int, 4> gbase{};
     cycle_t last_cycle = -1;  ///< stats only
     engine_stats stats;
     mutable std::optional<run_metrics> cached;
@@ -301,9 +302,12 @@ class batch {
     cycle_t busy_cycles = 0;
   };
 
-  struct ring_node {
-    std::uint64_t entry;
-    std::uint32_t next;
+  /// The component a flat index names (add_instance enforces the 16-bit
+  /// field widths).
+  struct comp_ref {
+    std::uint16_t instance;
+    std::uint16_t component;
+    std::uint8_t phase;
   };
 
   core_state& core_at(int b, int i) {
@@ -323,9 +327,10 @@ class batch {
   const instance& instance_at(int b) const;
 
   void schedule(int b, int phase, int comp, cycle_t cycle);
-  void ring_push(cycle_t cycle, std::uint64_t e);
-  /// Moves every wake of `cycle` (ring slot and overflow) into drain_.
-  void take_wakes(cycle_t cycle);
+  /// Marks flat component `g` in `cycle`'s ring slot.
+  void mark(cycle_t cycle, std::size_t g);
+  /// Steps every component marked in `cycle`'s slot, lowest index first.
+  void drain(cycle_t cycle);
   /// The first cycle >= `from` holding a wake, or `limit` when none is
   /// earlier.
   cycle_t next_wake_cycle(cycle_t from, cycle_t limit) const;
@@ -380,30 +385,34 @@ class batch {
   // by absolute cycle, and each component carries at most ONE live wake
   // (its `timer_`): schedule() supersedes later wakes instead of
   // enqueueing duplicates — a component's post-step re-arm recomputes
-  // anything a dropped wake would have covered, so superseded and
-  // duplicate wakes (no-ops by the component contract) never reach the
-  // dispatch switch at all. Calendar entries pack (instance, phase,
-  // component) into one sortable word; draining a cycle's entries in
-  // sorted order replays every instance's exact (cycle, phase,
-  // component) event order.
+  // anything a dropped wake would have covered, so superseded wakes
+  // (no-ops by the component contract) never reach the dispatch switch.
   //
-  // The ring: slot `cycle & (ring_size - 1)` holds the wakes of `cycle`
-  // as a linked list of pool nodes, valid because no wake is scheduled
-  // ring_size or more cycles ahead without spilling to overflow_.
-  // `occupied_` has one bit per non-empty slot, so the drain finds the
-  // next cycle with a wake in one bit scan — idle spans cost nothing —
-  // and nodes are recycled through a free list, so steady state
-  // allocates nothing.
-  std::array<std::uint32_t, ring_size> slot_head_{};  ///< per slot: first node
+  // The ring: slot `cycle & (ring_size - 1)` is a bitmask over the flat
+  // component index g (`slot_bits_[slot * words_ + g / 64]`), valid
+  // because no wake is scheduled ring_size or more cycles ahead without
+  // spilling to overflow_. g is strictly monotone in (instance, phase,
+  // component), so draining a slot lowest bit first steps every instance
+  // in exact event_key order. A wake scheduled at the cycle being drained
+  // is always later in event_key order (schedule() clamps earlier ones to
+  // the next cycle), so it lands on a higher bit of the same slot and the
+  // drain reaches it without a separate queue. `occupied_` has one bit
+  // per non-empty slot, cleared when the slot's drain ends, so the drain
+  // finds the next cycle with a wake in one bit scan — idle spans cost
+  // nothing — and steady state allocates nothing.
+  //
+  // events_skipped counts wakes that never step their component: a slot
+  // bit whose component's timer_ has moved to another cycle (superseded
+  // by an earlier wake that stepped and re-armed it), and a mark of a
+  // (g, cycle) that is already marked.
+  std::vector<std::uint64_t> slot_bits_;  ///< [slot * words_ + g / 64]
+  std::size_t words_ = 0;                 ///< bitmask words per slot
   std::uint64_t occupied_ = 0;
-  std::vector<ring_node> nodes_;
-  std::uint32_t free_node_ = 0;
-  std::vector<std::uint64_t> drain_;  ///< scratch: the cycle being drained
+  std::vector<comp_ref> comp_of_;  ///< [g]
   /// Far-future wakes (≥ ring_size ahead, e.g. long compute ops),
-  /// min-heap by cycle; merged into the drain when reached.
-  std::vector<std::pair<cycle_t, std::uint64_t>> overflow_;
-  std::vector<cycle_t> timer_;  ///< per component: pending wake cycle
-  std::vector<std::uint64_t> same_cycle_;  ///< min-heap: mid-drain wakes
+  /// min-heap by cycle; marked into their slot when reached.
+  std::vector<std::pair<cycle_t, std::size_t>> overflow_;
+  std::vector<cycle_t> timer_;  ///< [g]: pending wake cycle
   cycle_t ring_head_ = 0;  ///< cycle the drain is at (ring validity base)
   int total_comps_ = 0;
 

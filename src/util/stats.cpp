@@ -22,10 +22,7 @@ void running_stats::add(double x) {
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
   m2_ += delta * (x - mean_);
-  if (keep_samples_) {
-    samples_.push_back(x);
-    sorted_ = false;
-  }
+  if (keep_samples_) samples_.push_back(x);
 }
 
 void running_stats::merge(const running_stats& other) {
@@ -48,7 +45,6 @@ void running_stats::merge(const running_stats& other) {
   if (keep_samples_) {
     samples_.insert(samples_.end(), other.samples_.begin(),
                     other.samples_.end());
-    sorted_ = false;
   }
 }
 
@@ -74,15 +70,17 @@ double running_stats::percentile(double p) const {
   STX_REQUIRE(keep_samples_, "percentile() requires keep_samples");
   STX_REQUIRE(count_ > 0, "percentile() of empty stats");
   STX_REQUIRE(p >= 0.0 && p <= 1.0, "percentile p out of [0,1]");
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
   const double pos = p * static_cast<double>(samples_.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, samples_.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+  // The lo-th and (lo+1)-th order statistics by selection: everything
+  // after the lo-th is no smaller, so its minimum is the next one.
+  const auto nth = samples_.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(samples_.begin(), nth, samples_.end());
+  const double next = nth + 1 == samples_.end()
+                          ? *nth
+                          : *std::min_element(nth + 1, samples_.end());
+  return *nth * (1.0 - frac) + next * frac;
 }
 
 histogram::histogram(double lo, double hi, int bins) : lo_(lo), hi_(hi) {

@@ -33,8 +33,10 @@ class running_stats {
   double min() const;
   double max() const;
 
-  /// Exact p-quantile (p in [0,1]) by sorting retained samples; requires
-  /// keep_samples = true and at least one sample.
+  /// Exact p-quantile (p in [0,1]): the order statistics at p·(n-1),
+  /// linearly interpolated, found by selection over the retained samples
+  /// (which it reorders); requires keep_samples = true and at least one
+  /// sample.
   double percentile(double p) const;
 
   bool keeps_samples() const { return keep_samples_; }
@@ -48,7 +50,6 @@ class running_stats {
   double min_ = 0.0;
   double max_ = 0.0;
   mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
 };
 
 /// Fixed-width histogram over [lo, hi) with out-of-range clamping,

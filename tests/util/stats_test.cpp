@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "util/error.h"
 
 namespace stx {
@@ -70,6 +76,57 @@ TEST(RunningStats, PercentileExact) {
   EXPECT_NEAR(s.percentile(1.0), 100.0, 1e-9);
   EXPECT_NEAR(s.percentile(0.5), 50.5, 1e-9);
   EXPECT_NEAR(s.percentile(0.99), 99.01, 1e-9);
+}
+
+/// The sorted-order definition percentile() must reproduce bit for bit.
+double sorted_percentile(std::vector<double> samples, double p) {
+  std::sort(samples.begin(), samples.end());
+  const double pos = p * static_cast<double>(samples.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const auto hi = std::min(lo + 1, samples.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
+}
+
+TEST(RunningStats, PercentileEqualsTheSortedDefinition) {
+  // Few distinct values (heavy duplicates), a couple of fractional ones,
+  // fed in random order.
+  std::mt19937_64 gen(99);
+  const auto sample = [&] {
+    const auto r = gen();
+    return static_cast<double>(r % 13) + (r % 7 == 0 ? 0.25 : 0.0);
+  };
+  const auto same_bits = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  for (const std::size_t n : {1, 2, 3, 101, 10007}) {
+    running_stats s(/*keep_samples=*/true);
+    std::vector<double> all;
+    for (std::size_t i = 0; i < n; ++i) {
+      all.push_back(sample());
+      s.add(all.back());
+    }
+    for (int round = 0; round < 2; ++round) {  // repeated calls agree
+      for (const double p : {0.0, 0.01, 0.5, 0.99, 1.0}) {
+        EXPECT_TRUE(same_bits(s.percentile(p), sorted_percentile(all, p)))
+            << "n=" << n << " p=" << p << " round " << round;
+      }
+    }
+    // Samples added or merged after a query count in the next one.
+    all.push_back(sample());
+    s.add(all.back());
+    running_stats more(/*keep_samples=*/true);
+    for (int i = 0; i < 5; ++i) {
+      all.push_back(sample());
+      more.add(all.back());
+    }
+    (void)more.percentile(0.5);
+    s.merge(more);
+    for (const double p : {0.0, 0.01, 0.5, 0.99, 1.0}) {
+      EXPECT_TRUE(same_bits(s.percentile(p), sorted_percentile(all, p)))
+          << "n=" << n << " p=" << p << " after add and merge";
+    }
+  }
 }
 
 TEST(RunningStats, PercentileRequiresSamples) {
