@@ -19,12 +19,15 @@ constexpr cycle_t timer_none = std::numeric_limits<cycle_t>::max();
 /// Ids of one 16-bit comp_ref field: 0 .. field_ids - 1.
 constexpr int field_ids = 1 << 16;
 
-/// Index of barrier (id, epoch) on a barrier board, searched newest first
-/// (the live epochs sit at the back), or the board's size when absent.
+/// Barrier board key of barrier `barrier_id` at `epoch`.
+std::int64_t board_key(int barrier_id, std::int64_t epoch) {
+  return (static_cast<std::int64_t>(barrier_id) << 32) | (epoch & 0xffffffff);
+}
+
+/// Index of `key` on a barrier board, searched newest first (the live
+/// epochs sit at the back), or the board's size when absent.
 std::size_t board_find(const std::vector<std::pair<std::int64_t, int>>& board,
-                       int barrier_id, std::int64_t epoch) {
-  const std::int64_t key =
-      (static_cast<std::int64_t>(barrier_id) << 32) | (epoch & 0xffffffff);
+                       std::int64_t key) {
   for (std::size_t i = board.size(); i-- > 0;) {
     if (board[i].first == key) return i;
   }
@@ -292,21 +295,20 @@ void batch::seed_instance(int b) {
 // count; the barrier opens when `group_size` arrived.
 
 void batch::board_arrive(instance& in, int barrier_id, std::int64_t epoch) {
+  const auto key = board_key(barrier_id, epoch);
   auto& board = in.board_counts;
-  const auto i = board_find(board, barrier_id, epoch);
+  const auto i = board_find(board, key);
   if (i < board.size()) {
     ++board[i].second;
   } else {
-    board.emplace_back(
-        (static_cast<std::int64_t>(barrier_id) << 32) | (epoch & 0xffffffff),
-        1);
+    board.emplace_back(key, 1);
   }
   ++in.board_version;
 }
 
 bool batch::board_open(const instance& in, int barrier_id, std::int64_t epoch,
                        int group_size) {
-  const auto i = board_find(in.board_counts, barrier_id, epoch);
+  const auto i = board_find(in.board_counts, board_key(barrier_id, epoch));
   return i < in.board_counts.size() && in.board_counts[i].second >= group_size;
 }
 
@@ -576,8 +578,8 @@ void batch::send_response(int b, const packet& reply) {
 // Event dispatch.
 
 void batch::process_event(int b, const event_key& key) {
-  // No pop-time dedup here: the per-component timer supersedes duplicate
-  // and stale wakes before they are dispatched (the drain counts them as
+  // No pop-time dedup here: the calendar drops duplicate and stale wakes
+  // before they are dispatched (mark() and drain() count them as
   // events_skipped), so every call is a live component step.
   auto& in = instances_[static_cast<std::size_t>(b)];
   if (key.cycle != in.last_cycle) {
