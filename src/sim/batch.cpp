@@ -239,30 +239,6 @@ void batch::mark(cycle_t cycle, std::size_t g) {
   occupied_ |= std::uint64_t{1} << slot;
 }
 
-void batch::drain(cycle_t cycle) {
-  const auto slot = static_cast<std::size_t>(cycle & (ring_size - 1));
-  std::uint64_t* const bits = slot_bits_.data() + slot * words_;
-  for (std::size_t w = 0; w < words_; ++w) {
-    // Re-read the word after every step: a wake scheduled at this cycle
-    // marks a higher bit, in this word or a later one.
-    while (bits[w] != 0) {
-      const auto g =
-          w * 64 + static_cast<std::size_t>(std::countr_zero(bits[w]));
-      bits[w] &= bits[w] - 1;
-      const comp_ref c = comp_of_[g];
-      if (timer_[g] != cycle) {
-        // Superseded by an earlier wake that already stepped this
-        // component (and re-armed it).
-        ++instances_[c.instance].stats.events_skipped;
-        continue;
-      }
-      timer_[g] = timer_none;  // consumed; the step re-arms
-      process_event(c.instance, {cycle, c.phase, c.component});
-    }
-  }
-  occupied_ &= ~(std::uint64_t{1} << slot);
-}
-
 cycle_t batch::next_wake_cycle(cycle_t from, cycle_t limit) const {
   if (!overflow_.empty()) limit = std::min(limit, overflow_.front().first);
   // Ring wakes all lie in [from, from + ring_size): with `from`'s slot
@@ -579,8 +555,8 @@ void batch::send_response(int b, const packet& reply) {
 
 void batch::process_event(int b, const event_key& key) {
   // No pop-time dedup here: the calendar drops duplicate and stale wakes
-  // before they are dispatched (mark() and drain() count them as
-  // events_skipped), so every call is a live component step.
+  // before they are dispatched (mark() and run()'s slot drain count them
+  // as events_skipped), so every call is a live component step.
   auto& in = instances_[static_cast<std::size_t>(b)];
   if (key.cycle != in.last_cycle) {
     in.last_cycle = key.cycle;
@@ -699,7 +675,27 @@ void batch::run(cycle_t horizon) {
         std::pop_heap(overflow_.begin(), overflow_.end(), std::greater<>());
         overflow_.pop_back();
       }
-      drain(c);
+      const auto slot = static_cast<std::size_t>(c & (ring_size - 1));
+      std::uint64_t* const bits = slot_bits_.data() + slot * words_;
+      for (std::size_t w = 0; w < words_; ++w) {
+        // Re-read the word after every step: a wake scheduled at c marks
+        // a higher bit, in this word or a later one.
+        while (bits[w] != 0) {
+          const auto g =
+              w * 64 + static_cast<std::size_t>(std::countr_zero(bits[w]));
+          bits[w] &= bits[w] - 1;
+          const comp_ref& r = comp_of_[g];
+          if (timer_[g] != c) {
+            // Superseded by an earlier wake that already stepped this
+            // component (and re-armed it).
+            ++instances_[r.instance].stats.events_skipped;
+            continue;
+          }
+          timer_[g] = timer_none;  // consumed; the step re-arms
+          process_event(r.instance, {c, r.phase, r.component});
+        }
+      }
+      occupied_ &= ~(std::uint64_t{1} << slot);
     }
     processing_ = false;
     cur_instance_ = -1;

@@ -329,8 +329,6 @@ class batch {
   void schedule(int b, int phase, int comp, cycle_t cycle);
   /// Marks flat component `g` in `cycle`'s ring slot.
   void mark(cycle_t cycle, std::size_t g);
-  /// Steps every component marked in `cycle`'s slot, lowest index first.
-  void drain(cycle_t cycle);
   /// The first cycle >= `from` holding a wake, or `limit` when none is
   /// earlier.
   cycle_t next_wake_cycle(cycle_t from, cycle_t limit) const;
@@ -404,7 +402,8 @@ class batch {
   // events_skipped counts wakes that never step their component: a slot
   // bit whose component's timer_ has moved to another cycle (superseded
   // by an earlier wake that stepped and re-armed it), and a mark of a
-  // (g, cycle) that is already marked.
+  // (g, cycle) that is already marked, so two wakes sharing one bit
+  // still count as a step and a skip.
   std::vector<std::uint64_t> slot_bits_;  ///< [slot * words_ + g / 64]
   std::size_t words_ = 0;                 ///< bitmask words per slot
   std::uint64_t occupied_ = 0;
