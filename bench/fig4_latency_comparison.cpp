@@ -30,9 +30,9 @@ int main() {
   for (const auto& app : workloads::all_mpsoc_apps()) {
     // Window-based design + full reference (phases 1-4): phase 1 runs
     // once, its metrics are the full reference.
-    xbar::flow_stage_inputs stages;
-    const auto traces = xbar::collect_traces(app, opts, &stages.full.emplace());
-    const auto report = xbar::design_from_traces(app, traces, opts, stages);
+    const auto traces = xbar::collect_traces(app, opts);
+    auto report = xbar::synthesize_design(app, traces, opts);
+    xbar::validate_design(app, opts, traces.full, report);
 
     // Average-flow baseline on the same traces.
     const auto avg_req = xbar::design_average_traffic(traces.request);

@@ -34,8 +34,7 @@ int main() {
     xbar::flow_options fopts;
     fopts.horizon = 60 * (burst + params.gap_cycles);
     // Phase 1's full-crossbar run is also the latency reference.
-    xbar::validation_metrics full_metrics;
-    const auto traces = xbar::collect_traces(app, fopts, &full_metrics);
+    const auto traces = xbar::collect_traces(app, fopts);
 
     traffic::cycle_t acceptable = 0;
     const std::vector<double> multiples = {0.5, 1, 2, 3, 4, 6, 8, 12, 16};
@@ -50,7 +49,7 @@ int main() {
       const auto metrics = xbar::validate_configuration(
           app, req.to_config(fopts.policy, fopts.transfer_overhead),
           resp.to_config(fopts.policy, fopts.transfer_overhead), fopts);
-      if (metrics.avg_latency > 1.40 * full_metrics.avg_latency) {
+      if (metrics.avg_latency > 1.40 * traces.full.avg_latency) {
         break;  // knee crossed: quality degrades from here on
       }
       acceptable = ws;

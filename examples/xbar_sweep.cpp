@@ -206,17 +206,13 @@ int main(int argc, char** argv) {
     const double sweep_sec = seconds_since(t0);
 
     std::printf("%s", explore::render_markdown(report).c_str());
-    std::printf("\nsweep wall-clock: %.2fs (%lld phase-1 + %lld reference "
-                "simulations for %zu evaluations)\n",
+    std::printf("\nsweep wall-clock: %.2fs (%lld phase-1 simulations for "
+                "%zu evaluations)\n",
                 sweep_sec, static_cast<long long>(report.phase1_simulations),
-                static_cast<long long>(report.full_simulations),
                 report.results.size());
     if (store != nullptr) {
-      const auto cs = cache.stats();
-      std::printf("persistent cache: %lld trace + %lld reference load(s) "
-                  "served from %s\n",
-                  static_cast<long long>(cs.trace_store_hits),
-                  static_cast<long long>(cs.full_store_hits),
+      std::printf("persistent cache: %lld phase-1 load(s) served from %s\n",
+                  static_cast<long long>(cache.stats().trace_store_hits),
                   cache_dir.c_str());
     }
 
@@ -228,11 +224,11 @@ int main(int argc, char** argv) {
       for (const auto& app : spec.apps) {
         for (const auto& p : points) {
           const auto opts = explore::options_for(spec, p);
-          xbar::flow_stage_inputs stages;
-          const auto traces =
-              xbar::collect_traces(app, opts, &stages.full.emplace());
-          if (!spec.validate) stages.mode = xbar::validation_mode::skip;
-          (void)xbar::design_from_traces(app, traces, opts, stages);
+          const auto traces = xbar::collect_traces(app, opts);
+          auto report = xbar::synthesize_design(app, traces, opts);
+          if (spec.validate) {
+            xbar::validate_design(app, opts, traces.full, report);
+          }
         }
       }
       const double serial_sec = seconds_since(t1);

@@ -12,11 +12,12 @@
 // version covering the code's result format.
 //
 // Wire form: one line, space-separated `k=v` fields in fixed order,
-//   stxkey/v1 v=2 stage=report app=mat2 horizon=120000 seed=1 ...
+//   stxkey/v1 v=3 stage=report app=mat2 horizon=120000 seed=1 ...
 // Values are percent-escaped so application identities may be arbitrary
 // strings (e.g. a full `stxfuzz/v1 ...` scenario token — the
-// content-addressed identity of a generated application).
-// decode(encode(k)) == k holds exactly; doubles use %.17g.
+// content-addressed identity of a generated application); doubles use
+// %.17g. The line is only ever compared, never parsed back (disk_store
+// checks a stored object's key line against the requested one).
 #pragma once
 
 #include <cstdint>
@@ -33,12 +34,14 @@ namespace stx::explore {
 /// 2: the overlap threshold became overlap / window length > threshold,
 /// which changes reports whose threshold times window size is fractional
 /// or overflows int64.
-inline constexpr int kCacheSchemaVersion = 2;
+/// 3: the stage=trace blob carries the phase-1 run's full-crossbar
+/// metrics (stxtraces/v2), and the separate stage=full entry is gone.
+inline constexpr int kCacheSchemaVersion = 3;
 
 /// Which stage result the key names.
 enum class cache_stage {
-  trace,    ///< phase-1 collected_traces (synthesis knobs excluded)
-  full,     ///< full-crossbar reference validation_metrics (same deps)
+  trace,    ///< phase-1 collected_traces, full-crossbar reference
+            ///< included (synthesis knobs excluded)
   report,   ///< complete flow_report (every knob included)
   metrics,  ///< phase-4 designed-configuration validation_metrics (the
             ///< design is a function of every knob, so same deps as
@@ -47,7 +50,7 @@ enum class cache_stage {
 
 const char* to_string(cache_stage s);
 
-/// The canonical key. Construct through trace_key/full_key/report_key so
+/// The canonical key. Construct through trace_key/report_key/metrics_key so
 /// the field-selection rules (which options enter which stage) live in
 /// exactly one place.
 struct cache_key {
@@ -94,9 +97,6 @@ struct cache_key {
 /// simulation depends on, nothing the synthesis knobs change.
 cache_key trace_key(const std::string& app_id, const xbar::flow_options& opts);
 
-/// Full-crossbar reference key: same dependencies as the trace key.
-cache_key full_key(const std::string& app_id, const xbar::flow_options& opts);
-
 /// Complete flow-report key: every option the report depends on.
 cache_key report_key(const std::string& app_id, const xbar::flow_options& opts,
                      bool validated = true);
@@ -110,11 +110,6 @@ cache_key metrics_key(const std::string& app_id,
 
 /// The one-line canonical wire form (see file comment).
 std::string encode(const cache_key& key);
-
-/// Parses an encode() string. Unknown magic, unknown or duplicate
-/// fields, malformed values, or a missing required field throw
-/// stx::invalid_argument_error.
-cache_key decode(const std::string& line);
 
 /// 64-bit FNV-1a over encode(key): the content address used for the
 /// on-disk object layout and for compact log lines. Stable across

@@ -7,7 +7,13 @@
 namespace stx::explore {
 
 std::string encode_traces(const xbar::collected_traces& traces) {
-  std::string out = "stxtraces/v1\n";
+  // The compact metrics object holds no whitespace: it reads back as one
+  // token.
+  gen::json::object full;
+  gen::append_metrics(full, traces.full);
+  std::string out = "stxtraces/v2 ";
+  out += gen::json::dump_compact(gen::json::value(std::move(full)));
+  out += '\n';
   traces.request.append_text(out);
   traces.response.append_text(out);
   return out;
@@ -16,8 +22,10 @@ std::string encode_traces(const xbar::collected_traces& traces) {
 xbar::collected_traces decode_traces(const std::string& blob) {
   std::size_t pos = 0;
   const auto magic = traffic::next_token(blob, pos);
-  STX_REQUIRE(magic == "stxtraces/v1", "not an stxtraces/v1 blob");
+  STX_REQUIRE(magic == "stxtraces/v2", "not an stxtraces/v2 blob");
   xbar::collected_traces traces;
+  traces.full =
+      gen::metrics_from_json(gen::json::parse(traffic::next_token(blob, pos)));
   traces.request = traffic::trace::parse_text(blob, pos);
   traces.response = traffic::trace::parse_text(blob, pos);
   return traces;

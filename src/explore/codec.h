@@ -2,8 +2,10 @@
 // cacheable stage result. Every encode/decode pair round-trips exactly
 // (operator== on the decoded value), which is what makes warm-cache
 // results bit-identical to fresh computation:
-//   traces  — "stxtraces/v1" envelope over two stxtrace v1 texts
-//             (traffic::trace::append_text / parse_text, read in place)
+//   traces  — "stxtraces/v2", the phase-1 run's full-crossbar metrics
+//             as one compact JSON object (gen::append_metrics), then
+//             two stxtrace v1 texts (traffic::trace::append_text /
+//             parse_text, read in place)
 //   metrics — "stx-validation-metrics/v1" JSON: the schema tag, then the
 //             design document's metrics members (gen::append_metrics)
 //   reports — the gen "stx-crossbar-design/v1" document (emit/parse)

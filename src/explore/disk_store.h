@@ -1,8 +1,9 @@
 // Persistent content-addressed result store: the kv_store that survives
-// the process. Traces, full-crossbar references and whole flow reports
-// land here keyed by their canonical stxkey/v1 line, shared by xbargen,
-// xbar-sweep, xbar-fuzz and the xbar-serve daemon pointed at the same
-// cache directory.
+// the process. Phase-1 results (the traces with their full-crossbar
+// reference metrics, one object per key), designed-configuration metrics
+// and whole flow reports land here keyed by their canonical stxkey/v1
+// line, shared by xbargen, xbar-sweep, xbar-fuzz and the xbar-serve
+// daemon pointed at the same cache directory.
 //
 // On-disk layout (all under the cache directory):
 //   objects/<16-hex fnv1a of the key line>.stx   one entry per key

@@ -131,18 +131,15 @@ std::string render_json(const sweep_report& report) {
         {"seed", static_cast<std::int64_t>(report.seed)},
         {"trace_hits", c.trace_hits},
         {"trace_misses", c.trace_misses},
-        {"full_hits", c.full_hits},
-        {"full_misses", c.full_misses},
         {"trace_hit_ratio", c.trace_hit_ratio()},
     });
   }
   json::object doc{
-      {"format", "stxbar-sweep-v1"},
+      {"format", "stxbar-sweep-v2"},
       {"horizon", static_cast<std::int64_t>(report.horizon)},
       {"seed", static_cast<std::int64_t>(report.seed)},
       {"points", static_cast<std::int64_t>(report.results.size())},
       {"phase1_simulations", report.phase1_simulations},
-      {"full_simulations", report.full_simulations},
       {"cache", std::move(cache)},
       {"results", std::move(results)},
       {"pareto", std::move(pareto)},
@@ -199,23 +196,19 @@ std::string render_markdown(const sweep_report& report) {
          std::to_string(report.seed) + "\n";
   out += "- phase-1 simulations: " +
          std::to_string(report.phase1_simulations) +
-         " (trace cache shares one per app/settings key)\n";
-  out += "- full-crossbar reference simulations: " +
-         std::to_string(report.full_simulations) + "\n\n";
+         " (trace cache shares one per app/settings key)\n\n";
   if (!report.cache.empty()) {
     out += "## Trace cache\n\n";
     out +=
-        "| app | horizon | seed | trace hits | trace misses | hit ratio | "
-        "full hits | full misses |\n|---|---|---|---|---|---|---|---|\n";
+        "| app | horizon | seed | trace hits | trace misses | hit ratio "
+        "|\n|---|---|---|---|---|---|\n";
     char cbuf[64];
     for (const auto& c : report.cache) {
       std::snprintf(cbuf, sizeof(cbuf), "%.2f", c.trace_hit_ratio());
       out += "| " + c.app_name + " | " + std::to_string(report.horizon) +
              " | " + std::to_string(report.seed) + " | " +
              std::to_string(c.trace_hits) + " | " +
-             std::to_string(c.trace_misses) + " | " + cbuf + " | " +
-             std::to_string(c.full_hits) + " | " +
-             std::to_string(c.full_misses) + " |\n";
+             std::to_string(c.trace_misses) + " | " + cbuf + " |\n";
     }
     out += "\n";
   }

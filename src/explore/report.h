@@ -38,8 +38,6 @@ struct app_cache_stats {
   std::string app_name;
   std::int64_t trace_hits = 0;
   std::int64_t trace_misses = 0;
-  std::int64_t full_hits = 0;
-  std::int64_t full_misses = 0;
 
   double trace_hit_ratio() const {
     const auto total = trace_hits + trace_misses;
@@ -63,10 +61,9 @@ struct sweep_report {
   std::uint64_t seed = 0;
   /// Phase-1 collection simulations actually run (trace-cache misses);
   /// one per (app, horizon, seed, policy, overhead) key, independent of
-  /// the point and thread counts.
+  /// the point and thread counts. Each is also its points' full-crossbar
+  /// reference.
   std::int64_t phase1_simulations = 0;
-  /// Full-crossbar reference simulations actually run.
-  std::int64_t full_simulations = 0;
   /// Phase-4 designed-configuration validations served from the
   /// persistent store instead of re-simulating (always 0 without a
   /// backing store or with validation off).

@@ -154,14 +154,12 @@ sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache) {
   // worker onto app 0's trace future while its one loader simulates,
   // serialising the expensive per-app phase-1 runs.
   std::vector<std::shared_ptr<const xbar::collected_traces>> traces(num_jobs);
-  std::vector<std::shared_ptr<const xbar::validation_metrics>> full(num_jobs);
   run_stage(spec.threads, num_jobs, [&](std::size_t k) {
     // k-th claim -> app (k mod A), point (k div A).
     const std::size_t i = (k % num_apps) * num_points + k / num_apps;
     const auto& app = spec.apps[jobs[i].app];
     try {
       traces[i] = cache.traces(app, jobs[i].opts);
-      if (spec.validate) full[i] = cache.full_metrics(app, jobs[i].opts);
     } catch (...) {
       errors[i] = std::current_exception();
     }
@@ -280,7 +278,7 @@ sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache) {
       result.report = xbar::report_from_designs(
           spec.apps[jobs[i].app], *traces[i], std::move(designs[2 * i]),
           std::move(designs[2 * i + 1]));
-      if (full[i] != nullptr) result.report.full = *full[i];
+      if (spec.validate) result.report.full = traces[i]->full;
     } catch (...) {
       errors[i] = std::current_exception();
     }
@@ -405,8 +403,6 @@ sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache) {
   const auto stats_after = cache.stats();
   report.phase1_simulations =
       stats_after.trace_misses - stats_before.trace_misses;
-  report.full_simulations =
-      stats_after.full_misses - stats_before.full_misses;
   report.designed_store_hits = designed_store_hits;
   // Per-app cache activity for THIS sweep: delta against the pre-sweep
   // per-app totals, reported in spec order (deterministic; a shared cache
@@ -428,8 +424,6 @@ sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache) {
     entry.app_name = app.name;
     entry.trace_hits = after.trace_hits - before.trace_hits;
     entry.trace_misses = after.trace_misses - before.trace_misses;
-    entry.full_hits = after.full_hits - before.full_hits;
-    entry.full_misses = after.full_misses - before.full_misses;
     report.cache.push_back(std::move(entry));
   }
   if (spec.validate) {

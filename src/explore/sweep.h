@@ -5,8 +5,8 @@
 // result to every point that needs it:
 //
 //  * phase 1: one full-crossbar simulation per (app, horizon, seed,
-//    policy, transfer overhead), through a trace_cache that also serves
-//    the full-crossbar reference;
+//    policy, transfer overhead), through a trace_cache; its metrics are
+//    every point's full-crossbar reference;
 //  * window analysis: one per (phase-1 trace, direction, effective
 //    window after the per-direction override, burst_window);
 //  * synthesis: one per (window analysis, conflict matrix, synthesis
@@ -56,9 +56,9 @@ struct sweep_spec {
   std::uint64_t seed = 1;
   traffic::cycle_t transfer_overhead = 2;
 
-  /// Run the per-point phase-4 validation simulation and the per-app
-  /// full-crossbar reference. Off = synthesis-only sweeps (Figs. 5-6
-  /// only need bus counts) with zeroed latency metrics.
+  /// Run the phase-4 validation simulations and fill each report's
+  /// full-crossbar reference from its phase-1 run. Off = synthesis-only
+  /// sweeps (Figs. 5-6 only need bus counts) with zeroed latency metrics.
   bool validate = true;
 
   /// Worker threads; values < 1 and 1 both run inline on the caller.

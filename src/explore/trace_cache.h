@@ -1,10 +1,10 @@
 // Thread-safe phase-1 cache: every sweep point of one application at the
-// same simulator settings consumes the identical full-crossbar trace, so
+// same simulator settings consumes the identical full-crossbar run, so
 // the expensive collection simulation runs exactly once per key no matter
-// how many points or worker threads request it. That run is also the
-// full-crossbar reference validation: a simulated trace entry seeds the
-// full-metrics entry of the same key, so a cold key costs one simulation,
-// not two.
+// how many points or worker threads request it. Its entry is the whole
+// phase-1 result — the traces and the run's full-crossbar reference
+// metrics (xbar::collected_traces::full) — so a cold key costs one
+// simulation and one store object.
 //
 // Optionally backed by a kv_store (constructor choice): with a
 // persistent explore::disk_store behind it, results survive the process
@@ -25,18 +25,11 @@
 
 namespace stx::explore {
 
-/// Memoises xbar::collect_traces and xbar::validate_full_crossbars per
-/// stxkey/v1 trace/full key (app name, horizon, seed, policy,
-/// transfer_overhead — everything the phase-1 simulation depends on; the
-/// synthesis knobs deliberately do not enter the key). Applications are
-/// identified by name: two different specs sharing a name would alias,
-/// so sweep specs must keep app names unique.
-///
-/// When traces() simulates, it also puts the run's full-crossbar metrics
-/// in memory and writes them through under the full key, exactly as a
-/// simulated full_metrics() would; a later full_metrics() for the key is
-/// then a hit. Keys no trace simulation seeded in this process (the
-/// traces came from the backing store, say) load or simulate as before.
+/// Memoises xbar::collect_traces per stxkey/v1 trace key (app name,
+/// horizon, seed, policy, transfer_overhead — everything the phase-1
+/// simulation depends on; the synthesis knobs deliberately do not enter
+/// the key). Applications are identified by name: two different specs
+/// sharing a name would alias, so sweep specs must keep app names unique.
 ///
 /// Concurrency: the first requester of a key inserts a future and
 /// resolves it outside the lock; concurrent requesters for the same key
@@ -49,15 +42,10 @@ class trace_cache {
   struct cache_stats {
     std::int64_t trace_hits = 0;
     std::int64_t trace_misses = 0;  ///< phase-1 collection simulations run
-    std::int64_t full_hits = 0;
-    /// Full-crossbar reference sims run by full_metrics() itself (a
-    /// simulated trace entry seeds its full entry, so those are hits).
-    std::int64_t full_misses = 0;
     /// Loads served from the backing store instead of simulating (0
     /// without a backing store). A load is exactly one of: hit (served
     /// from memory), store hit, or miss (simulated).
     std::int64_t trace_store_hits = 0;
-    std::int64_t full_store_hits = 0;
   };
 
   /// In-process only (no backing store) — contents die with the cache.
@@ -70,7 +58,7 @@ class trace_cache {
   explicit trace_cache(std::shared_ptr<kv_store> backing)
       : backing_(std::move(backing)) {}
 
-  /// The phase-1 traces for (app, opts); simulated on first request.
+  /// The phase-1 result for (app, opts); simulated on first request.
   std::shared_ptr<const xbar::collected_traces> traces(
       const workloads::app_spec& app, const xbar::flow_options& opts) {
     return traces(app, opts, app.name);
@@ -80,18 +68,6 @@ class trace_cache {
   /// generated applications whose display name is not content-unique
   /// (the serve/fuzz paths pass the canonical stxfuzz/v1 token).
   std::shared_ptr<const xbar::collected_traces> traces(
-      const workloads::app_spec& app, const xbar::flow_options& opts,
-      const std::string& app_id);
-
-  /// The full-crossbar reference metrics for (app, opts): seeded by a
-  /// simulating traces() call, else loaded or simulated on first request.
-  std::shared_ptr<const xbar::validation_metrics> full_metrics(
-      const workloads::app_spec& app, const xbar::flow_options& opts) {
-    return full_metrics(app, opts, app.name);
-  }
-
-  /// full_metrics under an explicit cache identity (see traces).
-  std::shared_ptr<const xbar::validation_metrics> full_metrics(
       const workloads::app_spec& app, const xbar::flow_options& opts,
       const std::string& app_id);
 
@@ -105,31 +81,12 @@ class trace_cache {
   kv_store* backing() const { return backing_.get(); }
 
  private:
-  template <typename T>
-  using store_t =
-      std::map<std::string, std::shared_future<std::shared_ptr<const T>>>;
-
-  /// Exactly-once lookup keyed by encode(key): returns the cached
-  /// future's value, resolving it (outside the lock) when this caller is
-  /// the first — from the backing store when possible, else by running
-  /// `simulate`. `is_trace` selects which stats fields (and obs
-  /// counters) the lookup lands in; Codec supplies the blob round-trip
-  /// for the backing store.
-  template <typename T, typename Simulate, typename Enc, typename Dec>
-  std::shared_ptr<const T> get(store_t<T>& store, const cache_key& key,
-                               const std::string& app_name, bool is_trace,
-                               Simulate&& simulate, Enc&& enc, Dec&& dec);
-
-  /// Inserts `metrics` as the resolved full entry under `key` unless one
-  /// exists, and writes it through to the backing store. Counts no hit
-  /// or miss: the simulation was traces()'s.
-  void seed_full(const cache_key& key,
-                 const xbar::validation_metrics& metrics);
+  using entry = std::shared_ptr<const xbar::collected_traces>;
 
   std::shared_ptr<kv_store> backing_;
   mutable std::mutex mu_;
-  store_t<xbar::collected_traces> traces_;
-  store_t<xbar::validation_metrics> full_;
+  /// encode(trace_key) -> the future every requester of the key shares.
+  std::map<std::string, std::shared_future<entry>> entries_;
   cache_stats stats_;
   std::map<std::string, cache_stats> stats_by_app_;
 };

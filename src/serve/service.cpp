@@ -38,10 +38,7 @@ cached_design_result cached_design(const workloads::app_spec& app,
   const auto traces = cache.traces(app, opts, app_id);
   cached_design_result result;
   result.report = xbar::synthesize_design(app, *traces, opts);
-  if (validate) {
-    const auto full = cache.full_metrics(app, opts, app_id);
-    xbar::validate_design(app, opts, *full, result.report);
-  }
+  if (validate) xbar::validate_design(app, opts, traces->full, result.report);
   if (store != nullptr) {
     try {
       store->put(key, explore::encode_report(result.report));

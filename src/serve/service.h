@@ -32,12 +32,12 @@ namespace stx::serve {
 ///   report    — `store` consulted under the stage=report key first; a
 ///               hit decodes the stored flow_report and returns without
 ///               touching the simulator or the solver.
-///   collect   — phase-1 traces through `cache` (trace key).
+///   collect   — the phase-1 result through `cache` (trace key): the
+///               traces and the full-crossbar reference metrics.
 ///   synthesize— xbar::synthesize_design (cheap relative to phases 1/4;
 ///               cached only as part of the report).
-///   validate  — full-crossbar reference through `cache` (full key;
-///               a collect stage that simulated already seeded it),
-///               then xbar::validate_design.
+///   validate  — xbar::validate_design with the phase-1 reference, so
+///               only the designed configuration is simulated.
 /// The computed report is written through to `store` before returning.
 struct cached_design_result {
   xbar::flow_report report;

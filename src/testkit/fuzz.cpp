@@ -54,17 +54,13 @@ std::vector<violation> run_scenario(const scenario& s,
     // scenarios may share a display name but never an encoding. Either
     // way the full-crossbar reference is the phase-1 run's harvest, which
     // the full-reference invariant re-simulates as its differential.
-    xbar::flow_stage_inputs stages;
-    std::shared_ptr<const xbar::collected_traces> traces;
-    if (cache != nullptr) {
-      const auto token = encode(s);
-      traces = cache->traces(app, opts, token);
-      stages.full = *cache->full_metrics(app, opts, token);
-    } else {
-      traces = std::make_shared<const xbar::collected_traces>(
-          xbar::collect_traces(app, opts, &stages.full.emplace()));
-    }
-    const auto report = xbar::design_from_traces(app, *traces, opts, stages);
+    const auto traces =
+        cache != nullptr
+            ? cache->traces(app, opts, encode(s))
+            : std::make_shared<const xbar::collected_traces>(
+                  xbar::collect_traces(app, opts));
+    auto report = xbar::synthesize_design(app, *traces, opts);
+    xbar::validate_design(app, opts, traces->full, report);
     auto violations =
         check_flow_invariants(app, *traces, opts, report, oopts);
     if (violations.empty() && report_out != nullptr) *report_out = report;

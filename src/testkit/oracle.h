@@ -126,7 +126,7 @@ void check_full_reference(const workloads::app_spec& app,
 
 /// Runs every check above on one completed flow. `traces` must be the
 /// phase-1 traces the report was designed from and `opts` the flow
-/// options used (design_from_traces' inputs).
+/// options used (synthesize_design's inputs).
 std::vector<violation> check_flow_invariants(
     const workloads::app_spec& app, const xbar::collected_traces& traces,
     const xbar::flow_options& opts, const xbar::flow_report& report,

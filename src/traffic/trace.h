@@ -101,7 +101,7 @@ class trace {
 /// The token `in >> std::string` reads at `pos`: skips whitespace, then
 /// takes the run up to the next whitespace (empty at the end of `text`),
 /// leaving `pos` after it. The tokenizer of stxtrace texts and of the
-/// store's stxtraces/v1 blobs that hold two of them.
+/// store's stxtraces/v2 blobs that hold two of them.
 std::string_view next_token(std::string_view text, std::size_t& pos);
 
 }  // namespace stx::traffic

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/error.h"
 
@@ -81,43 +80,6 @@ double running_stats::percentile(double p) const {
                           ? *nth
                           : *std::min_element(nth + 1, samples_.end());
   return *nth * (1.0 - frac) + next * frac;
-}
-
-histogram::histogram(double lo, double hi, int bins) : lo_(lo), hi_(hi) {
-  STX_REQUIRE(hi > lo, "histogram range");
-  STX_REQUIRE(bins > 0, "histogram bin count");
-  bin_width_ = (hi - lo) / bins;
-  counts_.assign(static_cast<std::size_t>(bins), 0);
-}
-
-void histogram::add(double x) {
-  auto b = static_cast<std::int64_t>((x - lo_) / bin_width_);
-  b = std::clamp<std::int64_t>(b, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(b)];
-  ++total_;
-}
-
-std::int64_t histogram::bin_count(int b) const {
-  STX_REQUIRE(b >= 0 && b < bins(), "histogram bin index");
-  return counts_[static_cast<std::size_t>(b)];
-}
-
-double histogram::bin_lo(int b) const { return lo_ + bin_width_ * b; }
-double histogram::bin_hi(int b) const { return lo_ + bin_width_ * (b + 1); }
-
-std::string histogram::render(int width) const {
-  std::ostringstream out;
-  std::int64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  for (int b = 0; b < bins(); ++b) {
-    if (counts_[static_cast<std::size_t>(b)] == 0) continue;
-    const auto bar = static_cast<int>(
-        counts_[static_cast<std::size_t>(b)] * width / peak);
-    out << "[" << bin_lo(b) << ", " << bin_hi(b) << ") "
-        << std::string(static_cast<std::size_t>(std::max(bar, 1)), '#') << " "
-        << counts_[static_cast<std::size_t>(b)] << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace stx

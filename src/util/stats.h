@@ -1,8 +1,7 @@
-// Streaming statistics and histograms for latency/bandwidth measurement.
+// Streaming statistics for latency/bandwidth measurement.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace stx {
@@ -50,30 +49,6 @@ class running_stats {
   double min_ = 0.0;
   double max_ = 0.0;
   mutable std::vector<double> samples_;
-};
-
-/// Fixed-width histogram over [lo, hi) with out-of-range clamping,
-/// used for latency distribution reporting in benches.
-class histogram {
- public:
-  histogram(double lo, double hi, int bins);
-
-  void add(double x);
-  std::int64_t total() const { return total_; }
-  int bins() const { return static_cast<int>(counts_.size()); }
-  std::int64_t bin_count(int b) const;
-  double bin_lo(int b) const;
-  double bin_hi(int b) const;
-
-  /// Renders a compact ASCII bar chart, one line per non-empty bin.
-  std::string render(int width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  double bin_width_;
-  std::vector<std::int64_t> counts_;
-  std::int64_t total_ = 0;
 };
 
 }  // namespace stx

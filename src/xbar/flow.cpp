@@ -81,12 +81,11 @@ design_params effective_synthesis_params(const flow_options& opts,
 }
 
 collected_traces collect_traces(const workloads::app_spec& app,
-                                const flow_options& opts,
-                                validation_metrics* full) {
+                                const flow_options& opts) {
   obs::span sp("flow.collect", {{"app", app.name}});
   const auto session = run_full_crossbars(app, opts, /*record_traces=*/true);
-  if (full != nullptr) *full = session.metrics();
-  return {session.request_trace(), session.response_trace()};
+  return {session.request_trace(), session.response_trace(),
+          session.metrics()};
 }
 
 validation_metrics validate_configuration(const workloads::app_spec& app,
@@ -192,17 +191,6 @@ void validate_design(const workloads::app_spec& app, const flow_options& opts,
   report.full = full.has_value() ? *full : validate_full_crossbars(app, opts);
 }
 
-flow_report design_from_traces(const workloads::app_spec& app,
-                               const collected_traces& traces,
-                               const flow_options& opts,
-                               const flow_stage_inputs& stages) {
-  auto report = synthesize_design(app, traces, opts);
-  if (stages.mode == validation_mode::validate) {
-    validate_design(app, opts, stages.full, report);
-  }
-  return report;
-}
-
 flow_report run_design_flow(const workloads::app_spec& app,
                             const flow_options& opts) {
   app.validate();
@@ -210,9 +198,10 @@ flow_report run_design_flow(const workloads::app_spec& app,
   // ---- Phase 1: cycle-accurate simulation with full crossbars. Its
   // metrics are phase 4's full-crossbar reference, so validation only
   // simulates the designed configuration.
-  flow_stage_inputs stages;
-  const auto traces = collect_traces(app, opts, &stages.full.emplace());
-  return design_from_traces(app, traces, opts, stages);
+  const auto traces = collect_traces(app, opts);
+  auto report = synthesize_design(app, traces, opts);
+  validate_design(app, opts, traces.full, report);
+  return report;
 }
 
 std::vector<gen::artifact> generate_artifacts(

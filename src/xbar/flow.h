@@ -72,20 +72,20 @@ struct flow_report {
   bool operator==(const flow_report&) const = default;
 };
 
-/// Runs phases 1-4 for `app` and returns the report. Deterministic for a
-/// given (app, options) pair. Two simulations: the phase-1 run on full
-/// crossbars, whose metrics are also the report's `full` reference (see
-/// collect_traces), and the designed configuration's validation run.
+/// Runs phases 1-4 for `app` and returns the report: collect_traces,
+/// synthesize_design, then validate_design with the traces' `full`.
+/// Deterministic for a given (app, options) pair. Two simulations: the
+/// phase-1 run on full crossbars, whose metrics are also the report's
+/// `full` reference, and the designed configuration's validation run.
 flow_report run_design_flow(const workloads::app_spec& app,
                             const flow_options& opts);
 
 /// Phase 4 reference point: full crossbars on both directions, measured
 /// with the same simulator settings as the designed run. Depends only on
 /// (app, horizon, seed, policy, transfer_overhead) — never on the
-/// synthesis knobs — so sweep engines compute it once per application.
-/// Bit-equal to the metrics collect_traces harvests from its phase-1 run;
-/// this entry point is for callers that have no phase-1 run to take them
-/// from.
+/// synthesis knobs. Bit-equal to collected_traces::full, which every
+/// phase-1 run carries; this entry point is for callers that have no
+/// phase-1 run to take it from.
 validation_metrics validate_full_crossbars(const workloads::app_spec& app,
                                            const flow_options& opts);
 
@@ -112,7 +112,7 @@ struct validation_job {
 std::vector<validation_metrics> validate_configurations(
     const workloads::app_spec& app, const std::vector<validation_job>& jobs);
 
-/// The synthesis parameters design_from_traces actually uses for one
+/// The synthesis parameters synthesize_design actually uses for one
 /// direction: opts.synth.params with the per-direction window override
 /// applied. The single source of the override rule — verification
 /// harnesses (src/testkit) rebuild a direction's model through this, so
@@ -120,56 +120,28 @@ std::vector<validation_metrics> validate_configurations(
 design_params effective_synthesis_params(const flow_options& opts,
                                          bool request_direction);
 
-/// Collects the functional traffic traces of phase 1 (full crossbars).
+/// The phase-1 result: the functional traffic traces of one run on full
+/// crossbars, and that run's metrics. Recording only appends to the
+/// traces, so the run is also the phase-4 full-crossbar reference: `full`
+/// is bit-equal to validate_full_crossbars under the same options, and
+/// validation takes it from here instead of simulating the same
+/// configuration a second time.
 struct collected_traces {
   traffic::trace request;   ///< events keyed by target id
   traffic::trace response;  ///< events keyed by initiator id
+  validation_metrics full;  ///< the run's harvest: the full reference
 };
 
 /// Phase 1: simulates `app` on full crossbars with trace recording on.
-/// Recording only appends to the traces, so the run is also the phase-4
-/// full-crossbar reference: when `full` is non-null it receives the run's
-/// metrics, bit-equal to validate_full_crossbars(app, opts), and callers
-/// pass them on as flow_stage_inputs::full instead of simulating the
-/// same configuration a second time.
 collected_traces collect_traces(const workloads::app_spec& app,
-                                const flow_options& opts,
-                                validation_metrics* full = nullptr);
-
-/// Whether (and how) phase 4 runs after synthesis.
-enum class validation_mode {
-  /// Run the validation simulations: the designed configuration, plus the
-  /// full-crossbar reference unless stage inputs supply it precomputed.
-  validate,
-  /// Skip phase 4 entirely: the report still carries the designs,
-  /// endpoint names, traffic matrices and bus counts, with zeroed latency
-  /// metrics — synthesis-only sweeps (Figs. 5-6 shapes) need nothing
-  /// more.
-  skip,
-};
-
-/// Precomputed inputs a staged flow invocation carries between stages.
-/// Replaces the old `(const validation_metrics* full, bool validate)`
-/// trailing parameters, whose pointer lifetime and positional-bool
-/// semantics were easy to misuse.
-struct flow_stage_inputs {
-  /// Full-crossbar reference metrics, when the caller already holds them:
-  /// harvested from the phase-1 run through collect_traces' `full`
-  /// out-parameter, or served by a cache (see validate_full_crossbars).
-  /// Must come from the same (app, horizon, seed, policy,
-  /// transfer_overhead) as `opts` — the explore::trace_cache /
-  /// serve::service keys guarantee this; hand callers must too, or the
-  /// report's `full` section lies.
-  std::optional<validation_metrics> full;
-  validation_mode mode = validation_mode::validate;
-};
+                                const flow_options& opts);
 
 /// Stage "analyze + synthesize" (phases 2-3) alone: window analysis,
 /// pre-processing and crossbar synthesis for both directions from an
 /// injected phase-1 result, honouring the per-direction window
 /// overrides. The report comes back unvalidated (zeroed latency metrics)
-/// but otherwise complete, and is exactly what the persistent store
-/// caches at the synthesis stage.
+/// but otherwise complete: a synthesis-only report as it stands, or the
+/// input of validate_design.
 flow_report synthesize_design(const workloads::app_spec& app,
                               const collected_traces& traces,
                               const flow_options& opts);
@@ -187,21 +159,14 @@ flow_report report_from_designs(const workloads::app_spec& app,
 /// Stage "validate" (phase 4) against an already-synthesised report:
 /// simulates the designed configuration and fills report.designed, then
 /// report.full from `full` when provided (else re-simulates the
-/// full-crossbar reference). Idempotent: re-running overwrites the same
-/// fields.
+/// full-crossbar reference). Callers holding the phase-1 result pass its
+/// `full`, which must come from the same (app, horizon, seed, policy,
+/// transfer_overhead) as `opts`, or the report's `full` section lies.
+/// Idempotent: re-running overwrites the same fields. A synthesis-only
+/// report skips this stage and keeps its zeroed latency metrics.
 void validate_design(const workloads::app_spec& app, const flow_options& opts,
                      const std::optional<validation_metrics>& full,
                      flow_report& report);
-
-/// Phases 2-4 with an injected phase-1 result: `synthesize_design`
-/// followed by `validate_design` (per stages.mode). `run_design_flow` is
-/// exactly `collect_traces` + this, with the phase-1 metrics passed as
-/// stages.full; design-space sweeps and the design service call it
-/// directly so one cached trace serves many parameter points.
-flow_report design_from_traces(const workloads::app_spec& app,
-                               const collected_traces& traces,
-                               const flow_options& opts,
-                               const flow_stage_inputs& stages = {});
 
 /// Phase 5, "Generation" (the step Fig. 3 feeds into): renders `report`
 /// into deployable artifacts through the gen backend registry. Backend

@@ -9,10 +9,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "explore/cache_key.h"
 #include "explore/codec.h"
@@ -91,7 +94,7 @@ TEST(DiskStore, TruncatedObjectIsAMissAndIsRewritten) {
 TEST(DiskStore, GarbageAndWrongKeyObjectsAreMisses) {
   const auto dir = test_dir("garbage");
   disk_store store(dir.string());
-  const auto key = full_key("fft", fast_options());
+  const auto key = trace_key("fft", fast_options());
   const auto obj = dir / "objects" / (hash_hex(key) + ".stx");
 
   {
@@ -110,7 +113,7 @@ TEST(DiskStore, GarbageAndWrongKeyObjectsAreMisses) {
                   std::istreambuf_iterator<char>());
     return s;
   }();
-  const auto other_line = encode(full_key("other-app", fast_options()));
+  const auto other_line = encode(trace_key("other-app", fast_options()));
   const auto key_line = encode(key);
   envelope.replace(envelope.find(key_line), key_line.size(), other_line);
   {
@@ -231,30 +234,27 @@ TEST(PersistentCache, SecondCacheInstanceServesWithoutSimulating) {
   const auto dir = test_dir("reuse");
   const auto app = small_app();
   const auto opts = fast_options();
+  xbar::collected_traces cold;
   {
     trace_cache cache(std::make_shared<disk_store>(dir.string()));
-    (void)cache.traces(app, opts);
-    (void)cache.full_metrics(app, opts);
+    cold = *cache.traces(app, opts);
     const auto stats = cache.stats();
     EXPECT_EQ(stats.trace_misses, 1);
-    // The phase-1 simulation seeded the full entry (memory + store).
-    EXPECT_EQ(stats.full_misses, 0);
-    EXPECT_EQ(stats.full_hits, 1);
     EXPECT_EQ(stats.trace_store_hits, 0);
   }
-  // A fresh cache over a fresh store on the same directory: both stages
-  // load from disk — `misses` (simulations actually run) stays 0.
+  // A fresh cache over a fresh store on the same directory loads the
+  // phase-1 entry from disk — `misses` (simulations actually run) stays
+  // 0 — and it carries the full-crossbar reference with the traces.
   trace_cache cache(std::make_shared<disk_store>(dir.string()));
   const auto traces = cache.traces(app, opts);
-  const auto metrics = cache.full_metrics(app, opts);
   ASSERT_NE(traces, nullptr);
-  ASSERT_NE(metrics, nullptr);
-  EXPECT_GT(metrics->avg_latency, 0.0);
+  EXPECT_EQ(traces->request, cold.request);
+  EXPECT_EQ(traces->response, cold.response);
+  EXPECT_EQ(traces->full, xbar::validate_full_crossbars(app, opts));
+  EXPECT_GT(traces->full.avg_latency, 0.0);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.trace_misses, 0);
-  EXPECT_EQ(stats.full_misses, 0);
   EXPECT_EQ(stats.trace_store_hits, 1);
-  EXPECT_EQ(stats.full_store_hits, 1);
   fs::remove_all(dir);
 }
 
@@ -290,7 +290,7 @@ TEST(PersistentCache, CorruptTraceObjectFallsBackToSimulation) {
 // The acceptance criterion of the design service: a warm-cache request
 // returns a bit-identical flow_report WITHOUT re-running simulation or
 // the solver — asserted on the sim.* / milp.* obs counters staying flat
-// across the hit.
+// across the hit. The cold request leaves exactly two store objects.
 TEST(PersistentCache, WarmReportIsBitIdenticalWithSimAndSolverCountersFlat) {
   const auto dir = test_dir("warm-report");
   const auto app = small_app();
@@ -310,10 +310,25 @@ TEST(PersistentCache, WarmReportIsBitIdenticalWithSimAndSolverCountersFlat) {
                                        /*validate=*/true, cache, store.get());
     EXPECT_FALSE(result.from_store);
     cold = std::move(result.report);
+    EXPECT_EQ(store->stats().puts, 2);
   }
   const auto before = obs::snapshot();
-  ASSERT_GT(before.counter("sim.runs"), 0);
+  // Phase 1, which is also the full-crossbar reference, and the designed
+  // configuration.
+  EXPECT_EQ(before.counter("sim.runs"), 2);
   ASSERT_GT(before.counter("milp.solves"), 0);
+  // One object per computed result: the phase-1 entry (traces plus the
+  // reference) and the report.
+  std::vector<std::string> objects;
+  for (const auto& e : fs::directory_iterator(dir / "objects")) {
+    objects.push_back(e.path().filename().string());
+  }
+  std::vector<std::string> expected = {
+      hash_hex(trace_key(app.name, opts)) + ".stx",
+      hash_hex(report_key(app.name, opts)) + ".stx"};
+  std::sort(objects.begin(), objects.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(objects, expected);
 
   {
     auto store = std::make_shared<disk_store>(dir.string());
@@ -372,7 +387,6 @@ TEST(PersistentCache, SweepRerunServesDesignedMetricsFromStore) {
   // Every point's designed metrics came off disk; nothing simulated.
   EXPECT_EQ(warm.designed_store_hits, 3);
   EXPECT_EQ(warm.phase1_simulations, 0);
-  EXPECT_EQ(warm.full_simulations, 0);
   const auto after = obs::snapshot();
   EXPECT_EQ(after.counter("sim.runs"), before.counter("sim.runs"));
   EXPECT_EQ(after.counter("sim.events_processed"),
@@ -413,9 +427,9 @@ TEST(PersistentCache, SharedDesignsStillPutOneMetricsEntryPerPoint) {
   obs::reset();
   // Sharing happened: one phase-1 run plus fewer designs than points.
   ASSERT_LT(sim_runs, 1 + static_cast<std::int64_t>(points.size()));
-  // Phase 1 wrote its trace and full entries; phase 4 one per point.
+  // Phase 1 wrote its one entry; phase 4 one per point.
   EXPECT_EQ(store->stats().puts,
-            2 + static_cast<std::int64_t>(points.size()));
+            1 + static_cast<std::int64_t>(points.size()));
   for (std::size_t p = 0; p < points.size(); ++p) {
     const auto blob = store->get(
         metrics_key(spec.apps[0].name, options_for(spec, points[p])));
@@ -490,8 +504,8 @@ TEST(PersistentCache, FailedMetricsWriteThroughDoesNotFailTheSweep) {
   obs::reset();
   EXPECT_EQ(report.results, expected.results);
   EXPECT_EQ(report.pareto, expected.pareto);
-  // Phase 1's trace and full entries plus one metrics entry per point.
-  EXPECT_EQ(dropped, 2 + 2);
+  // Phase 1's one entry plus one metrics entry per point.
+  EXPECT_EQ(dropped, 1 + 2);
   fs::remove_all(dir);
 }
 

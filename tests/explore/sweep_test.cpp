@@ -39,12 +39,14 @@ TEST(Sweep, SharesOnePhase1SimulationAcrossAllPoints) {
   const auto report = run_sweep(small_spec(), cache);
   ASSERT_EQ(report.results.size(), 4u);
   EXPECT_EQ(report.phase1_simulations, 1);
-  // The phase-1 run seeded the full-crossbar reference: no second run.
-  EXPECT_EQ(report.full_simulations, 0);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.trace_misses, 1);
   EXPECT_EQ(stats.trace_hits, 3);
-  EXPECT_EQ(stats.full_hits, 4);
+  // The phase-1 run is every point's full-crossbar reference.
+  for (const auto& r : report.results) {
+    EXPECT_EQ(r.report.full, report.results[0].report.full);
+  }
+  EXPECT_GT(report.results[0].report.full.packets, 0);
 }
 
 TEST(Sweep, PointReportsEqualTheSerialDesignFlow) {
@@ -249,13 +251,14 @@ TEST(Sweep, ValidationOffSkipsPhase4ButKeepsDesigns) {
   auto spec = small_spec();
   spec.validate = false;
   const auto report = run_sweep(spec);
-  EXPECT_EQ(report.full_simulations, 0);
   EXPECT_EQ(report.phase1_simulations, 1);
   EXPECT_TRUE(report.pareto.empty());
   for (const auto& r : report.results) {
     EXPECT_FALSE(r.validated);
     EXPECT_GT(r.total_buses(), 0);
     EXPECT_EQ(r.avg_latency(), 0.0);
+    // Phase 1 ran, but an unvalidated report carries no reference.
+    EXPECT_EQ(r.report.full, xbar::validation_metrics{});
     // Synthesis-only reports stay complete for the gen:: backends:
     // padded endpoint names and the phase-1 traffic matrices.
     EXPECT_EQ(r.report.target_names.size(),

@@ -1,6 +1,6 @@
 // Trace-cache hit behaviour: phase 1 simulates exactly once per
-// (app, settings) key, under serial and concurrent access, and that one
-// simulation also supplies the full-crossbar reference.
+// (app, settings) key, under serial and concurrent access, and the one
+// cached entry also carries that run's full-crossbar reference.
 #include "explore/trace_cache.h"
 
 #include <gtest/gtest.h>
@@ -33,6 +33,7 @@ TEST(TraceCache, SecondRequestHitsAndSharesTheEntry) {
   const auto a = cache.traces(app, opts);
   const auto b = cache.traces(app, opts);
   EXPECT_EQ(a.get(), b.get());  // literally the same trace object
+  EXPECT_GT(a->full.avg_latency, 0.0);  // the reference rides along
   const auto stats = cache.stats();
   EXPECT_EQ(stats.trace_misses, 1);
   EXPECT_EQ(stats.trace_hits, 1);
@@ -84,55 +85,39 @@ TEST(TraceCache, ConcurrentRequestersSimulateExactlyOnce) {
   }
 }
 
-TEST(TraceCache, FullMetricsAreCachedIndependently) {
-  trace_cache cache;
-  const auto app = small_app();
-  const auto opts = fast_options();
-  const auto a = cache.full_metrics(app, opts);
-  const auto b = cache.full_metrics(app, opts);
-  EXPECT_EQ(a.get(), b.get());
-  EXPECT_GT(a->avg_latency, 0.0);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.full_misses, 1);
-  EXPECT_EQ(stats.full_hits, 1);
-  EXPECT_EQ(stats.trace_misses, 0);  // no trace was ever requested
-}
-
-TEST(TraceCache, SimulatedTracesSeedTheFullReference) {
+TEST(TraceCache, SimulatedEntryCarriesTheFullReference) {
   const auto store = std::make_shared<memory_store>();
   trace_cache cache(store);
   const auto app = small_app();
   const auto opts = fast_options();
   (void)cache.traces(app, opts);
   const auto reference = xbar::validate_full_crossbars(app, opts);
-  // Written through under the full key, like a simulated entry...
-  const auto blob = store->get(full_key(app.name, opts));
+  // Written through in the one trace-key entry, like the traces...
+  const auto blob = store->get(trace_key(app.name, opts));
   ASSERT_TRUE(blob.has_value());
-  EXPECT_EQ(decode_metrics(*blob), reference);
+  EXPECT_EQ(decode_traces(*blob).full, reference);
+  EXPECT_EQ(store->stats().puts, 1);
   // ...and served from memory without a second simulation.
-  EXPECT_EQ(*cache.full_metrics(app, opts), reference);
+  EXPECT_EQ(cache.traces(app, opts)->full, reference);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.trace_misses, 1);
-  EXPECT_EQ(stats.full_misses, 0);
-  EXPECT_EQ(stats.full_hits, 1);
-  EXPECT_EQ(stats.full_store_hits, 0);
+  EXPECT_EQ(stats.trace_hits, 1);
+  EXPECT_EQ(stats.trace_store_hits, 0);
 }
 
-TEST(TraceCache, StoreLoadedTracesLeaveTheFullEntryToTheStore) {
+TEST(TraceCache, StoreLoadedEntryCarriesTheFullReference) {
   const auto store = std::make_shared<memory_store>();
   const auto app = small_app();
   const auto opts = fast_options();
   (void)trace_cache(store).traces(app, opts);
-  // A second cache loads the traces from the store: nothing simulated,
-  // nothing seeded, so the full reference is a store hit.
+  // A second cache loads the entry from the store: nothing simulated,
+  // and the reference comes back with the traces.
   trace_cache warm(store);
-  (void)warm.traces(app, opts);
-  EXPECT_EQ(*warm.full_metrics(app, opts),
+  EXPECT_EQ(warm.traces(app, opts)->full,
             xbar::validate_full_crossbars(app, opts));
   const auto stats = warm.stats();
   EXPECT_EQ(stats.trace_store_hits, 1);
-  EXPECT_EQ(stats.full_store_hits, 1);
-  EXPECT_EQ(stats.trace_misses + stats.full_misses, 0);
+  EXPECT_EQ(stats.trace_misses, 0);
 }
 
 }  // namespace

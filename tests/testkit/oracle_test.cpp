@@ -34,11 +34,9 @@ const flow_fixture& fixture() {
     out.app = s.make_app();
     out.opts = s.make_flow_options();
     // As run_scenario does: the full reference is phase 1's harvest.
-    xbar::flow_stage_inputs stages;
-    out.traces =
-        xbar::collect_traces(out.app, out.opts, &stages.full.emplace());
-    out.report =
-        xbar::design_from_traces(out.app, out.traces, out.opts, stages);
+    out.traces = xbar::collect_traces(out.app, out.opts);
+    out.report = xbar::synthesize_design(out.app, out.traces, out.opts);
+    xbar::validate_design(out.app, out.opts, out.traces.full, out.report);
     return out;
   }();
   return f;

@@ -155,6 +155,7 @@ TEST(Trace, PhaseOneTraceBlobsRoundTripExactly) {
     const auto back = explore::decode_traces(blob);
     EXPECT_EQ(back.request, traces.request);
     EXPECT_EQ(back.response, traces.response);
+    EXPECT_EQ(back.full, traces.full);  // doubles included, bit for bit
     EXPECT_EQ(explore::encode_traces(back), blob);
   }
 }

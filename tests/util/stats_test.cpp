@@ -1,4 +1,4 @@
-// Unit tests for running statistics and histogram.
+// Unit tests for running statistics.
 #include "util/stats.h"
 
 #include <gtest/gtest.h>
@@ -139,43 +139,6 @@ TEST(RunningStats, PercentileRejectsBadP) {
   running_stats s(true);
   s.add(1.0);
   EXPECT_THROW(s.percentile(1.5), invalid_argument_error);
-}
-
-TEST(Histogram, CountsAndClamping) {
-  histogram h(0.0, 10.0, 5);
-  h.add(0.5);    // bin 0
-  h.add(9.9);    // bin 4
-  h.add(-3.0);   // clamps to bin 0
-  h.add(100.0);  // clamps to bin 4
-  h.add(5.0);    // bin 2
-  EXPECT_EQ(h.total(), 5);
-  EXPECT_EQ(h.bin_count(0), 2);
-  EXPECT_EQ(h.bin_count(2), 1);
-  EXPECT_EQ(h.bin_count(4), 2);
-  EXPECT_EQ(h.bin_count(1), 0);
-}
-
-TEST(Histogram, BinEdges) {
-  histogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.bin_lo(0), 0.0);
-  EXPECT_EQ(h.bin_hi(0), 2.0);
-  EXPECT_EQ(h.bin_lo(4), 8.0);
-  EXPECT_EQ(h.bin_hi(4), 10.0);
-}
-
-TEST(Histogram, RenderSkipsEmptyBins) {
-  histogram h(0.0, 4.0, 4);
-  h.add(0.5);
-  h.add(3.5);
-  const auto text = h.render();
-  EXPECT_NE(text.find("[0, 1)"), std::string::npos);
-  EXPECT_NE(text.find("[3, 4)"), std::string::npos);
-  EXPECT_EQ(text.find("[1, 2)"), std::string::npos);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(histogram(5.0, 5.0, 3), invalid_argument_error);
-  EXPECT_THROW(histogram(0.0, 1.0, 0), invalid_argument_error);
 }
 
 }  // namespace

@@ -102,7 +102,7 @@ TEST(Flow, ValidationMetricsAreInternallyConsistent) {
 }
 
 // Phase 1 simulates the same full crossbars as the phase-4 reference,
-// with trace recording on: its harvested metrics must equal the
+// with trace recording on: the metrics its result carries must equal the
 // reference's, and run_design_flow (which uses them) must equal the
 // composition that simulated the reference separately.
 TEST(Flow, PhaseOneMetricsAreTheFullCrossbarReference) {
@@ -118,17 +118,14 @@ TEST(Flow, PhaseOneMetricsAreTheFullCrossbarReference) {
         const auto where = app.name + " " + sim::to_string(policy) +
                            " overhead " + std::to_string(overhead);
 
-        validation_metrics harvested;
-        const auto traces = collect_traces(app, opts, &harvested);
+        const auto traces = collect_traces(app, opts);
         const auto reference = validate_full_crossbars(app, opts);
-        EXPECT_EQ(harvested, reference) << where;
-        EXPECT_GT(harvested.packets, 0) << where;
+        EXPECT_EQ(traces.full, reference) << where;
+        EXPECT_GT(traces.full.packets, 0) << where;
 
-        flow_stage_inputs stages;
-        stages.full = reference;
-        EXPECT_EQ(run_design_flow(app, opts),
-                  design_from_traces(app, traces, opts, stages))
-            << where;
+        auto composed = synthesize_design(app, traces, opts);
+        validate_design(app, opts, reference, composed);
+        EXPECT_EQ(run_design_flow(app, opts), composed) << where;
       }
     }
   }
