@@ -252,12 +252,16 @@ class fnv1a {
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
-/// Folds everything the specialised search decides on one direction's
-/// traffic over the sweep_grid grid: the synthesised design with its node
-/// counts, two random-baseline bindings, and a 500-node optimise search
-/// (cut by its budget or not). Node budgets only, so a slow machine
-/// cannot change a digest.
-std::uint64_t search_tree_digest(const traffic::trace& t) {
+/// What a digest folds: `answers` is every decision a completed search
+/// returns (the synthesised design with its probe counts and two
+/// random-baseline bindings); `tree` adds the binding search's node count
+/// and a 500-node optimise search (cut by its budget or not).
+enum class digest_scope { answers, tree };
+
+/// Folds what the specialised search decides on one direction's traffic
+/// over the sweep_grid grid. Node budgets only, so a slow machine cannot
+/// change a digest.
+std::uint64_t search_digest(const traffic::trace& t, digest_scope scope) {
   solver_options limits;
   limits.time_limit_sec = 0.0;
   fnv1a h;
@@ -277,13 +281,14 @@ std::uint64_t search_tree_digest(const traffic::trace& t) {
         h.add(d.binding_optimal ? 1 : 0);
         h.add(d.probes);
         h.add(d.feasibility_nodes);
-        h.add(d.binding_nodes);
+        if (scope == digest_scope::tree) h.add(d.binding_nodes);
         for (const std::uint64_t seed : {1, 2}) {
           const auto rb =
               find_random_feasible_binding(in, d.num_buses, seed, limits);
           h.add(rb.has_value() ? 1 : 0);
           if (rb.has_value()) h.add(*rb);
         }
+        if (scope == digest_scope::answers) continue;
         solver_options budget = limits;
         budget.max_nodes = 500;
         solve_stats stats;
@@ -326,8 +331,38 @@ TEST(BbSolver, SearchTreeIsPinnedOverTheSweepGrid) {
     const auto traces = collect_traces(app, opts);
     const auto it = expected.find(app.name);
     ASSERT_NE(it, expected.end());
-    const auto request = search_tree_digest(traces.request);
-    const auto response = search_tree_digest(traces.response);
+    const auto request = search_digest(traces.request, digest_scope::tree);
+    const auto response = search_digest(traces.response, digest_scope::tree);
+    EXPECT_EQ(request, it->second.first)
+        << "request digest 0x" << std::hex << request;
+    EXPECT_EQ(response, it->second.second)
+        << "response digest 0x" << std::hex << response;
+  }
+}
+
+TEST(BbSolver, SearchAnswersArePinnedOverTheSweepGrid) {
+  // Every answer a completed search returns across the sweep_grid grid:
+  // bus counts, bindings, objectives, optimality flags, probe counts and
+  // random bindings. Pruning that is exact leaves these digests alone
+  // even where it moves the node counts SearchTreeIsPinned folds.
+  const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
+      expected = {
+          {"Mat1", {0x545ace0dc97548f6ULL, 0xd2ebae6fea82399fULL}},
+          {"Mat2", {0x012782a0960b13f5ULL, 0xdbd14fdfefd6c624ULL}},
+          {"FFT", {0x00026198ce2756daULL, 0xfd7b01ba00da0e95ULL}},
+          {"QSort", {0xc82f2d505cac2589ULL, 0x23926d7ab533bcf1ULL}},
+          {"DES", {0x5fc0397eef033af7ULL, 0x41ea0307686ad296ULL}},
+      };
+  flow_options opts;
+  opts.horizon = 6'000;
+  for (const auto& app : workloads::all_mpsoc_apps()) {
+    SCOPED_TRACE(app.name);
+    const auto traces = collect_traces(app, opts);
+    const auto it = expected.find(app.name);
+    ASSERT_NE(it, expected.end());
+    const auto request = search_digest(traces.request, digest_scope::answers);
+    const auto response =
+        search_digest(traces.response, digest_scope::answers);
     EXPECT_EQ(request, it->second.first)
         << "request digest 0x" << std::hex << request;
     EXPECT_EQ(response, it->second.second)
