@@ -1,6 +1,7 @@
 #include "xbar/bb_solver.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -21,6 +22,12 @@ constexpr cycle_t kNoIncumbent = std::numeric_limits<cycle_t>::max();
 /// and unplace() keep per-bus running tables (summed overlap with each
 /// target, conflicting-member count per target, member count, window
 /// loads), so the Eq. 11 delta and the conflict test are lookups.
+///
+/// Optimize mode also prunes a node by a pigeonhole look-ahead once an
+/// incumbent exists (can_beat_incumbent()). The look-ahead is exact: it
+/// cuts only subtrees holding no binding strictly better than the
+/// incumbent, so the incumbent sequence, and with it every completed
+/// search's answer, is that of the plain search.
 class xbar_search {
  public:
   enum class mode { feasibility, optimize, random };
@@ -91,6 +98,8 @@ class xbar_search {
     bus_size_.assign(buses, 0);
     bus_overlap_.assign(buses, 0);
     binding_.assign(targets_, -1);
+    bus_words_ = (buses + 63) / 64;
+    fits_.assign(targets_ * bus_words_, 0);
     // Depth d tries at most d + 1 buses (symmetry breaking below).
     children_.resize(targets_);
     for (std::size_t d = 0; d < targets_; ++d) {
@@ -205,6 +214,116 @@ class xbar_search {
     binding_[t] = -1;
   }
 
+  /// Pigeonhole look-ahead below the incumbent. Members only join a bus
+  /// and no om is negative, so in a leaf that beats the incumbent every
+  /// unplaced target sits on a bus it fits *now*: maxtb room, no
+  /// conflicting member, and a delta below the bus's slack (incumbent -
+  /// bus overlap). Returns false, pruning the node, when
+  ///  * some target fits no bus;
+  ///  * the buses cannot take all the targets. Bus k takes at most its
+  ///    maxtb room and the number of targets that fit it. Its new
+  ///    members' deltas sum below its slack, so with d1 <= d2 the two
+  ///    smallest fitting deltas it takes one target if d1 + d2 reaches
+  ///    the slack, else at most 1 + (slack - 1 - d1) / d2;
+  ///  * the targets outnumber the buses any of them fits, so two share a
+  ///    bus, and no two can (some_pair_fits_together).
+  /// Symmetry breaking fills buses in order, so buses [used, num_buses)
+  /// are the empty ones; they fit every target and are counted instead
+  /// of scanned. The fit sets are bitmasks over the used buses, one row
+  /// of fits_ per order_ position.
+  bool can_beat_incumbent(std::size_t depth, int used) {
+    if (best_overlap_ <= 0) return false;  // no overlap sum is negative
+    const std::size_t left = targets_ - depth;
+    const auto empty = static_cast<std::size_t>(num_buses_ - used);
+    if (empty >= left) return true;  // each target can take its own bus
+    const int maxtb = input_.params().max_targets_per_bus;
+    const auto room = [&](int size) {
+      return maxtb > 0 ? std::min(left, static_cast<std::size_t>(maxtb - size))
+                       : left;
+    };
+    std::uint64_t* const rows = &fits_[depth * bus_words_];
+    std::fill_n(rows, left * bus_words_, 0);
+    std::size_t fitting = empty;       // buses at least one target fits
+    std::size_t takes = empty * room(0);  // targets the buses can take
+    for (int k = 0; k < used; ++k) {
+      const auto b = static_cast<std::size_t>(k);
+      if (maxtb > 0 && bus_size_[b] >= maxtb) continue;
+      const cycle_t slack = best_overlap_ - bus_overlap_[b];
+      const cycle_t* om = &bus_om_[cell(k, 0)];
+      const int* conflicts = &bus_conflicts_[cell(k, 0)];
+      const std::size_t word = b / 64;
+      const std::uint64_t bit = std::uint64_t{1} << (b % 64);
+      std::size_t fits = 0;
+      cycle_t d1 = kNoIncumbent;
+      cycle_t d2 = kNoIncumbent;
+      for (std::size_t i = 0; i < left; ++i) {
+        const cycle_t d = om[order_[depth + i]];
+        if (conflicts[order_[depth + i]] != 0 || d >= slack) continue;
+        rows[i * bus_words_ + word] |= bit;
+        ++fits;
+        if (d < d2) {
+          d2 = std::max(d, d1);
+          d1 = std::min(d, d1);
+        }
+      }
+      if (fits == 0) continue;
+      ++fitting;
+      std::size_t cap = std::min(fits, room(bus_size_[b]));
+      if (cap >= 2 && d2 >= slack - d1) {
+        cap = 1;
+      } else if (cap >= 2 && d2 > 0) {
+        cap = std::min(cap, 1 + static_cast<std::size_t>(
+                                    (slack - 1 - d1) / d2));
+      }
+      takes += cap;
+    }
+    if (takes < left) return false;
+    if (empty == 0) {
+      for (std::size_t i = 0; i < left; ++i) {
+        const std::uint64_t* row = &rows[i * bus_words_];
+        if (std::all_of(row, row + bus_words_,
+                        [](std::uint64_t w) { return w == 0; })) {
+          return false;
+        }
+      }
+    }
+    return fitting >= left || some_pair_fits_together(depth, empty > 0);
+  }
+
+  /// Whether two non-conflicting unplaced targets fit together on a bus
+  /// both fit: room for two, and bus overlap + both deltas + the pair's
+  /// own om below the incumbent. Reads the fit sets can_beat_incumbent()
+  /// left in fits_.
+  bool some_pair_fits_together(std::size_t depth, bool has_empty) const {
+    const int maxtb = input_.params().max_targets_per_bus;
+    const bool empty_takes_two = has_empty && (maxtb <= 0 || maxtb >= 2);
+    for (std::size_t i = depth; i < targets_; ++i) {
+      const int u = order_[i];
+      for (std::size_t j = i + 1; j < targets_; ++j) {
+        const int v = order_[j];
+        if (conflict_[cell(u, v)] != 0) continue;
+        const cycle_t pair = om_[cell(u, v)];
+        if (pair >= best_overlap_) continue;
+        if (empty_takes_two) return true;
+        for (std::size_t w = 0; w < bus_words_; ++w) {
+          std::uint64_t common =
+              fits_[i * bus_words_ + w] & fits_[j * bus_words_ + w];
+          for (; common != 0; common &= common - 1) {
+            const int k = static_cast<int>(w * 64) + std::countr_zero(common);
+            const auto b = static_cast<std::size_t>(k);
+            if (maxtb > 0 && bus_size_[b] + 2 > maxtb) continue;
+            // Each delta is below the slack, so the differences hold.
+            const cycle_t slack = best_overlap_ - bus_overlap_[b];
+            const cycle_t du = overlap_delta(u, k);
+            const cycle_t dv = overlap_delta(v, k);
+            if (dv < slack - du && pair < slack - du - dv) return true;
+          }
+        }
+      }
+    }
+    return false;
+  }
+
   /// `used` = number of buses currently holding at least one target.
   bool dfs(std::size_t depth, int used) {
     if (out_of_budget()) {
@@ -229,6 +348,10 @@ class xbar_search {
 
     const int target = order_[depth];
     const bool optimize = mode_ == mode::optimize;
+    if (optimize && best_overlap_ != kNoIncumbent &&
+        !can_beat_incumbent(depth, used)) {
+      return false;
+    }
     // Bound: max overlap only grows as targets are added. Trying a child
     // restores every table, so the node's objective and each child's
     // delta hold for all children; only the incumbent tightens.
@@ -294,6 +417,10 @@ class xbar_search {
   std::vector<int> binding_;
   /// Child buffer per depth: (overlap delta, bus), reserved up front.
   std::vector<std::vector<std::pair<cycle_t, int>>> children_;
+  /// Look-ahead scratch: the buses each unplaced target fits, one
+  /// bus_words_-word bitmask per order_ position.
+  std::size_t bus_words_ = 0;
+  std::vector<std::uint64_t> fits_;
 
   std::vector<int> best_binding_;
   cycle_t best_overlap_ = kNoIncumbent;
