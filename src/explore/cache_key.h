@@ -12,7 +12,7 @@
 // version covering the code's result format.
 //
 // Wire form: one line, space-separated `k=v` fields in fixed order,
-//   stxkey/v1 v=3 stage=report app=mat2 horizon=120000 seed=1 ...
+//   stxkey/v1 v=4 stage=report app=mat2 horizon=120000 seed=1 ...
 // Values are percent-escaped so application identities may be arbitrary
 // strings (e.g. a full `stxfuzz/v1 ...` scenario token — the
 // content-addressed identity of a generated application); doubles use
@@ -36,7 +36,10 @@ namespace stx::explore {
 /// or overflows int64.
 /// 3: the stage=trace blob carries the phase-1 run's full-crossbar
 /// metrics (stxtraces/v2), and the separate stage=full entry is gone.
-inline constexpr int kCacheSchemaVersion = 3;
+/// 4: the specialised binding search prunes by a look-ahead bound, which
+/// lowers every report's binding_nodes and lets a node-budget-cut
+/// binding reach a better incumbent.
+inline constexpr int kCacheSchemaVersion = 4;
 
 /// Which stage result the key names.
 enum class cache_stage {

@@ -517,6 +517,11 @@ class revised_solver::impl {
     return best;
   }
 
+  bool cancelled() const {
+    return opts_.cancel != nullptr &&
+           opts_.cancel->load(std::memory_order_relaxed);
+  }
+
   /// One primal phase on the current costs: iterate until optimal /
   /// unbounded / out of budget. Mirrors the legacy tableau loop, with the
   /// tableau column replaced by an FTRAN.
@@ -524,7 +529,7 @@ class revised_solver::impl {
     int degenerate_streak = 0;
     const int bland_trigger = 2 * rows_ + 64;
     while (true) {
-      if (failed_) return solve_status::iteration_limit;
+      if (failed_ || cancelled()) return solve_status::iteration_limit;
       if (iterations_ >= max_iterations_) return solve_status::iteration_limit;
       price();
       const bool bland = degenerate_streak > bland_trigger;
@@ -636,7 +641,7 @@ class revised_solver::impl {
     int degenerate_streak = 0;
     const int bland_trigger = 2 * rows_ + 64;
     while (true) {
-      if (failed_) return solve_status::iteration_limit;
+      if (failed_ || cancelled()) return solve_status::iteration_limit;
       if (iterations_ >= max_iterations_) return solve_status::iteration_limit;
       const bool bland = degenerate_streak > bland_trigger;
 

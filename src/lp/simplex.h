@@ -7,6 +7,7 @@
 // cross-checks the two on random models).
 #pragma once
 
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,12 @@ struct solve_options {
   /// drift bound tests shrink this to 1; raising it trades accuracy
   /// checks for speed.
   int refactor_interval = 64;
+  /// Revised engine only: cooperative cancellation. When non-null and it
+  /// reads true, the pivot loops stop before their next pivot and the
+  /// solve ends with iteration_limit (milp::bb_options::cancel reaches
+  /// the branch & bound's LP solves this way). The caller keeps
+  /// ownership.
+  const std::atomic<bool>* cancel = nullptr;
 };
 
 /// Solve outcome. `x` holds structural variable values (phase-2 basic

@@ -189,10 +189,14 @@ class wave_bb_engine {
   }
 
   bb_result run() {
+    if (cancelled()) {  // building the root LP's factorization costs too
+      limit_hit_ = true;
+      return assemble();
+    }
     // Root solve + cut separation: sequential, on a dedicated solver
     // whose add_row-extended geometry matches a fresh build against the
     // extended model (the basis handshake below relies on it).
-    lp::revised_solver sep(m_.relaxation(), {});
+    lp::revised_solver sep(m_.relaxation(), lp_options());
     lp::solve_result root_rel = sep.solve();
     ++cold_solves_;
     lp_iterations_ += root_rel.iterations;
@@ -222,7 +226,7 @@ class wave_bb_engine {
     workers_.resize(static_cast<std::size_t>(num_workers_));
     for (auto& w : workers_) {
       w.solver = std::make_unique<lp::revised_solver>(ext_model_,
-                                                      lp::solve_options{});
+                                                      lp_options());
     }
     if (num_workers_ > 1) {
       pool_ = std::make_unique<worker_pool>(num_workers_ - 1);
@@ -325,12 +329,22 @@ class wave_bb_engine {
     }
   };
 
+  bool cancelled() const {
+    return opts_.cancel != nullptr &&
+           opts_.cancel->load(std::memory_order_relaxed);
+  }
+
+  /// LP knobs for every solver the search builds: the defaults plus the
+  /// cancel flag, so a raised flag also stops an LP between pivots.
+  lp::solve_options lp_options() const {
+    lp::solve_options o;
+    o.cancel = opts_.cancel;
+    return o;
+  }
+
   bool out_of_budget() const {
     if (nodes_ >= opts_.max_nodes) return true;
-    if (opts_.cancel != nullptr &&
-        opts_.cancel->load(std::memory_order_relaxed)) {
-      return true;
-    }
+    if (cancelled()) return true;
     if (opts_.time_limit_sec > 0.0) {
       const auto elapsed = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - start_)
@@ -538,7 +552,7 @@ class wave_bb_engine {
     if (knapsacks_.empty() && adj_.empty()) return;
     for (int round = 0;
          round < kCutRounds &&
-         static_cast<std::int64_t>(cuts_.size()) < kMaxCuts;
+         static_cast<std::int64_t>(cuts_.size()) < kMaxCuts && !cancelled();
          ++round) {
       const auto found = find_violated(rel.x);
       if (found.empty()) break;

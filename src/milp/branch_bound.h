@@ -75,8 +75,10 @@ struct bb_options {
   /// reproduces the pure PR-5 search tree.
   bool cuts = true;
   /// Cooperative cancellation hook (portfolio racing): when non-null and
-  /// it reads true at a wave boundary, the search stops as if the time
-  /// limit fired. The caller keeps ownership. Cancellable solves are
+  /// it reads true, the search stops as if the time limit fired. It is
+  /// read at wave boundaries, between root cut rounds, and before every
+  /// LP pivot (lp::solve_options::cancel; the interrupted LP counts as
+  /// iteration_limit). The caller keeps ownership. Cancellable solves are
   /// excluded from the deterministic obs counter section — a cancelled
   /// search is truncated at a timing-dependent point.
   const std::atomic<bool>* cancel = nullptr;

@@ -53,7 +53,9 @@ milp::bb_options milp_limits(const solver_options& limits,
 
 /// Portfolio feasibility probe: race the specialised solver against the
 /// generic MILP, take the first DEFINITIVE sat/unsat answer, and cancel
-/// the loser. Both engines are exact, so the verdict is deterministic;
+/// the loser. The winner raises the loser's flag itself, so the loser
+/// stops at its next check instead of when the waiting thread gets
+/// scheduled. Both engines are exact, so the verdict is deterministic;
 /// only which engine delivers it first is timing-dependent (reported to
 /// the obs wall section, never to the deterministic counters). An engine
 /// that hits its limits (or the cancellation) throws inside its thread
@@ -82,6 +84,7 @@ bool portfolio_probe(const synthesis_input& input, int num_buses,
     so.cancel = &cancel_spec;
     try {
       const auto res = find_feasible_binding(input, num_buses, so, nullptr);
+      cancel_milp.store(true, std::memory_order_relaxed);
       publish(from_spec, res.has_value() ? sat : unsat);
     } catch (...) {
       publish(from_spec, no_answer);  // limits or cancellation
@@ -91,6 +94,7 @@ bool portfolio_probe(const synthesis_input& input, int num_buses,
     try {
       const auto res = solve_feasibility_milp(
           input, num_buses, milp_limits(opts.limits, &cancel_milp));
+      cancel_spec.store(true, std::memory_order_relaxed);
       publish(from_milp, res.has_value() ? sat : unsat);
     } catch (...) {
       publish(from_milp, no_answer);

@@ -3,6 +3,7 @@
 // snapshot consistency, and the refactorization drift bound.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -81,6 +82,32 @@ TEST(RevisedSimplex, DetectsUnboundedness) {
   const int x = m.add_variable(0.0, infinity, -1.0, "x");
   m.add_row({{x, -1.0}}, relation::less_equal, 0.0);
   EXPECT_EQ(solve_revised(m).status, solve_status::unbounded);
+}
+
+TEST(RevisedSimplex, RaisedCancelFlagStopsWarmAndColdSolvesBeforeAPivot) {
+  // The branch & bound hands its cancel flag to every LP it solves, so a
+  // cancelled MILP stops inside a solve instead of after it.
+  model m;
+  const int x = m.add_variable(0.0, 3.0, -1.0, "x");
+  const int y = m.add_variable(0.0, 2.0, -2.0, "y");
+  m.add_row({{x, 1.0}, {y, 1.0}}, relation::less_equal, 4.0);
+  std::atomic<bool> cancel{false};
+  solve_options opts;
+  opts.cancel = &cancel;
+  revised_solver solver(m, opts);
+  const auto solved = solver.solve();
+  ASSERT_EQ(solved.status, solve_status::optimal);
+  EXPECT_GT(solved.iterations, 0);
+  const basis_state warm = solver.last_basis();
+
+  cancel = true;
+  solver.set_bounds(y, 0.0, 1.0);
+  const auto warm_res = solver.solve_from(warm);
+  EXPECT_EQ(warm_res.status, solve_status::iteration_limit);
+  EXPECT_EQ(warm_res.iterations, 0);
+  const auto cold_res = solver.solve();
+  EXPECT_EQ(cold_res.status, solve_status::iteration_limit);
+  EXPECT_EQ(cold_res.iterations, 0);
 }
 
 class RevisedVsLegacy : public ::testing::TestWithParam<int> {};

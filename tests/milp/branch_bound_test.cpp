@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "milp/model.h"
 
 namespace stx::milp {
@@ -42,6 +44,36 @@ TEST(BranchBound, SolvesAssignmentProblem) {
   const auto res = solve_branch_bound(m);
   ASSERT_EQ(res.status, milp_status::optimal);
   EXPECT_NEAR(res.objective, 6.0, 1e-6);
+}
+
+TEST(BranchBound, RaisedCancelFlagStopsBeforeTheFirstLpPivot) {
+  // The portfolio race cancels its losing MILP through this flag. The
+  // root LP reads it before each pivot, so the search stops at once
+  // rather than after the root LP and its cut rounds.
+  const double cost[3][3] = {{5, 9, 1}, {8, 2, 7}, {3, 6, 9}};
+  model m;
+  int x[3][3];
+  for (int i = 0; i < 3; ++i) {
+    for (int j = 0; j < 3; ++j) x[i][j] = m.add_binary(cost[i][j]);
+  }
+  for (int i = 0; i < 3; ++i) {
+    m.add_row({{x[i][0], 1}, {x[i][1], 1}, {x[i][2], 1}}, lp::relation::equal,
+              1);
+    m.add_row({{x[0][i], 1}, {x[1][i], 1}, {x[2][i], 1}}, lp::relation::equal,
+              1);
+  }
+  std::atomic<bool> cancel{true};
+  bb_options opts;
+  opts.cancel = &cancel;
+  const auto stopped = solve_branch_bound(m, opts);
+  EXPECT_EQ(stopped.status, milp_status::limit);
+  EXPECT_EQ(stopped.lp_iterations, 0);
+  // The same model needs pivots once the flag is down.
+  cancel = false;
+  const auto solved = solve_branch_bound(m, opts);
+  ASSERT_EQ(solved.status, milp_status::optimal);
+  EXPECT_NEAR(solved.objective, 6.0, 1e-6);
+  EXPECT_GT(solved.lp_iterations, 0);
 }
 
 TEST(BranchBound, DetectsIntegerInfeasibility) {
