@@ -189,7 +189,10 @@ class wave_bb_engine {
   }
 
   bb_result run() {
-    if (cancelled()) {  // building the root LP's factorization costs too
+    // A solve cancelled before it starts does not build the root LP
+    // solver: on FFT's portfolio probes that set-up alone took longer
+    // than the specialised engine's whole answer.
+    if (cancelled()) {
       limit_hit_ = true;
       return assemble();
     }

@@ -243,7 +243,7 @@ class xbar_search {
     };
     std::uint64_t* const rows = &fits_[depth * bus_words_];
     std::fill_n(rows, left * bus_words_, 0);
-    std::size_t fitting = empty;       // buses at least one target fits
+    std::size_t fitting = empty;          // buses at least one target fits
     std::size_t takes = empty * room(0);  // targets the buses can take
     for (int k = 0; k < used; ++k) {
       const auto b = static_cast<std::size_t>(k);

@@ -14,6 +14,15 @@
 // conflict tests from the tables, tests the O(1) objective bound before
 // the capacity scan, and allocates nothing. The binding search tries
 // children in (overlap delta, bus id) order.
+//
+// Once the binding search holds an incumbent, each node also runs a
+// pigeonhole look-ahead over the unplaced targets: the buses each can
+// still join below the incumbent, how many targets each bus can still
+// take, and whether two targets that must share a bus can. It cuts only
+// subtrees with no binding better than the incumbent, so every completed
+// search returns the binding, objective and proven_optimal flag of the
+// search without it, in fewer nodes; a node-budget-cut search gets
+// further along the same order, so its incumbent is no worse.
 #pragma once
 
 #include <atomic>
