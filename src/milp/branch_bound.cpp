@@ -189,9 +189,8 @@ class wave_bb_engine {
   }
 
   bb_result run() {
-    // A solve cancelled before it starts does not build the root LP
-    // solver: on FFT's portfolio probes that set-up alone took longer
-    // than the specialised engine's whole answer.
+    // A solve cancelled before it starts (the portfolio's loser usually
+    // is) returns before building and factorizing the root LP.
     if (cancelled()) {
       limit_hit_ = true;
       return assemble();
