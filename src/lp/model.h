@@ -44,7 +44,7 @@ struct variable {
 ///
 /// Construction is row-oriented: declare variables first, then add rows
 /// referring to variable indices. The model is a plain data holder; the
-/// solver (`stx::lp::solve_simplex`) never mutates it.
+/// solver (`stx::lp::revised_solver`) never mutates it.
 class model {
  public:
   /// Declares a variable and returns its index.

@@ -7,20 +7,29 @@
 #include <utility>
 #include <vector>
 
+#include "lp/lu_factor.h"
 #include "util/error.h"
 
 namespace stx::lp {
+
+const char* to_string(solve_status s) {
+  switch (s) {
+    case solve_status::optimal: return "optimal";
+    case solve_status::infeasible: return "infeasible";
+    case solve_status::unbounded: return "unbounded";
+    case solve_status::iteration_limit: return "iteration_limit";
+  }
+  return "?";
+}
 
 namespace {
 constexpr double inf = std::numeric_limits<double>::infinity();
 }  // namespace
 
 /// Internal working form. Columns are [structural | slack | artificial]
-/// exactly as in the legacy tableau engine (same row equilibration, same
-/// slack bounds per relation), so the two engines see identically scaled
-/// numbers and their tolerances behave the same. Only B^-1 (stored dense,
-/// row-major; computed on its nonzeros) is maintained instead of the
-/// whole tableau.
+/// with each row (and its rhs) divided by its largest magnitude; slacks
+/// carry the row's relation as bounds. The basis lives in a sparse LU
+/// factor plus eta file; A is also kept row-wise for pricing.
 class revised_solver::impl {
  public:
   impl(const model& m, const solve_options& opts) : m_(m), opts_(opts) {
@@ -128,18 +137,11 @@ class revised_solver::impl {
     rows_ += 1;
     art_begin_ += 1;
     total_ += 2;
-    binv_.assign(static_cast<std::size_t>(rows_) *
-                     static_cast<std::size_t>(rows_),
-                 0.0);
-    w_.assign(static_cast<std::size_t>(rows_), 0.0);
-    y_.assign(static_cast<std::size_t>(rows_), 0.0);
-    d_.assign(static_cast<std::size_t>(total_), 0.0);
-    reset_factor_scratch();
+    size_work();
     if (opts_.max_iterations <= 0) {
       max_iterations_ = 40 * (rows_ + total_) + 1000;
     }
-    // The factorization is stale (and so is the remembered one); the next
-    // solve path refactorizes.
+    // The factorization is stale; the next solve path refactorizes.
   }
 
   bool last_solve_fell_back() const { return fell_back_; }
@@ -206,13 +208,7 @@ class revised_solver::impl {
     basis_.basic.assign(static_cast<std::size_t>(rows_), -1);
     basis_.status.assign(static_cast<std::size_t>(total_),
                          var_status::at_lower);
-    binv_.assign(static_cast<std::size_t>(rows_) *
-                     static_cast<std::size_t>(rows_),
-                 0.0);
-    w_.assign(static_cast<std::size_t>(rows_), 0.0);
-    y_.assign(static_cast<std::size_t>(rows_), 0.0);
-    d_.assign(static_cast<std::size_t>(total_), 0.0);
-    reset_factor_scratch();
+    size_work();
 
     max_iterations_ = opts_.max_iterations > 0
                           ? opts_.max_iterations
@@ -255,146 +251,48 @@ class revised_solver::impl {
   }
 
   // ------------------------------------------------------- factorization
-  double& binv(int r, int c) {
-    return binv_[static_cast<std::size_t>(r) *
-                     static_cast<std::size_t>(rows_) +
-                 static_cast<std::size_t>(c)];
-  }
-  const double& binv(int r, int c) const {
-    return binv_[static_cast<std::size_t>(r) *
-                     static_cast<std::size_t>(rows_) +
-                 static_cast<std::size_t>(c)];
+  /// Sizes the per-row and per-column work vectors, rebuilds the row-wise
+  /// copy of the columns, and forgets the factorization.
+  void size_work() {
+    w_.assign(static_cast<std::size_t>(rows_), 0.0);
+    y_.assign(static_cast<std::size_t>(rows_), 0.0);
+    rho_.assign(static_cast<std::size_t>(rows_), 0.0);
+    d_.assign(static_cast<std::size_t>(total_), 0.0);
+    alpha_.assign(static_cast<std::size_t>(total_), 0.0);
+    row_start_.assign(static_cast<std::size_t>(rows_) + 1, 0);
+    for (const auto& col : cols_) {
+      for (const auto& e : col) ++row_start_[static_cast<std::size_t>(e.first) + 1];
+    }
+    for (std::size_t r = 0; r < static_cast<std::size_t>(rows_); ++r) {
+      row_start_[r + 1] += row_start_[r];
+    }
+    row_col_.resize(static_cast<std::size_t>(row_start_.back()));
+    row_val_.resize(static_cast<std::size_t>(row_start_.back()));
+    std::vector<int> next(row_start_.begin(), row_start_.end() - 1);
+    for (int j = 0; j < total_; ++j) {
+      for (const auto& [r, a] : cols_[static_cast<std::size_t>(j)]) {
+        const auto at = static_cast<std::size_t>(next[static_cast<std::size_t>(r)]++);
+        row_col_[at] = j;
+        row_val_[at] = a;
+      }
+    }
+    factored_basic_.clear();
   }
 
-  /// Sizes the elimination scratch to the current row count, all zero and
-  /// unlisted, and forgets the remembered factorization.
-  void reset_factor_scratch() {
-    const auto m = static_cast<std::size_t>(rows_);
-    aug_.assign(m * 2 * m, 0.0);
-    listed_.assign(m * 2 * m, 0);
-    row_nz_.assign(m, {});
-    col_rows_.assign(m, {});
-    pos_row_.assign(m, 0);
-    row_pos_.assign(m, 0);
-    memo_basic_.clear();
-  }
-
-  /// Makes B^-1 current for the ordered basis. A fresh factorization
-  /// depends only on the ordered basic columns, so asking again for the
-  /// basis of the last successful elimination (siblings in the branch &
-  /// bound adopt the same parent basis) copies that result instead of
-  /// eliminating. Returns false on a (numerically) singular basis;
-  /// callers fall back to a cold restart.
+  /// Makes the factor current for the ordered basis. The LU depends only
+  /// on the ordered basic columns, so asking again for the basis it was
+  /// last computed from (siblings in the branch & bound adopt the same
+  /// parent basis) just drops the eta file. Returns false on a
+  /// (numerically) singular basis; callers fall back to a cold restart.
   bool refactorize() {
     ++factorizations_;
-    pivots_since_refactor_ = 0;
-    if (rows_ == 0) return true;
-    if (basis_.basic != memo_basic_) {
-      memo_basic_.clear();
-      if (!eliminate()) return false;
-      memo_basic_ = basis_.basic;
+    if (basis_.basic == factored_basic_) {
+      factor_.clear_updates();
+      return true;
     }
-    // Row p of B^-1 is the right half of the row at position p.
-    const auto m = static_cast<std::size_t>(rows_);
-    for (std::size_t p = 0; p < m; ++p) {
-      const double* src =
-          &aug_[static_cast<std::size_t>(pos_row_[p]) * 2 * m + m];
-      std::copy(src, src + m, &binv_[p * m]);
-    }
-    return true;
-  }
-
-  /// Gauss-Jordan elimination of aug = [B | I] to [I | B^-1] with partial
-  /// pivoting, on the nonzeros only. Column c takes as pivot the largest
-  /// |a| among the rows at positions >= c (ties: smallest position);
-  /// positions are a permutation over physical rows instead of row swaps.
-  /// Every other row with a nonzero in column c gets a(r,k) -= f*a(P,k)
-  /// over the pivot row's nonzeros right of c; entries at or left of c
-  /// are never read again, so they are not updated. Each entry that is
-  /// computed sees exactly the dense elimination's operations, so the
-  /// result is equal to it entry for entry. The aug_ right halves stay
-  /// as the remembered factorization until the next elimination.
-  bool eliminate() {
-    const int m = rows_;
-    const auto w = 2 * static_cast<std::size_t>(m);
-    for (int r = 0; r < m; ++r) {
-      const std::size_t base = static_cast<std::size_t>(r) * w;
-      for (const int k : row_nz_[static_cast<std::size_t>(r)]) {
-        aug_[base + static_cast<std::size_t>(k)] = 0.0;
-        listed_[base + static_cast<std::size_t>(k)] = 0;
-      }
-      row_nz_[static_cast<std::size_t>(r)].clear();
-      col_rows_[static_cast<std::size_t>(r)].clear();
-    }
-    // Lists (r, k) as possibly nonzero, once.
-    auto list = [&](int r, int k) {
-      auto& held = listed_[static_cast<std::size_t>(r) * w +
-                           static_cast<std::size_t>(k)];
-      if (held != 0) return;
-      held = 1;
-      row_nz_[static_cast<std::size_t>(r)].push_back(k);
-      if (k < m) col_rows_[static_cast<std::size_t>(k)].push_back(r);
-    };
-    for (int c = 0; c < m; ++c) {
-      for (const auto& [r, a] :
-           cols_[static_cast<std::size_t>(
-               basis_.basic[static_cast<std::size_t>(c)])]) {
-        aug_[static_cast<std::size_t>(r) * w + static_cast<std::size_t>(c)] =
-            a;
-        list(r, c);
-      }
-    }
-    for (int r = 0; r < m; ++r) {
-      aug_[static_cast<std::size_t>(r) * w + static_cast<std::size_t>(m + r)] =
-          1.0;
-      list(r, m + r);
-      pos_row_[static_cast<std::size_t>(r)] = r;
-      row_pos_[static_cast<std::size_t>(r)] = r;
-    }
-    for (int c = 0; c < m; ++c) {
-      const auto& rows_c = col_rows_[static_cast<std::size_t>(c)];
-      int piv_pos = c;
-      int piv_row = pos_row_[static_cast<std::size_t>(c)];
-      double best = std::abs(aug_[static_cast<std::size_t>(piv_row) * w +
-                                  static_cast<std::size_t>(c)]);
-      for (const int r : rows_c) {
-        const int p = row_pos_[static_cast<std::size_t>(r)];
-        if (p <= c) continue;
-        const double v =
-            std::abs(aug_[static_cast<std::size_t>(r) * w +
-                          static_cast<std::size_t>(c)]);
-        if (v > best || (v == best && p < piv_pos)) {
-          best = v;
-          piv_pos = p;
-          piv_row = r;
-        }
-      }
-      if (best < 1e-11) return false;  // singular
-      const int displaced = pos_row_[static_cast<std::size_t>(c)];
-      pos_row_[static_cast<std::size_t>(c)] = piv_row;
-      pos_row_[static_cast<std::size_t>(piv_pos)] = displaced;
-      row_pos_[static_cast<std::size_t>(piv_row)] = c;
-      row_pos_[static_cast<std::size_t>(displaced)] = piv_pos;
-
-      double* prow = &aug_[static_cast<std::size_t>(piv_row) * w];
-      const double invp = 1.0 / prow[c];
-      piv_nz_.clear();
-      for (const int k : row_nz_[static_cast<std::size_t>(piv_row)]) {
-        if (k <= c) continue;
-        prow[k] *= invp;
-        if (prow[k] != 0.0) piv_nz_.push_back({k, prow[k]});
-      }
-      for (const int r : rows_c) {
-        if (r == piv_row) continue;
-        double* row = &aug_[static_cast<std::size_t>(r) * w];
-        const double f = row[c];
-        if (f == 0.0) continue;
-        for (const auto& [k, a] : piv_nz_) {
-          row[k] -= f * a;
-          list(r, k);
-        }
-      }
-    }
+    factored_basic_.clear();
+    if (!factor_.factorize(rows_, basis_.basic, cols_)) return false;
+    factored_basic_ = basis_.basic;
     return true;
   }
 
@@ -411,17 +309,11 @@ class revised_solver::impl {
         resid_[static_cast<std::size_t>(r)] -= a * xj;
       }
     }
-    resid_nz_.clear();
-    for (int c = 0; c < rows_; ++c) {
-      if (resid_[static_cast<std::size_t>(c)] != 0.0) resid_nz_.push_back(c);
-    }
-    for (int r = 0; r < rows_; ++r) {
-      double v = 0.0;
-      for (const int c : resid_nz_) {
-        v += binv(r, c) * resid_[static_cast<std::size_t>(c)];
-      }
+    factor_.ftran(resid_);
+    for (int p = 0; p < rows_; ++p) {
       value_[static_cast<std::size_t>(
-          basis_.basic[static_cast<std::size_t>(r)])] = v;
+          basis_.basic[static_cast<std::size_t>(p)])] =
+          resid_[static_cast<std::size_t>(p)];
     }
   }
 
@@ -429,61 +321,55 @@ class revised_solver::impl {
   void ftran(int j) {
     std::fill(w_.begin(), w_.end(), 0.0);
     for (const auto& [i, a] : cols_[static_cast<std::size_t>(j)]) {
-      for (int r = 0; r < rows_; ++r) {
-        w_[static_cast<std::size_t>(r)] += binv(r, i) * a;
-      }
+      w_[static_cast<std::size_t>(i)] += a;
     }
+    factor_.ftran(w_);
   }
 
-  /// y = c_B^T B^-1 then d_j = c_j - y a_j for every column (pricing).
-  void price() {
-    std::fill(y_.begin(), y_.end(), 0.0);
+  /// out[j] += sign * v a_j for every column j, row by row over the rows
+  /// where v is nonzero (sign is +1 or -1, so each term is exactly +-v_r
+  /// a_rj and every out[j] sums in increasing row order).
+  void add_row_products(const std::vector<double>& v, double sign,
+                        std::vector<double>& out) {
     for (int r = 0; r < rows_; ++r) {
-      const double cb =
-          cost_[static_cast<std::size_t>(
-              basis_.basic[static_cast<std::size_t>(r)])];
-      if (cb == 0.0) continue;
-      for (int c = 0; c < rows_; ++c) {
-        y_[static_cast<std::size_t>(c)] += cb * binv(r, c);
+      const double vr = sign * v[static_cast<std::size_t>(r)];
+      if (vr == 0.0) continue;
+      for (int e = row_start_[static_cast<std::size_t>(r)];
+           e < row_start_[static_cast<std::size_t>(r) + 1]; ++e) {
+        out[static_cast<std::size_t>(row_col_[static_cast<std::size_t>(e)])] +=
+            vr * row_val_[static_cast<std::size_t>(e)];
       }
-    }
-    for (int j = 0; j < total_; ++j) {
-      double dj = cost_[static_cast<std::size_t>(j)];
-      for (const auto& [r, a] : cols_[static_cast<std::size_t>(j)]) {
-        dj -= y_[static_cast<std::size_t>(r)] * a;
-      }
-      d_[static_cast<std::size_t>(j)] = dj;
     }
   }
 
-  /// Product-form update of B^-1 after column `q` (spike w_) replaced the
-  /// basic variable of row `r`: row r is scaled by the pivot, then every
-  /// row with a spike entry subtracts its multiple of row r on the
-  /// columns where row r is nonzero (elsewhere the update adds zero).
-  void eta_update(int r) {
-    const double piv = w_[static_cast<std::size_t>(r)];
-    const double invp = 1.0 / piv;
-    double* row_r = &binv(r, 0);
-    piv_nz_.clear();
-    for (int c = 0; c < rows_; ++c) {
-      if (row_r[c] == 0.0) continue;
-      row_r[c] *= invp;
-      piv_nz_.push_back({c, row_r[c]});
+  /// y = c_B^T B^-1 (BTRAN) then d_j = c_j - y a_j for every column.
+  void price() {
+    bool any = false;
+    for (int p = 0; p < rows_; ++p) {
+      const double cb = cost_[static_cast<std::size_t>(
+          basis_.basic[static_cast<std::size_t>(p)])];
+      y_[static_cast<std::size_t>(p)] = cb;
+      any = any || cb != 0.0;
     }
-    for (int i = 0; i < rows_; ++i) {
-      if (i == r) continue;
-      const double f = w_[static_cast<std::size_t>(i)];
-      if (f == 0.0) continue;
-      double* row_i = &binv(i, 0);
-      for (const auto& [c, a] : piv_nz_) row_i[c] -= f * a;
+    d_.assign(cost_.begin(), cost_.end());
+    if (!any) return;  // y = 0
+    factor_.btran(y_);
+    add_row_products(y_, -1.0, d_);
+  }
+
+  /// Product-form update after column `q` (spike w_) replaced the basic
+  /// variable of row `r`; every `refactor_interval` updates the basis is
+  /// factorized afresh and the basic values recomputed from it (returns
+  /// true then).
+  bool eta_update(int r) {
+    factor_.update(r, w_);
+    if (factor_.updates() < refactor_interval_) return false;
+    if (!refactorize()) {
+      failed_ = true;  // singular after drift: callers cold-restart
+      return false;
     }
-    if (++pivots_since_refactor_ >= refactor_interval_) {
-      if (refactorize()) {
-        compute_basic_values();
-      } else {
-        failed_ = true;  // singular after drift: callers cold-restart
-      }
-    }
+    compute_basic_values();
+    return true;
   }
 
   // ------------------------------------------------------- primal method
@@ -640,6 +526,7 @@ class revised_solver::impl {
   solve_status dual_optimize() {
     int degenerate_streak = 0;
     const int bland_trigger = 2 * rows_ + 64;
+    price();
     while (true) {
       if (failed_ || cancelled()) return solve_status::iteration_limit;
       if (iterations_ >= max_iterations_) return solve_status::iteration_limit;
@@ -681,14 +568,15 @@ class revised_solver::impl {
       }
       if (r < 0) return solve_status::optimal;  // primal feasible
 
-      price();
-
       // Entering column: bounded-variable dual ratio test along B^-1
-      // row r. delta_j is the rate at which d_j would move if the
-      // leaving variable's violation were being repaired.
-      const double* rho =
-          &binv_[static_cast<std::size_t>(r) *
-                 static_cast<std::size_t>(rows_)];
+      // row r (rho, by BTRAN), with alpha_j = rho a_j. delta_j is the
+      // rate at which d_j would move if the leaving variable's violation
+      // were being repaired.
+      std::fill(rho_.begin(), rho_.end(), 0.0);
+      rho_[static_cast<std::size_t>(r)] = 1.0;
+      factor_.btran(rho_);
+      std::fill(alpha_.begin(), alpha_.end(), 0.0);
+      add_row_products(rho_, 1.0, alpha_);
       int q = -1;
       double best_ratio = inf;
       double best_alpha = 0.0;
@@ -702,10 +590,7 @@ class revised_solver::impl {
             st != var_status::free_nb) {
           continue;  // fixed: can never enter
         }
-        double alpha = 0.0;
-        for (const auto& [i, a] : cols_[static_cast<std::size_t>(j)]) {
-          alpha += rho[i] * a;
-        }
+        const double alpha = alpha_[static_cast<std::size_t>(j)];
         const double delta = above ? alpha : -alpha;
         double ratio;
         if (st == var_status::at_lower && delta > pivot_tol_) {
@@ -746,6 +631,7 @@ class revised_solver::impl {
         // Factorization drift: rebuild and retry this iteration.
         if (!refactorize()) return solve_status::iteration_limit;
         compute_basic_values();
+        price();
         ++degenerate_streak;
         if (degenerate_streak > bland_trigger + rows_ + 16) {
           return solve_status::iteration_limit;  // stuck: cold restart
@@ -769,7 +655,17 @@ class revised_solver::impl {
       value_[static_cast<std::size_t>(b)] = target;
       basis_.status[static_cast<std::size_t>(q)] = var_status::basic;
       basis_.basic[static_cast<std::size_t>(r)] = q;
-      eta_update(r);
+      // Reduced costs follow the pivot row: d_j -= theta alpha_j with
+      // theta = d_q / alpha_q, so d_q becomes 0 and the leaving column's
+      // -theta. A refactorization prices afresh instead.
+      const double theta = d_[static_cast<std::size_t>(q)] / alpha_q;
+      for (int j = 0; j < total_; ++j) {
+        d_[static_cast<std::size_t>(j)] -=
+            theta * alpha_[static_cast<std::size_t>(j)];
+      }
+      d_[static_cast<std::size_t>(q)] = 0.0;
+      d_[static_cast<std::size_t>(b)] = -theta;
+      if (eta_update(r)) price();
       degenerate_streak = std::abs(t) <= opts_.tol ? degenerate_streak + 1 : 0;
       ++iterations_;
       ++dual_pivots_;
@@ -908,7 +804,6 @@ class revised_solver::impl {
   int refactor_interval_ = 64;
   int iterations_ = 0;
   int phase1_iterations_ = 0;
-  int pivots_since_refactor_ = 0;
   bool failed_ = false;
   bool fell_back_ = false;
   double pivot_tol_ = 1e-9;
@@ -916,30 +811,24 @@ class revised_solver::impl {
   std::int64_t factorizations_ = 0;
   std::int64_t dual_pivots_ = 0;
 
-  /// Sparse columns of the scaled [A | I_slack | I_art] system.
+  /// Sparse columns of the scaled [A | I_slack | I_art] system, and the
+  /// same entries row-wise: row r's columns and values over
+  /// [row_start_[r], row_start_[r + 1]).
   std::vector<std::vector<std::pair<int, double>>> cols_;
+  std::vector<int> row_start_, row_col_;
+  std::vector<double> row_val_;
   std::vector<double> rhs_;
   std::vector<double> lower_, upper_, cost_, value_;
-  std::vector<double> binv_;  ///< dense row-major B^-1
-  std::vector<double> w_, y_, d_;
   basis_state basis_;
 
-  /// Elimination scratch, reused across calls: aug = [B | I] row-major
-  /// over physical rows, zero except at listed entries; which entries
-  /// are listed, per row and (left half) per column; and the position <->
-  /// row permutation. After a successful elimination the right halves
-  /// hold B^-1 of the ordered basis `memo_basic_` (empty: none).
-  std::vector<double> aug_;
-  std::vector<unsigned char> listed_;  ///< (r, k) is in row_nz_[r]
-  std::vector<std::vector<int>> row_nz_, col_rows_;
-  std::vector<int> pos_row_, row_pos_;
-  std::vector<int> memo_basic_;
-  /// Per-call scratch: the pivot row's (column, value) nonzeros, for the
-  /// elimination and the eta update; the residual b - N x_N and its
-  /// nonzero positions.
-  std::vector<std::pair<int, double>> piv_nz_;
-  std::vector<double> resid_;
-  std::vector<int> resid_nz_;
+  /// LU of the ordered basis `factored_basic_` (empty: none) plus the eta
+  /// updates since.
+  lu_factor factor_;
+  std::vector<int> factored_basic_;
+  /// Per-row work: the FTRAN spike, y = c_B^T B^-1, rho = e_r^T B^-1 and
+  /// the residual b - N x_N; per column: reduced costs and rho a_j.
+  std::vector<double> w_, y_, rho_, resid_;
+  std::vector<double> d_, alpha_;
 };
 
 revised_solver::revised_solver(const model& m, const solve_options& opts)

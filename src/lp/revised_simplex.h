@@ -1,41 +1,82 @@
 // Revised bounded-variable simplex with an explicit, warm-startable basis.
 //
-// The legacy engine (lp/simplex.h) maintains the full dense tableau
-// B^-1 [A | I] and can only cold-solve; this engine maintains B^-1 alone
-// (product-form eta updates with periodic refactorization), exposes the
-// basis as a first-class snapshot (lp/basis.h), and supports DUAL simplex
-// re-solves from a foreign basis after bound changes. That combination is
-// what turns the MILP branch & bound from one full two-phase solve per
-// node into a handful of dual pivots per node: a child node inherits its
-// parent's optimal basis — still dual feasible, because branching only
-// moves bounds — and the dual method repairs primal feasibility.
+// The engine keeps a sparse LU factorization of the basis (lp/lu_factor.h)
+// instead of a tableau or an inverse, exposes the basis as a first-class
+// snapshot (lp/basis.h), and supports DUAL simplex re-solves from a
+// foreign basis after bound changes. That combination is what turns the
+// MILP branch & bound from one full two-phase solve per node into a
+// handful of dual pivots per node: a child node inherits its parent's
+// optimal basis — still dual feasible, because branching only moves
+// bounds — and the dual method repairs primal feasibility.
 //
-// B^-1 is stored dense but computed on its nonzeros. Refactorization is
-// Gauss-Jordan elimination with partial pivoting that visits only the
-// rows holding a nonzero in the pivot column and, in each, only the pivot
-// row's nonzeros; eta updates touch only the nonzero columns of the pivot
-// row. Each computed entry sees exactly the floating-point operations of
-// the dense loops, so B^-1, every pivot choice and every iteration count
-// are those of a dense implementation. The solver also remembers the
-// last fresh factorization: re-adopting that ordered basis (sibling nodes
-// share their parent's) copies it instead of eliminating again. Both
-// count as refactorizations in factorizations().
+// Slack and artificial unit columns pivot on their own rows at no cost,
+// so only the kernel of the basic structural columns is eliminated (in
+// Markowitz order with threshold pivoting). On the generic-MILP synthesis
+// inputs a basis of m ~ 210 rows holds ~75 structural columns whose
+// kernel has ~166 nonzeros; the whole factor holds ~660, against ~5,470
+// in the explicit inverse this replaced. Each pivot appends its FTRAN'd
+// spike to a product-form eta file. FTRAN and BTRAN go through the
+// factors: BTRAN gives row r of B^-1 for the dual ratio test and
+// c_B^T B^-1 for pricing, and the pivot row and reduced costs come from a
+// row-wise copy of A that visits only those vectors' nonzeros.
+// Re-adopting the ordered basis of the last fresh factorization (sibling
+// nodes share their parent's) drops the eta file instead of factorizing
+// again; both count as refactorizations in factorizations().
 //
-// Termination and conditioning use the same defences as the legacy
-// engine: Bland's rule engages under prolonged degeneracy, basic values
-// are refreshed from a fresh factorization every `refactor_interval`
-// pivots, and any singular or drifted factorization falls back to a cold
-// restart. The two engines agree on every solve outcome (status and
-// objective); tests/lp cross-checks them on random models.
+// Termination and conditioning: Bland's rule engages under prolonged
+// degeneracy, the basis is refactorized and the basic values refreshed
+// every `refactor_interval` pivots, and any singular or drifted
+// factorization falls back to a cold restart. tests/lp cross-checks the
+// engine against a dense tableau reference on random models.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <vector>
 
 #include "lp/basis.h"
 #include "lp/model.h"
-#include "lp/simplex.h"
 
 namespace stx::lp {
+
+/// Terminal state of a simplex solve.
+enum class solve_status {
+  optimal,          ///< proven optimal within tolerance
+  infeasible,       ///< phase 1 could not reach feasibility
+  unbounded,        ///< objective unbounded below on the feasible set
+  iteration_limit,  ///< gave up; solution vector is not meaningful
+};
+
+const char* to_string(solve_status s);
+
+/// Solver knobs. Defaults are tuned for the small/medium 0-1 models the
+/// crossbar formulation produces.
+struct solve_options {
+  /// Hard cap on simplex pivots across both phases; 0 = automatic
+  /// (40 * (rows + columns) + 1000).
+  int max_iterations = 0;
+  /// Feasibility / reduced-cost tolerance (applied after row scaling).
+  double tol = 1e-7;
+  /// Refactorize the basis from scratch every this many eta updates (and
+  /// refresh basic values from it). The drift bound tests shrink this to
+  /// 1; raising it trades accuracy checks for speed.
+  int refactor_interval = 64;
+  /// Cooperative cancellation. When non-null and it reads true, the
+  /// pivot loops stop before their next pivot and the solve ends with
+  /// iteration_limit (milp::bb_options::cancel reaches the branch &
+  /// bound's LP solves this way). The caller keeps ownership.
+  const std::atomic<bool>* cancel = nullptr;
+};
+
+/// Solve outcome. `x` holds structural variable values (phase-2 basic
+/// solution) when status is optimal.
+struct solve_result {
+  solve_status status = solve_status::iteration_limit;
+  double objective = 0.0;
+  std::vector<double> x;
+  int iterations = 0;
+  int phase1_iterations = 0;
+};
 
 /// Revised simplex solver bound to one model. The model's ROWS, objective
 /// and column set are fixed at construction; variable BOUNDS may change
@@ -101,8 +142,7 @@ class revised_solver {
   impl* impl_;
 };
 
-/// One-shot convenience mirroring solve_simplex: cold-solves `m` with the
-/// revised engine.
+/// One-shot convenience: cold-solves `m` with the revised engine.
 solve_result solve_revised(const model& m, const solve_options& opts = {});
 
 }  // namespace stx::lp

@@ -10,7 +10,7 @@
 
 #include "lp/model.h"
 #include "lp/revised_simplex.h"
-#include "lp/simplex.h"
+#include "tableau_simplex.h"
 #include "util/random.h"
 
 namespace stx::lp {

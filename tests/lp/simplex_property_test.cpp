@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "lp/model.h"
-#include "lp/simplex.h"
+#include "tableau_simplex.h"
 #include "util/random.h"
 
 namespace stx::lp {

@@ -1,5 +1,5 @@
 // Unit tests for the bounded-variable two-phase simplex solver.
-#include "lp/simplex.h"
+#include "tableau_simplex.h"
 
 #include <gtest/gtest.h>
 

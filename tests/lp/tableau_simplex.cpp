@@ -1,4 +1,4 @@
-#include "lp/simplex.h"
+#include "tableau_simplex.h"
 
 #include <algorithm>
 #include <cmath>
@@ -7,16 +7,6 @@
 #include "util/error.h"
 
 namespace stx::lp {
-
-const char* to_string(solve_status s) {
-  switch (s) {
-    case solve_status::optimal: return "optimal";
-    case solve_status::infeasible: return "infeasible";
-    case solve_status::unbounded: return "unbounded";
-    case solve_status::iteration_limit: return "iteration_limit";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -28,7 +18,7 @@ enum class var_state { basic, at_lower, at_upper, free_nb };
 /// implicit (nonbasic variables rest at a bound).
 class simplex_engine {
  public:
-  simplex_engine(const model& m, const solve_options& opts)
+  simplex_engine(const model& m, const tableau_options& opts)
       : m_(m), opts_(opts) {
     build();
   }
@@ -418,7 +408,7 @@ class simplex_engine {
   }
 
   const model& m_;
-  const solve_options& opts_;
+  const tableau_options& opts_;
   int rows_ = 0;
   int slack_begin_ = 0;
   int art_begin_ = 0;
@@ -437,7 +427,7 @@ class simplex_engine {
 
 }  // namespace
 
-solve_result solve_simplex(const model& m, const solve_options& opts) {
+solve_result solve_simplex(const model& m, const tableau_options& opts) {
   if (m.num_rows() == 0) {
     // Pure bound problem: each variable sits at its cheaper bound.
     solve_result res;
