@@ -25,11 +25,6 @@ class lu_factor {
   /// A sparse column: (row, value) pairs.
   using column = std::vector<std::pair<int, double>>;
 
-  /// Relative pivot threshold of the kernel's Markowitz search.
-  static constexpr double threshold = 0.1;
-  /// A pivot below this magnitude makes the basis singular.
-  static constexpr double singular_tol = 1e-11;
-
   /// Factorizes the m x m basis whose column p is cols[basic[p]] and
   /// drops the eta file. Returns false when the basis is (numerically)
   /// singular; the factor is then unusable until the next factorize.
@@ -56,8 +51,14 @@ class lu_factor {
   int updates() const { return static_cast<int>(eta_pos_.size()); }
 
  private:
+  /// Relative pivot threshold of the kernel's Markowitz search.
+  static constexpr double threshold = 0.1;
+  /// A pivot below this magnitude makes the basis singular.
+  static constexpr double singular_tol = 1e-11;
+
   bool eliminate_kernel();
 
+  /// Order of the factored basis; 0 while no factorization holds.
   int m_ = 0;
   /// Steps 0..singletons_-1 pivot a singleton column; the rest the
   /// kernel. Step t pivots on row prow_[t] of basis position pcol_[t].
@@ -79,9 +80,10 @@ class lu_factor {
 
   /// Solve scratch (size m), swapped with the caller's vector.
   std::vector<double> work_;
-  /// Factorization scratch: the row's singleton position (-1: none) or
-  /// step; the kernel's active columns (by position) and row patterns;
-  /// the kernel positions not yet pivoted; a row -> entry index map.
+  /// Factorization scratch: the step of the singleton pivoting on each
+  /// row (-1: none); the kernel's active columns (by position) and row
+  /// patterns; the kernel positions not yet pivoted, in increasing order;
+  /// a row -> entry index map (-1 between uses, U fill cursors before).
   std::vector<int> row_owner_;
   std::vector<column> kcol_;
   std::vector<std::vector<int>> krow_;

@@ -261,7 +261,9 @@ class revised_solver::impl {
     alpha_.assign(static_cast<std::size_t>(total_), 0.0);
     row_start_.assign(static_cast<std::size_t>(rows_) + 1, 0);
     for (const auto& col : cols_) {
-      for (const auto& e : col) ++row_start_[static_cast<std::size_t>(e.first) + 1];
+      for (const auto& e : col) {
+        ++row_start_[static_cast<std::size_t>(e.first) + 1];
+      }
     }
     for (std::size_t r = 0; r < static_cast<std::size_t>(rows_); ++r) {
       row_start_[r + 1] += row_start_[r];
@@ -271,7 +273,8 @@ class revised_solver::impl {
     std::vector<int> next(row_start_.begin(), row_start_.end() - 1);
     for (int j = 0; j < total_; ++j) {
       for (const auto& [r, a] : cols_[static_cast<std::size_t>(j)]) {
-        const auto at = static_cast<std::size_t>(next[static_cast<std::size_t>(r)]++);
+        const auto at =
+            static_cast<std::size_t>(next[static_cast<std::size_t>(r)]++);
         row_col_[at] = j;
         row_val_[at] = a;
       }
