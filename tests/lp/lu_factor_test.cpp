@@ -20,7 +20,7 @@ namespace {
 using column = lu_factor::column;
 
 /// A column pool over m rows, laid out like the solver's: the unit
-/// columns e_0..e_{m-1} first, then `structurals` random sparse columns.
+/// columns e_0..e_{m-1} first, then random sparse structural columns.
 /// `basic` picks one column per position.
 struct basis_case {
   int m = 0;
