@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "lp/revised_simplex.h"
 #include "milp/branch_bound.h"
 #include "milp/model.h"
 #include "milp/presolve.h"
@@ -110,11 +111,15 @@ TEST_P(CutsOnVsOff, EngineReportsWarmSolves) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CutsOnVsOff, ::testing::Range(0, 40));
 
 /// A deliberately symmetric model: the min-makespan shape of Eq. 11 —
-/// place T weighted "targets" on B identical "buses" minimizing the
-/// maximum bus load. Fully bus-permutation symmetric and fractional at
-/// the root, so the plain tree re-explores every permutation orbit. The
-/// symmetry group declaration must not change the optimum, and must
-/// shrink the tree.
+/// place T weighted "targets" (weights 3..T+2) on B identical "buses"
+/// minimizing the maximum bus load. Fully bus-permutation symmetric, and
+/// its LP bound is the total weight over B. When that bound is below the
+/// optimum, the plain tree must re-explore every permutation orbit to
+/// prove optimality, which is what the symmetry group prunes. When it
+/// equals the optimum, the search ends at the first optimal incumbent and
+/// the node count measures one dive, which lex rows may lengthen or
+/// shorten (T=7, B=3 takes 46 -> 14 nodes on a dense basis inverse and
+/// 45 -> 117 on the LU factor).
 model make_symmetric_model(int T, int B, bool declare_group) {
   model m;
   std::vector<std::vector<int>> x(static_cast<std::size_t>(T));
@@ -157,8 +162,9 @@ model make_symmetric_model(int T, int B, bool declare_group) {
 }
 
 TEST(SymmetryBreaking, PreservesTheOptimumAndPrunesTheTree) {
-  const auto plain = make_symmetric_model(7, 3, false);
-  const auto broken = make_symmetric_model(7, 3, true);
+  // T=8, B=3: LP bound 52/3, optimum 18.
+  const auto plain = make_symmetric_model(8, 3, false);
+  const auto broken = make_symmetric_model(8, 3, true);
   bb_options opts;
   opts.rounding_heuristic = false;  // measure the tree, not the heuristic
   opts.cuts = false;  // ...and not the cut layer (it reshapes both trees)
@@ -167,6 +173,10 @@ TEST(SymmetryBreaking, PreservesTheOptimumAndPrunesTheTree) {
   ASSERT_EQ(a.status, milp_status::optimal);
   ASSERT_EQ(b.status, milp_status::optimal);
   EXPECT_NEAR(a.objective, b.objective, 1e-6);
+  // The tree must prove optimality: the root LP bound is below the optimum.
+  const auto root = lp::solve_revised(plain.relaxation());
+  ASSERT_EQ(root.status, lp::solve_status::optimal);
+  EXPECT_GT(a.objective, root.objective + 0.5);
   EXPECT_LT(b.nodes, a.nodes);
   EXPECT_TRUE(broken.is_feasible(b.x, 1e-6));
 }
