@@ -1,5 +1,6 @@
 #include "milp/presolve.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -142,6 +143,36 @@ double min_activity(const work_state& st, const std::vector<lp::term>& terms) {
   return acc;
 }
 
+/// True when no two blocks of `group` can both be 1 at `position`: some
+/// <= or = row with rhs at most 1 holds each block's entry there with
+/// coefficient 1, and its other terms are non-negative on non-negative
+/// variables (the crossbar's "each target on one bus" row).
+bool packs_position(const model& m, const std::vector<std::vector<int>>& group,
+                    int position) {
+  const auto p = static_cast<std::size_t>(position);
+  std::vector<bool> held(group.size());
+  for (int r = 0; r < m.num_rows(); ++r) {
+    const auto& row = m.relaxation().constraint(r);
+    if (row.rel == lp::relation::greater_equal || row.rhs > 1.0) continue;
+    std::fill(held.begin(), held.end(), false);
+    bool packing = true;
+    for (const auto& t : row.terms) {
+      if (t.value < 0.0 || m.relaxation().var(t.var).lower < 0.0) {
+        packing = false;
+        break;
+      }
+      for (std::size_t k = 0; k < group.size(); ++k) {
+        if (group[k][p] == t.var && t.value == 1.0) held[k] = true;
+      }
+    }
+    if (packing &&
+        std::find(held.begin(), held.end(), false) == held.end()) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 std::vector<double> presolved_model::expand(
@@ -200,6 +231,18 @@ presolved_model presolve(const model& m, int max_passes) {
       }
       st.rows.push_back(
           work_row{std::move(terms), lp::relation::greater_equal, 0.0, true});
+    }
+    // Orbitope fixing: while no two blocks can both hold a 1 at a
+    // position (a model row packs them), the ordered blocks' first ones
+    // sit at strictly increasing positions, so block k is zero at every
+    // position before k.
+    for (int i = 0; i < std::min(len, static_cast<int>(group.size()) - 1);
+         ++i) {
+      if (!packs_position(m, group, i)) break;
+      for (std::size_t k = static_cast<std::size_t>(i) + 1; k < group.size();
+           ++k) {
+        st.tighten_upper(group[k][static_cast<std::size_t>(i)], 0.0);
+      }
     }
   }
 

@@ -34,6 +34,9 @@ struct presolved_model {
 ///    blocks — the crossbar formulation's bus columns) is rewritten into
 ///    lexicographic ordering rows between consecutive blocks, pruning the
 ///    factorially-symmetric part of the branch & bound tree up front;
+///    where rows also keep the blocks from sharing a 1 at the leading
+///    positions (each target on one bus), block k is fixed to zero at
+///    positions before k;
 ///  * variables with equal bounds are fixed and substituted into rows;
 ///  * singleton rows tighten the bounds of their single variable and are
 ///    dropped;

@@ -181,9 +181,9 @@ xbar_milp build_common(const synthesis_input& input, int num_buses,
   // Bus-index symmetry: the buses of Eq. 3-9 are fully interchangeable
   // (permuting k permutes x and sb columns together and fixes the
   // objective), so declare the x columns as a symmetry group. Presolve
-  // turns the declaration into lexicographic bus-ordering rows — the
-  // canonical representative (buses sorted by least bound target) also
-  // satisfies the prefix fixing below, so the two reductions compose.
+  // turns the declaration into lexicographic bus-ordering rows and, since
+  // Eq. 3 puts each target on one bus, fixes target i off the buses
+  // k > i (CPLEX applies comparable symmetry reductions internally).
   if (B > 1) {
     std::vector<std::vector<int>> blocks(static_cast<std::size_t>(B));
     for (int k = 0; k < B; ++k) {
@@ -195,22 +195,6 @@ xbar_milp build_common(const synthesis_input& input, int num_buses,
       }
     }
     m.add_symmetry_group(std::move(blocks));
-  }
-
-  // Symmetry breaking over interchangeable buses: bus k may only be used
-  // when bus k-1 is (monotone bus-usage). This does not change
-  // feasibility or the optimal objective, only removes permuted copies
-  // (CPLEX applies comparable symmetry reductions internally).
-  if (B > 1 && T >= B) {
-    // Represent "bus k used" through the first target's prefix structure:
-    // target 0 on bus 0; target i only on buses <= i.
-    for (int i = 0; i < std::min(T, B); ++i) {
-      for (int k = i + 1; k < B; ++k) {
-        m.set_bounds(out.x[static_cast<std::size_t>(i)]
-                          [static_cast<std::size_t>(k)],
-                     0.0, 0.0);
-      }
-    }
   }
 
   if (with_objective) {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "lp/revised_simplex.h"
@@ -111,15 +112,11 @@ TEST_P(CutsOnVsOff, EngineReportsWarmSolves) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CutsOnVsOff, ::testing::Range(0, 40));
 
 /// A deliberately symmetric model: the min-makespan shape of Eq. 11 —
-/// place T weighted "targets" (weights 3..T+2) on B identical "buses"
-/// minimizing the maximum bus load. Fully bus-permutation symmetric, and
-/// its LP bound is the total weight over B. When that bound is below the
-/// optimum, the plain tree must re-explore every permutation orbit to
-/// prove optimality, which is what the symmetry group prunes. When it
-/// equals the optimum, the search ends at the first optimal incumbent and
-/// the node count measures one dive, which lex rows may lengthen or
-/// shorten (T=7, B=3 takes 46 -> 14 nodes on a dense basis inverse and
-/// 45 -> 117 on the LU factor).
+/// place T weighted "targets" on B identical "buses" minimizing the
+/// maximum bus load. Fully bus-permutation symmetric and fractional at
+/// the root, so the plain tree re-explores every permutation orbit. The
+/// symmetry group declaration must not change the optimum, and must
+/// shrink the tree.
 model make_symmetric_model(int T, int B, bool declare_group) {
   model m;
   std::vector<std::vector<int>> x(static_cast<std::size_t>(T));
@@ -162,9 +159,8 @@ model make_symmetric_model(int T, int B, bool declare_group) {
 }
 
 TEST(SymmetryBreaking, PreservesTheOptimumAndPrunesTheTree) {
-  // T=8, B=3: LP bound 52/3, optimum 18.
-  const auto plain = make_symmetric_model(8, 3, false);
-  const auto broken = make_symmetric_model(8, 3, true);
+  const auto plain = make_symmetric_model(7, 3, false);
+  const auto broken = make_symmetric_model(7, 3, true);
   bb_options opts;
   opts.rounding_heuristic = false;  // measure the tree, not the heuristic
   opts.cuts = false;  // ...and not the cut layer (it reshapes both trees)
@@ -173,7 +169,27 @@ TEST(SymmetryBreaking, PreservesTheOptimumAndPrunesTheTree) {
   ASSERT_EQ(a.status, milp_status::optimal);
   ASSERT_EQ(b.status, milp_status::optimal);
   EXPECT_NEAR(a.objective, b.objective, 1e-6);
-  // The tree must prove optimality: the root LP bound is below the optimum.
+  EXPECT_LT(b.nodes, a.nodes);
+  EXPECT_TRUE(broken.is_feasible(b.x, 1e-6));
+}
+
+// The LP bound of these models is the total weight over B. For T=7, B=3
+// above it equals the optimum (42/3 = 14), so the search ends at the
+// first optimal incumbent and its node count measures one dive. For T=8,
+// B=3 it is 52/3, below the optimum of 18: the tree must prove
+// optimality by exhausting the permutation orbits, which is what the
+// symmetry group prunes.
+TEST(SymmetryBreaking, PrunesTheTreeThatMustProveOptimality) {
+  const auto plain = make_symmetric_model(8, 3, false);
+  const auto broken = make_symmetric_model(8, 3, true);
+  bb_options opts;
+  opts.rounding_heuristic = false;
+  opts.cuts = false;
+  const auto a = solve_branch_bound(plain, opts);
+  const auto b = solve_branch_bound(broken, opts);
+  ASSERT_EQ(a.status, milp_status::optimal);
+  ASSERT_EQ(b.status, milp_status::optimal);
+  EXPECT_NEAR(a.objective, b.objective, 1e-6);
   const auto root = lp::solve_revised(plain.relaxation());
   ASSERT_EQ(root.status, lp::solve_status::optimal);
   EXPECT_GT(a.objective, root.objective + 0.5);
@@ -187,9 +203,46 @@ TEST(SymmetryBreaking, LexRowsAppearInPresolve) {
   const auto pb = presolve(broken);
   const auto pp = presolve(plain);
   ASSERT_FALSE(pb.proven_infeasible);
-  // B-1 = 2 lexicographic ordering rows between consecutive blocks, and
-  // nothing else changes (the lex rows cannot tighten free binaries).
+  for (const int v : pp.var_map) EXPECT_GE(v, 0);
+  // Each target sits on exactly one bus, so the ordered buses take their
+  // first targets in increasing order: target 0 is fixed on bus 0 and
+  // target 1 off bus 2 (x[i][k] is variable 3i + k).
+  const std::vector<std::pair<int, double>> fixed = {
+      {0, 1.0}, {1, 0.0}, {2, 0.0}, {5, 0.0}};
+  for (const auto& [v, value] : fixed) {
+    EXPECT_LT(pb.var_map[static_cast<std::size_t>(v)], 0) << "x" << v;
+    EXPECT_EQ(pb.fixed_value[static_cast<std::size_t>(v)], value) << "x" << v;
+  }
+  int free_vars = 0;
+  for (const int v : pb.var_map) free_vars += v >= 0 ? 1 : 0;
+  EXPECT_EQ(free_vars, 13 - 4);
+  // B-1 = 2 lexicographic ordering rows between consecutive blocks. The
+  // bus 0-1 row then drops (bus 0's fixed first target satisfies it), as
+  // does target 0's assignment row; the bus 1-2 row stays.
+  EXPECT_EQ(pb.reduced.num_rows(), pp.reduced.num_rows() + 2 - 2);
+}
+
+TEST(SymmetryBreaking, LexRowsAloneFixNothingInPresolve) {
+  // 4 targets on 3 buses, each target on AT LEAST one bus: no row keeps
+  // two buses from sharing a target, so presolve adds the lex rows and
+  // fixes nothing.
+  model plain;
+  std::vector<std::vector<int>> blocks(3);
+  for (int i = 0; i < 4; ++i) {
+    std::vector<lp::term> cover;
+    for (auto& block : blocks) {
+      block.push_back(plain.add_binary(1.0));
+      cover.push_back({block.back(), 1.0});
+    }
+    plain.add_row(cover, lp::relation::greater_equal, 1.0);
+  }
+  model broken = plain;
+  broken.add_symmetry_group(blocks);
+  const auto pb = presolve(broken);
+  const auto pp = presolve(plain);
+  ASSERT_FALSE(pb.proven_infeasible);
   EXPECT_EQ(pb.reduced.num_rows(), pp.reduced.num_rows() + 2);
+  for (const int v : pb.var_map) EXPECT_GE(v, 0);
 }
 
 TEST(SymmetryBreaking, RejectsMalformedGroups) {
