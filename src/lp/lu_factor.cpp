@@ -35,7 +35,11 @@ bool lu_factor::factorize(int m, const std::vector<int>& basic,
   l_val_.clear();
   u_idx_.clear();
   u_val_.clear();
-  clear_updates();
+  eta_pos_.clear();
+  eta_piv_.clear();
+  eta_start_.assign(1, 0);
+  eta_idx_.clear();
+  eta_val_.clear();
   work_.assign(ix(m), 0.0);
   row_owner_.assign(ix(m), -1);
   kpos_.clear();
@@ -263,14 +267,6 @@ void lu_factor::btran(std::vector<double>& x) {
     work_[ix(prow_[ix(t)])] = s;
   }
   x.swap(work_);
-}
-
-void lu_factor::clear_updates() {
-  eta_pos_.clear();
-  eta_piv_.clear();
-  eta_start_.assign(1, 0);
-  eta_idx_.clear();
-  eta_val_.clear();
 }
 
 void lu_factor::update(int r, const std::vector<double>& w) {

@@ -43,11 +43,7 @@ class lu_factor {
   /// through the current factor is `w` (by position, w[r] != 0).
   void update(int r, const std::vector<double>& w);
 
-  /// Drops the eta file: the factor again describes the basis it was
-  /// last factorized from.
-  void clear_updates();
-
-  /// Eta updates since the last factorize or clear_updates.
+  /// Eta updates since the last factorize.
   int updates() const { return static_cast<int>(eta_pos_.size()); }
 
  private:

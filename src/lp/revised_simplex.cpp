@@ -252,7 +252,7 @@ class revised_solver::impl {
 
   // ------------------------------------------------------- factorization
   /// Sizes the per-row and per-column work vectors, rebuilds the row-wise
-  /// copy of the columns, and forgets the factorization.
+  /// copy of the columns.
   void size_work() {
     w_.assign(static_cast<std::size_t>(rows_), 0.0);
     y_.assign(static_cast<std::size_t>(rows_), 0.0);
@@ -279,24 +279,14 @@ class revised_solver::impl {
         row_val_[at] = a;
       }
     }
-    factored_basic_.clear();
   }
 
-  /// Makes the factor current for the ordered basis. The LU depends only
-  /// on the ordered basic columns, so asking again for the basis it was
-  /// last computed from (siblings in the branch & bound adopt the same
-  /// parent basis) just drops the eta file. Returns false on a
-  /// (numerically) singular basis; callers fall back to a cold restart.
+  /// Factorizes the ordered basis afresh, dropping the eta file. Returns
+  /// false on a (numerically) singular basis; callers fall back to a cold
+  /// restart.
   bool refactorize() {
     ++factorizations_;
-    if (basis_.basic == factored_basic_) {
-      factor_.clear_updates();
-      return true;
-    }
-    factored_basic_.clear();
-    if (!factor_.factorize(rows_, basis_.basic, cols_)) return false;
-    factored_basic_ = basis_.basic;
-    return true;
+    return factor_.factorize(rows_, basis_.basic, cols_);
   }
 
   /// x_B = B^-1 (b - N x_N) for the current nonbasic resting values.
@@ -824,10 +814,8 @@ class revised_solver::impl {
   std::vector<double> lower_, upper_, cost_, value_;
   basis_state basis_;
 
-  /// LU of the ordered basis `factored_basic_` (empty: none) plus the eta
-  /// updates since.
+  /// LU of the basis as last factorized plus the eta updates since.
   lu_factor factor_;
-  std::vector<int> factored_basic_;
   /// Per-row work: the FTRAN spike, y = c_B^T B^-1, rho = e_r^T B^-1 and
   /// the residual b - N x_N; per column: reduced costs and rho a_j.
   std::vector<double> w_, y_, rho_, resid_;

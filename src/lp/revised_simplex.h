@@ -13,16 +13,13 @@
 // so only the kernel of the other basic columns is eliminated (in
 // Markowitz order with threshold pivoting). On the generic-MILP synthesis
 // inputs a basis of m ~ 220 rows has a kernel of ~45 columns with ~110
-// nonzeros; the whole factor holds ~590, against ~5,470 in the explicit
-// inverse this replaced. Each pivot appends its FTRAN'd spike to a
-// product-form eta file. FTRAN and BTRAN go through the factors: BTRAN
-// gives row r of B^-1 for the dual ratio test and c_B^T B^-1 for
-// pricing, and the pivot row and reduced costs come from a row-wise copy
-// of A that visits only those vectors' nonzeros. The dual simplex then
-// updates its reduced costs along the pivot row instead of pricing
-// afresh. Re-adopting the ordered basis of the last fresh factorization
-// (sibling nodes share their parent's) drops the eta file instead of
-// factorizing again; both count as refactorizations in factorizations().
+// nonzeros, and the whole factor holds ~590. Each pivot appends its
+// FTRAN'd spike to a product-form eta file. FTRAN and BTRAN go through
+// the factors: BTRAN gives row r of B^-1 for the dual ratio test and
+// c_B^T B^-1 for pricing, and the pivot row and reduced costs come from
+// a row-wise copy of A that visits only those vectors' nonzeros. The
+// dual simplex then updates its reduced costs along the pivot row
+// instead of pricing afresh.
 //
 // Termination and conditioning: Bland's rule engages under prolonged
 // degeneracy, the basis is refactorized and the basic values refreshed
