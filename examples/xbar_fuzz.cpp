@@ -48,7 +48,8 @@ void print_usage(std::FILE* to) {
       "  --cache-dir=DIR     persistent phase-1 trace store shared with\n"
       "                      xbargen / xbar-sweep / xbar-serve\n"
       "  --cache-max-bytes=N evict oldest-accessed store entries over\n"
-      "                      this cap at open (0 = unlimited)\n"
+      "                      this cap, at open and on every put\n"
+      "                      (0 = unlimited)\n"
       "  --trace-out=FILE    write a Chrome/Perfetto trace of the run\n"
       "  --metrics-out=FILE  write an stx-metrics/v1 counter snapshot\n");
 }

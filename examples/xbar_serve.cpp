@@ -54,10 +54,8 @@ void print_usage(std::FILE* to) {
       "  --cache-dir=DIR   persistent result store shared with the\n"
       "                    other CLIs (default: in-memory only)\n"
       "  --cache-max-bytes=N  evict oldest-accessed store entries over\n"
-      "                    this cap (0 = unlimited)\n"
-      "  --cache-sweep-ms=N   re-run the eviction sweep every N ms so a\n"
-      "                    long-running daemon honors the cap between\n"
-      "                    opens (0 = at open only)\n"
+      "                    this cap, at open and on every put\n"
+      "                    (0 = unlimited)\n"
       "  --io-timeout-ms=N    per-connection socket read/write timeout\n"
       "                    (30000)\n"
       "  --idle-timeout-ms=N  reap connections idle this long (300000;\n"
@@ -77,10 +75,10 @@ void print_usage(std::FILE* to) {
 
 const std::vector<std::string> kKnownFlags = {
     "socket",        "workers",        "queue",
-    "cache-dir",     "cache-max-bytes", "cache-sweep-ms",
-    "io-timeout-ms", "idle-timeout-ms", "drain-ms",
-    "metrics-out",   "client",          "retries",
-    "retry-backoff-ms", "help",
+    "cache-dir",     "cache-max-bytes", "io-timeout-ms",
+    "idle-timeout-ms", "drain-ms",      "metrics-out",
+    "client",        "retries",         "retry-backoff-ms",
+    "help",
 };
 
 int run_client(const flag_set& flags, const std::string& socket_path,
@@ -113,15 +111,11 @@ int run_daemon(const flag_set& flags, const std::string& socket_path) {
   sopts.queue_depth = static_cast<int>(flags.get_int("queue", 64));
   sopts.cache_dir = flags.get_string("cache-dir", "");
   const std::int64_t cache_cap = flags.get_int("cache-max-bytes", 0);
-  const std::int64_t sweep_ms = flags.get_int("cache-sweep-ms", 0);
-  if (cache_cap < 0 || sweep_ms < 0) {
-    std::fprintf(stderr,
-                 "xbar-serve: --cache-max-bytes/--cache-sweep-ms must be"
-                 " >= 0\n");
+  if (cache_cap < 0) {
+    std::fprintf(stderr, "xbar-serve: --cache-max-bytes must be >= 0\n");
     return 2;
   }
   sopts.cache_max_bytes = static_cast<std::uint64_t>(cache_cap);
-  sopts.cache_sweep_ms = static_cast<int>(sweep_ms);
 
   serve::server::options wopts;
   wopts.io_timeout_ms = static_cast<int>(flags.get_int("io-timeout-ms", 30000));

@@ -59,7 +59,8 @@ void print_usage(std::FILE* to) {
       "  --cache-dir=DIR     persistent phase-1 result store shared with\n"
       "                      xbargen / xbar-fuzz / xbar-serve\n"
       "  --cache-max-bytes=N evict oldest-accessed store entries over\n"
-      "                      this cap at open (0 = unlimited)\n"
+      "                      this cap, at open and on every put\n"
+      "                      (0 = unlimited)\n"
       "  --out-dir=DIR       write <basename>.json/.csv/.md artifacts\n"
       "  --basename=NAME     artifact filename stem (sweep)\n"
       "  --compare-serial    also time the equivalent per-point "

@@ -25,7 +25,7 @@
 #include "cli_common.h"
 #include "explore/disk_store.h"
 #include "explore/sweep.h"
-#include "gen/registry.h"
+#include "gen/backends.h"
 #include "serve/service.h"
 #include "util/flags.h"
 #include "util/strings.h"
@@ -69,7 +69,8 @@ void print_usage(std::FILE* to) {
       "                      xbar-serve daemon) is reused without\n"
       "                      re-running simulation or the solver\n"
       "  --cache-max-bytes=N evict oldest-accessed store entries over\n"
-      "                      this cap at open (0 = unlimited)\n"
+      "                      this cap, at open and on every put\n"
+      "                      (0 = unlimited)\n"
       "  --grid KEY=V1,...   sweep an axis instead of one design point "
       "(repeatable;\n"
       "                      keys: win thr maxtb burstwin policy solver "
@@ -120,27 +121,25 @@ workloads::app_spec pick_app(const std::string& name) {
   return *std::move(app);
 }
 
-/// Parses --emit into backend registry names; "all" (or an empty item
-/// list) selects every registered backend. Unknown names exit 2.
+/// Parses --emit into backend names; "all" (or an empty item list)
+/// selects every backend. Unknown names exit 2, also next to "all".
 std::vector<std::string> parse_emit_list(const std::string& list) {
   std::vector<std::string> out;
+  bool all = false;
   for (const auto& item : split_list(list)) {
     if (item == "all") {
-      return gen::registry::instance().names();
+      all = true;
+      continue;
     }
-    if (gen::registry::instance().find(item) == nullptr) {
-      std::fprintf(stderr, "xbargen: unknown --emit backend '%s'\n",
-                   item.c_str());
-      std::fprintf(stderr, "  registered:");
-      for (const auto& n : gen::registry::instance().names()) {
-        std::fprintf(stderr, " %s", n.c_str());
-      }
-      std::fprintf(stderr, "\n");
+    try {
+      gen::check_backend_name(item);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "xbargen: --emit: %s\n", e.what());
       std::exit(2);
     }
     out.push_back(item);
   }
-  if (out.empty()) return gen::registry::instance().names();
+  if (all || out.empty()) return gen::backend_names();
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include "explore/codec.h"
 
+#include "gen/backends.h"
 #include "gen/json.h"
 #include "gen/json_backend.h"
 #include "util/error.h"
@@ -47,7 +48,7 @@ xbar::validation_metrics decode_metrics(const std::string& blob) {
 }
 
 std::string encode_report(const xbar::flow_report& report) {
-  return gen::json_backend().emit(report, report.app_name);
+  return gen::emit_json(report);
 }
 
 xbar::flow_report decode_report(const std::string& blob) {

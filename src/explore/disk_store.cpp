@@ -161,8 +161,7 @@ std::int64_t access_stamp(const fs::path& p) {
 
 }  // namespace
 
-std::int64_t disk_store::evict_over_cap() {
-  if (max_bytes_ == 0) return 0;
+void disk_store::evict_over_cap(const fs::path& keep) {
   struct entry {
     fs::path path;
     std::uint64_t bytes = 0;
@@ -170,6 +169,7 @@ std::int64_t disk_store::evict_over_cap() {
   };
   std::vector<entry> entries;
   std::uint64_t total = 0;
+  const auto keep_name = keep.filename();
   std::error_code ec;
   for (fs::directory_iterator it(root_ / "objects", ec), end;
        !ec && it != end; it.increment(ec)) {
@@ -179,28 +179,37 @@ std::int64_t disk_store::evict_over_cap() {
     e.path = it->path();
     e.bytes = static_cast<std::uint64_t>(it->file_size(fec));
     if (fec) continue;
-    e.stamp = access_stamp(e.path);
     total += e.bytes;
+    if (e.path.filename() == keep_name) continue;
+    e.stamp = access_stamp(e.path);
     entries.push_back(std::move(e));
   }
-  if (total <= max_bytes_) return 0;
-  // Oldest access first; tie-break on the (hash) filename so the sweep
-  // order is stable across runs.
-  std::sort(entries.begin(), entries.end(), [](const entry& a,
-                                               const entry& b) {
-    if (a.stamp != b.stamp) return a.stamp < b.stamp;
-    return a.path.filename() < b.path.filename();
-  });
   std::int64_t evicted = 0;
-  for (const auto& e : entries) {
-    if (total <= max_bytes_) break;
-    std::error_code rm;
-    if (fs::remove(e.path, rm) && !rm) {
-      total -= e.bytes;
-      ++evicted;
+  if (total > max_bytes_) {
+    // Oldest access first; tie-break on the (hash) filename so the sweep
+    // order is stable across runs.
+    std::sort(entries.begin(), entries.end(),
+              [](const entry& a, const entry& b) {
+                if (a.stamp != b.stamp) return a.stamp < b.stamp;
+                return a.path.filename() < b.path.filename();
+              });
+    for (const auto& e : entries) {
+      if (total <= max_bytes_) break;
+      std::error_code rm;
+      if (fs::remove(e.path, rm) && !rm) {
+        total -= e.bytes;
+        ++evicted;
+      }
     }
   }
-  return evicted;
+  bytes_ = total;
+  if (evicted > 0) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stats_.evicted += evicted;
+    }
+    obs::add_counter("store.disk.evicted", evicted);
+  }
 }
 
 std::int64_t disk_store::sweep_tmp() {
@@ -226,8 +235,7 @@ std::int64_t disk_store::sweep_tmp() {
   return swept;
 }
 
-disk_store::disk_store(const std::string& dir, std::uint64_t max_bytes,
-                       int sweep_interval_ms)
+disk_store::disk_store(const std::string& dir, std::uint64_t max_bytes)
     : root_(dir), max_bytes_(max_bytes) {
   STX_REQUIRE(!dir.empty(), "disk_store: empty cache directory");
   std::error_code ec;
@@ -243,46 +251,9 @@ disk_store::disk_store(const std::string& dir, std::uint64_t max_bytes,
   if (stats_.tmp_swept > 0) {
     obs::add_counter("store.disk.tmp_swept", stats_.tmp_swept);
   }
-  // Enforce the size cap once, at open: a long-running sweep/daemon can
-  // overshoot between opens, but every restart pulls the store back
-  // under the configured bound.
-  stats_.evicted = evict_over_cap();
-  if (stats_.evicted > 0) {
-    obs::add_counter("store.disk.evicted", stats_.evicted);
-  }
-  // Long-running daemons opt into re-running the sweep periodically, so
-  // the cap also holds *between* opens instead of only at them.
-  if (sweep_interval_ms > 0 && max_bytes_ > 0) {
-    sweep_thread_ = std::thread([this, sweep_interval_ms] {
-      std::unique_lock<std::mutex> lock(sweep_mu_);
-      while (!sweep_stop_) {
-        if (sweep_cv_.wait_for(lock,
-                               std::chrono::milliseconds(sweep_interval_ms),
-                               [&] { return sweep_stop_; })) {
-          break;
-        }
-        lock.unlock();
-        const auto evicted = evict_over_cap();
-        if (evicted > 0) {
-          {
-            std::lock_guard<std::mutex> slock(mu_);
-            stats_.evicted += evicted;
-          }
-          obs::add_counter("store.disk.evicted", evicted);
-        }
-        lock.lock();
-      }
-    });
-  }
-}
-
-disk_store::~disk_store() {
-  {
-    std::lock_guard<std::mutex> lock(sweep_mu_);
-    sweep_stop_ = true;
-  }
-  sweep_cv_.notify_all();
-  if (sweep_thread_.joinable()) sweep_thread_.join();
+  // Pull the store under its cap and seed the running total that puts
+  // keep up to date.
+  if (max_bytes_ > 0) evict_over_cap();
 }
 
 fs::path disk_store::object_path(const cache_key& key) const {
@@ -352,6 +323,14 @@ void disk_store::put(const cache_key& key, std::string_view value) {
     throw invalid_argument_error("disk_store: " + what);
   };
 
+  // A capped store counts the bytes of the object this put replaces.
+  std::uint64_t replaced = 0;
+  if (max_bytes_ > 0) {
+    std::error_code sec;
+    const auto size = fs::file_size(object_path(key), sec);
+    if (!sec) replaced = static_cast<std::uint64_t>(size);
+  }
+
   std::string envelope;
   envelope.reserve(value.size() + key_line.size() + 64);
   envelope += kMagic;
@@ -408,6 +387,12 @@ void disk_store::put(const cache_key& key, std::string_view value) {
     ++stats_.puts;
   }
   obs::add_counter("store.disk.puts", 1);
+  if (max_bytes_ > 0) {
+    std::lock_guard<std::mutex> lock(cap_mu_);
+    bytes_ += envelope.size();
+    bytes_ -= std::min(bytes_, replaced);
+    if (bytes_ > max_bytes_) evict_over_cap(object_path(key));
+  }
 }
 
 bool disk_store::contains(const cache_key& key) {

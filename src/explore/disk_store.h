@@ -37,12 +37,14 @@
 //    crashes cannot grow the staging area without bound. Swept files are
 //    counted in stats().tmp_swept.
 //  * Bounded (opt-in): with a byte cap, opening the store evicts whole
-//    objects oldest-access-first until the objects/ total fits the cap.
-//    A long-running daemon can additionally opt into a periodic
-//    in-process eviction sweep (`sweep_interval_ms`), so the cap holds
-//    between opens too. Eviction only ever drops cached results — every
-//    consumer treats an absent key as a miss and recomputes. Counted in
-//    stats().evicted.
+//    objects oldest-access-first until the objects/ total fits the cap,
+//    and so does every put that takes the store past it — sparing the
+//    object that put just wrote. The open-time scan seeds a running byte
+//    total that each put updates, so puts under the cap never scan the
+//    directory. The total counts this process's puts; objects other
+//    processes add are seen by the next scan. Eviction only ever drops
+//    cached results — every consumer treats an absent key as a miss and
+//    recomputes. Counted in stats().evicted.
 //
 // Fault injection: put() and get() carry STX_FAILPOINT sites
 // (store.put.after_tmp_write, store.put.fsync, store.put.before_rename,
@@ -50,10 +52,8 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <filesystem>
 #include <mutex>
-#include <thread>
 
 #include "explore/kv_store.h"
 
@@ -63,15 +63,11 @@ class disk_store final : public kv_store {
  public:
   /// Opens (creating if needed) the store rooted at `dir`. Throws
   /// stx::invalid_argument_error when the directories cannot be created.
-  /// `max_bytes` caps the objects/ payload total: when the existing
-  /// contents exceed it, the open evicts oldest-access-first down to the
-  /// cap (0 = unlimited, the default). `sweep_interval_ms` > 0 starts a
-  /// background thread re-running the eviction sweep every interval, so
-  /// a long-running process honors the cap between opens (0 = at open
-  /// only, the default).
-  explicit disk_store(const std::string& dir, std::uint64_t max_bytes = 0,
-                      int sweep_interval_ms = 0);
-  ~disk_store() override;  ///< stops the periodic sweep thread, if any
+  /// `max_bytes` caps the objects/ file total: when the existing contents
+  /// exceed it, the open evicts oldest-access-first down to the cap, and
+  /// so does a put that takes the total past it (0 = unlimited, the
+  /// default).
+  explicit disk_store(const std::string& dir, std::uint64_t max_bytes = 0);
 
   std::optional<std::string> get(const cache_key& key) override;
   void put(const cache_key& key, std::string_view value) override;
@@ -85,23 +81,23 @@ class disk_store final : public kv_store {
   /// Removes orphaned tmp/ staging files — writer pid provably dead, or
   /// older than an hour — and returns how many went (stats().tmp_swept).
   std::int64_t sweep_tmp();
-  /// Evicts objects oldest-access-first until objects/ totals at most
-  /// max_bytes_; returns how many went (stats().evicted). No-op at 0.
-  std::int64_t evict_over_cap();
+  /// Scans objects/ and evicts oldest-access-first, never the object
+  /// named `keep`, until the scanned total is at most max_bytes_; then
+  /// reseeds bytes_ with what is left and counts the evictions in
+  /// stats(). put() calls it under cap_mu_, the constructor before any
+  /// other thread can reach the store. Removal races with concurrent
+  /// get()s are benign: a reader that loses its object mid-read sees a
+  /// plain miss and recomputes.
+  void evict_over_cap(const std::filesystem::path& keep = {});
 
   std::filesystem::path root_;
   std::uint64_t max_bytes_ = 0;
   std::atomic<std::uint64_t> tmp_seq_{0};
   mutable std::mutex mu_;  ///< guards stats_ only; file ops are lock-free
   kv_stats stats_;
-
-  /// Periodic eviction sweep (opt-in). Removal races with concurrent
-  /// get()s are benign: a reader that loses its object mid-read sees a
-  /// plain miss and recomputes.
-  std::mutex sweep_mu_;
-  std::condition_variable sweep_cv_;
-  bool sweep_stop_ = false;
-  std::thread sweep_thread_;
+  /// Serialises the cap's bookkeeping and scans (capped stores only).
+  std::mutex cap_mu_;
+  std::uint64_t bytes_ = 0;  ///< running objects/ total; guarded by cap_mu_
 };
 
 }  // namespace stx::explore

@@ -26,9 +26,8 @@ class kv_store {
   /// fsync / rename failure — the entry is withheld, never published
   /// torn); `tmp_swept` counts orphaned staging files removed when the
   /// store opened (crashed writers leave them behind); `evicted` counts
-  /// objects removed by the size-cap sweep (at open, and periodically
-  /// when a sweep interval is configured) — all always 0 for the memory
-  /// store.
+  /// objects removed to hold the size cap (at open, and by puts that
+  /// take the store past it) — all always 0 for the memory store.
   struct kv_stats {
     std::int64_t hits = 0;
     std::int64_t misses = 0;

@@ -1,6 +1,6 @@
 // Generation-phase leaf types: what a backend produces and how a caller
 // asks for it. Deliberately free of xbar includes so xbar/flow.h can pull
-// this header without creating an include cycle with gen/backend.h.
+// this header without creating an include cycle with gen/backends.h.
 #pragma once
 
 #include <string>
@@ -10,16 +10,16 @@ namespace stx::gen {
 
 /// One generated deployable file, still in memory.
 struct artifact {
-  std::string backend;   ///< registry name of the producing backend
-  std::string filename;  ///< suggested leaf filename, e.g. "mat2_xbar.sv"
+  std::string backend;   ///< name of the producing backend, e.g. "sv"
+  std::string filename;  ///< suggested leaf filename, e.g. "mat2.sv"
   std::string content;
 };
 
-/// What to generate. The registry resolves each backend name; an unknown
-/// name throws (listing what is available).
+/// What to generate (gen::generate in gen/backends.h). An unknown backend
+/// name throws, listing the known ones.
 struct generate_options {
-  /// Registry names to run ("sv", "dot", "json", "report"). Empty = every
-  /// registered backend.
+  /// Backend names to run, in this order ("sv", "dot", "json", "report").
+  /// Empty = all four, in that order.
   std::vector<std::string> backends;
   /// Filename stem for the artifacts; empty = a sanitised application name.
   std::string basename;

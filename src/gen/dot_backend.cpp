@@ -1,4 +1,4 @@
-#include "gen/dot_backend.h"
+#include "gen/backends.h"
 
 #include <algorithm>
 #include <sstream>
@@ -54,8 +54,7 @@ cycle_t max_entry(const std::vector<std::vector<cycle_t>>& m) {
 
 }  // namespace
 
-std::string dot_backend::emit(const xbar::flow_report& r,
-                              const std::string& basename) const {
+std::string emit_dot(const xbar::flow_report& r, const std::string& basename) {
   STX_REQUIRE(r.num_initiators > 0 && r.num_targets > 0,
               "DOT generation needs initiator and target counts in the "
               "flow report");

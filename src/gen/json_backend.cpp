@@ -1,5 +1,6 @@
 #include "gen/json_backend.h"
 
+#include "gen/backends.h"
 #include "gen/json.h"
 #include "util/error.h"
 
@@ -182,8 +183,7 @@ xbar::flow_report design_from_document(const json::value& doc) {
   return r;
 }
 
-std::string json_backend::emit(const xbar::flow_report& r,
-                               const std::string& /*basename*/) const {
+std::string emit_json(const xbar::flow_report& r) {
   return json::dump(design_document(r));
 }
 

@@ -1,30 +1,20 @@
-// JSON backend: the machine-readable design config, plus the matching
-// parser so a dumped design round-trips losslessly.
+// The "json" backend's document model: the stx-crossbar-design/v1
+// design config (what gen::emit_json dumps), plus the matching parser so
+// a dumped design round-trips losslessly.
+//
+// The document holds the application shape and names, both directions'
+// designs (params, binding, conflict summary, solver telemetry),
+// validation metrics, cost summary, and the phase-1 link-traffic
+// matrices. Doubles are written with 17 significant digits, so
+// parse_design(emit_json(report)) == report holds exactly.
 #pragma once
 
-#include "gen/backend.h"
 #include "gen/json.h"
+#include "xbar/flow.h"
 
 namespace stx::gen {
 
-/// Registry name "json". Schema "stx-crossbar-design/v1": application
-/// shape and names, both directions' designs (params, binding, conflict
-/// summary, solver telemetry), validation metrics, cost summary, and the
-/// phase-1 link-traffic matrices. Doubles are written with 17 significant
-/// digits, so parse_design(emit(report)) == report holds exactly.
-class json_backend : public backend {
- public:
-  std::string name() const override { return "json"; }
-  std::string extension() const override { return ".json"; }
-  std::string description() const override {
-    return "machine-readable design config (round-trips via parse_design)";
-  }
-  /// json::dump(design_document(report)).
-  std::string emit(const xbar::flow_report& report,
-                   const std::string& basename) const override;
-};
-
-/// The stx-crossbar-design/v1 document of `report`: what emit() writes
+/// The stx-crossbar-design/v1 document of `report`: what emit_json writes
 /// and what the serve protocol embeds in a response line.
 json::value design_document(const xbar::flow_report& report);
 
@@ -34,7 +24,7 @@ json::value design_document(const xbar::flow_report& report);
 xbar::flow_report design_from_document(const json::value& doc);
 
 /// design_from_document(json::parse(text)): parses a document produced by
-/// json_backend::emit back into a flow_report.
+/// emit_json back into a flow_report.
 xbar::flow_report parse_design(const std::string& text);
 
 /// Appends the validation-metrics members (avg_latency ... total_buses) to

@@ -1,4 +1,4 @@
-#include "gen/report_backend.h"
+#include "gen/backends.h"
 
 #include <cstdio>
 #include <sstream>
@@ -36,8 +36,7 @@ void emit_metrics_row(std::ostringstream& out, const char* label,
 
 }  // namespace
 
-std::string report_backend::emit(const xbar::flow_report& r,
-                                 const std::string& /*basename*/) const {
+std::string emit_report(const xbar::flow_report& r) {
   std::ostringstream out;
   out << "# Crossbar design report — " << r.app_name << "\n\n"
       << "Application-specific STbus crossbar synthesised by the 4-phase\n"

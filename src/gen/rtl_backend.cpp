@@ -1,4 +1,4 @@
-#include "gen/rtl_backend.h"
+#include "gen/backends.h"
 
 #include <sstream>
 #include <vector>
@@ -236,8 +236,7 @@ void emit_top(std::ostringstream& out, const std::string& base,
 
 }  // namespace
 
-std::string rtl_backend::emit(const xbar::flow_report& r,
-                              const std::string& basename) const {
+std::string emit_sv(const xbar::flow_report& r, const std::string& basename) {
   STX_REQUIRE(r.num_initiators > 0 && r.num_targets > 0,
               "RTL generation needs initiator and target counts in the "
               "flow report");

@@ -32,11 +32,6 @@ int model::add_row(std::vector<term> terms, relation rel, double rhs,
   return static_cast<int>(rows_.size()) - 1;
 }
 
-void model::set_objective(int var, double coefficient) {
-  STX_REQUIRE(var >= 0 && var < num_variables(), "set_objective: bad index");
-  variables_[static_cast<std::size_t>(var)].objective = coefficient;
-}
-
 void model::set_bounds(int var, double lower, double upper) {
   STX_REQUIRE(var >= 0 && var < num_variables(), "set_bounds: bad index");
   STX_REQUIRE(lower <= upper, "set_bounds: bounds crossed");

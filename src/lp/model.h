@@ -56,9 +56,6 @@ class model {
   int add_row(std::vector<term> terms, relation rel, double rhs,
               std::string name = {});
 
-  /// Replaces the objective coefficient of variable `var`.
-  void set_objective(int var, double coefficient);
-
   /// Tightens (replaces) the bounds of `var`.
   void set_bounds(int var, double lower, double upper);
 

@@ -12,16 +12,6 @@
 
 namespace stx::lp {
 
-const char* to_string(solve_status s) {
-  switch (s) {
-    case solve_status::optimal: return "optimal";
-    case solve_status::infeasible: return "infeasible";
-    case solve_status::unbounded: return "unbounded";
-    case solve_status::iteration_limit: return "iteration_limit";
-  }
-  return "?";
-}
-
 namespace {
 constexpr double inf = std::numeric_limits<double>::infinity();
 }  // namespace

@@ -45,8 +45,6 @@ enum class solve_status {
   iteration_limit,  ///< gave up; solution vector is not meaningful
 };
 
-const char* to_string(solve_status s);
-
 /// Solver knobs. Defaults are tuned for the small/medium 0-1 models the
 /// crossbar formulation produces.
 struct solve_options {

@@ -39,6 +39,10 @@ const char* to_string(milp_status s) {
 namespace {
 
 constexpr double inf = std::numeric_limits<double>::infinity();
+/// Integrality tolerance.
+constexpr double kIntTol = 1e-6;
+/// Absolute objective gap for pruning against the incumbent.
+constexpr double kGapAbs = 1e-6;
 
 /// Incumbent bookkeeping: one best integer point, mutated only from the
 /// sequential merge step.
@@ -48,8 +52,7 @@ struct incumbent_pool {
   double objective = inf;
 
   /// Snap integers exactly and keep on strict improvement.
-  bool accept(const model& m, const std::vector<double>& raw, double obj,
-              double gap_abs) {
+  bool accept(const model& m, const std::vector<double>& raw, double obj) {
     std::vector<double> snapped = raw;
     for (int v = 0; v < m.num_variables(); ++v) {
       if (m.is_integer(v)) {
@@ -57,7 +60,7 @@ struct incumbent_pool {
             std::round(snapped[static_cast<std::size_t>(v)]);
       }
     }
-    if (!have || obj < objective - gap_abs) {
+    if (!have || obj < objective - kGapAbs) {
       x = std::move(snapped);
       objective = obj;
       have = true;
@@ -67,8 +70,7 @@ struct incumbent_pool {
   }
 
   /// Round-to-nearest heuristic: cheap incumbent seeding.
-  bool try_rounding(const model& m, const std::vector<double>& raw,
-                    double gap_abs) {
+  bool try_rounding(const model& m, const std::vector<double>& raw) {
     std::vector<double> rounded = raw;
     for (int v = 0; v < m.num_variables(); ++v) {
       if (!m.is_integer(v)) continue;
@@ -78,8 +80,7 @@ struct incumbent_pool {
                       m.relaxation().var(v).upper);
     }
     if (m.is_feasible(rounded, 1e-6)) {
-      return accept(m, rounded, m.relaxation().objective_value(rounded),
-                    gap_abs);
+      return accept(m, rounded, m.relaxation().objective_value(rounded));
     }
     return false;
   }
@@ -272,7 +273,7 @@ class wave_bb_engine {
         node_ptr nd = open_.top();
         open_.pop();
         if (incumbent_.have && !opts_.feasibility_only &&
-            nd->bound >= incumbent_.objective - opts_.gap_abs) {
+            nd->bound >= incumbent_.objective - kGapAbs) {
           continue;  // pruned without an LP solve
         }
         wave.push_back(std::move(nd));
@@ -708,8 +709,7 @@ class wave_bb_engine {
 
     // Pseudocost update: observed objective degradation per unit of
     // fractional distance the branching bound moved.
-    if (nd->var >= 0 && nd->bound > -inf &&
-        nd->frac_moved > opts_.int_tol) {
+    if (nd->var >= 0 && nd->bound > -inf && nd->frac_moved > kIntTol) {
       const double gain =
           std::max(0.0, rel.objective - nd->bound) / nd->frac_moved;
       auto& pc = nd->up ? pc_up_ : pc_down_;
@@ -721,7 +721,7 @@ class wave_bb_engine {
     }
 
     if (incumbent_.have && !opts_.feasibility_only &&
-        rel.objective >= incumbent_.objective - opts_.gap_abs) {
+        rel.objective >= incumbent_.objective - kGapAbs) {
       return;  // bound prune on the solved objective
     }
     open_bound_ = std::min(open_bound_, rel.objective);
@@ -738,7 +738,7 @@ class wave_bb_engine {
       const double xv = rel.x[static_cast<std::size_t>(v)];
       const double f = xv - std::floor(xv);
       const double dist = std::min(f, 1.0 - f);
-      if (dist <= opts_.int_tol) continue;
+      if (dist <= kIntTol) continue;
       const double est_down =
           std::max(pc_down_[static_cast<std::size_t>(v)] * f, 1e-6);
       const double est_up =
@@ -753,7 +753,7 @@ class wave_bb_engine {
     }
 
     if (branch_var < 0) {
-      if (incumbent_.accept(m_, rel.x, rel.objective, opts_.gap_abs)) {
+      if (incumbent_.accept(m_, rel.x, rel.objective)) {
         check_cuts(incumbent_.x);
         // A fresh incumbent is about to prune the frontier: restart the
         // wave ramp so the next waves run near-sequentially instead of
@@ -765,7 +765,7 @@ class wave_bb_engine {
     }
 
     if (opts_.rounding_heuristic && !incumbent_.have) {
-      if (incumbent_.try_rounding(m_, rel.x, opts_.gap_abs)) {
+      if (incumbent_.try_rounding(m_, rel.x)) {
         check_cuts(incumbent_.x);
       }
       if (incumbent_.have && opts_.feasibility_only) {
@@ -800,12 +800,12 @@ class wave_bb_engine {
       child->parent = nd;
       child->warm = basis;
       if (up) {
-        if (ceil_v > cur_hi + opts_.int_tol) continue;
+        if (ceil_v > cur_hi + kIntTol) continue;
         child->lo = ceil_v;
         child->hi = cur_hi;
         child->frac_moved = 1.0 - f;
       } else {
-        if (floor_v < cur_lo - opts_.int_tol) continue;
+        if (floor_v < cur_lo - kIntTol) continue;
         child->lo = cur_lo;
         child->hi = floor_v;
         child->frac_moved = f;

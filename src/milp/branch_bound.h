@@ -60,10 +60,6 @@ struct bb_options {
   /// Stop at the first integer-feasible point (paper's MILP1 usage:
   /// "obj: Feasibility Analysis").
   bool feasibility_only = false;
-  /// Integrality tolerance.
-  double int_tol = 1e-6;
-  /// Absolute objective gap for pruning against the incumbent.
-  double gap_abs = 1e-6;
   /// Run bound-tightening presolve before the search.
   bool use_presolve = true;
   /// Try a round-to-nearest heuristic at each node to seed the incumbent.

@@ -31,20 +31,6 @@ int model::add_row(std::vector<lp::term> terms, lp::relation rel, double rhs,
   return relaxation_.add_row(std::move(terms), rel, rhs, std::move(name));
 }
 
-void model::set_objective(int var, double coefficient) {
-  relaxation_.set_objective(var, coefficient);
-}
-
-void model::set_bounds(int var, double lower, double upper) {
-  relaxation_.set_bounds(var, lower, upper);
-}
-
-int model::num_integer_variables() const {
-  int n = 0;
-  for (bool b : integer_) n += b ? 1 : 0;
-  return n;
-}
-
 bool model::is_integer(int var) const {
   STX_REQUIRE(var >= 0 && var < num_variables(), "is_integer: bad index");
   return integer_[static_cast<std::size_t>(var)];

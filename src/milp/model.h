@@ -31,12 +31,8 @@ class model {
   int add_row(std::vector<lp::term> terms, lp::relation rel, double rhs,
               std::string name = {});
 
-  void set_objective(int var, double coefficient);
-  void set_bounds(int var, double lower, double upper);
-
   int num_variables() const { return relaxation_.num_variables(); }
   int num_rows() const { return relaxation_.num_rows(); }
-  int num_integer_variables() const;
 
   bool is_integer(int var) const;
 

@@ -12,6 +12,8 @@ namespace {
 
 constexpr double inf = std::numeric_limits<double>::infinity();
 constexpr double tol = 1e-9;
+/// Passes over the rows before presolve stops looking for reductions.
+constexpr int kMaxPasses = 12;
 
 struct work_row {
   std::vector<lp::term> terms;
@@ -188,7 +190,7 @@ std::vector<double> presolved_model::expand(
   return x;
 }
 
-presolved_model presolve(const model& m, int max_passes) {
+presolved_model presolve(const model& m) {
   work_state st;
   const int n = m.num_variables();
   st.lower.resize(static_cast<std::size_t>(n));
@@ -257,7 +259,7 @@ presolved_model presolve(const model& m, int max_passes) {
   }
 
   int dropped = 0;
-  for (int pass = 0; pass < max_passes && !st.infeasible; ++pass) {
+  for (int pass = 0; pass < kMaxPasses && !st.infeasible; ++pass) {
     st.changed = false;
     for (auto& row : st.rows) {
       if (!row.active) continue;

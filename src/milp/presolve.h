@@ -29,7 +29,7 @@ struct presolved_model {
   std::vector<double> expand(const std::vector<double>& reduced_x) const;
 };
 
-/// Iterated presolve:
+/// Iterated presolve (at most 12 passes over the rows):
 ///  * each symmetry group declared on the model (interchangeable binary
 ///    blocks — the crossbar formulation's bus columns) is rewritten into
 ///    lexicographic ordering rows between consecutive blocks, pruning the
@@ -51,6 +51,6 @@ struct presolved_model {
 /// and is what makes the paper-faithful Eq. 3-9 formulation tractable:
 /// conflict rows (Eq. 7) fix sharing variables to zero, which cascades
 /// into the Eq. 5 linearization rows.
-presolved_model presolve(const model& m, int max_passes = 12);
+presolved_model presolve(const model& m);
 
 }  // namespace stx::milp

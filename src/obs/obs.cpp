@@ -114,8 +114,6 @@ double stopwatch::seconds() const {
   return static_cast<double>(now_ns() - start_ns_) * 1e-9;
 }
 
-std::int64_t stopwatch::nanoseconds() const { return now_ns() - start_ns_; }
-
 // ---------------------------------------------------------------------
 // span
 

@@ -68,8 +68,6 @@ class stopwatch {
   void restart();
   /// Seconds elapsed since construction / the last restart().
   double seconds() const;
-  /// Nanoseconds elapsed (what the trace exporter stores).
-  std::int64_t nanoseconds() const;
 
  private:
   std::int64_t start_ns_ = 0;
@@ -89,7 +87,6 @@ class latency_accumulator {
   double total_seconds() const { return stats_.sum(); }
   double min_seconds() const { return stats_.min(); }
   double max_seconds() const { return stats_.max(); }
-  double mean_seconds() const { return stats_.mean(); }
   /// Exact median over the recorded samples; requires count() > 0.
   double median_seconds() const { return stats_.percentile(0.5); }
   double percentile_seconds(double p) const { return stats_.percentile(p); }

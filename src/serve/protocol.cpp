@@ -3,6 +3,7 @@
 #include <limits>
 #include <set>
 
+#include "gen/backends.h"
 #include "gen/json.h"
 #include "gen/json_backend.h"
 #include "sim/config.h"
@@ -138,6 +139,7 @@ void apply_option_fields(const json::value& doc, design_request& req) {
   if (doc.contains("artifacts")) {
     for (const auto& a : doc.at("artifacts").as_array()) {
       req.artifacts.push_back(a.as_string());
+      gen::check_backend_name(req.artifacts.back());
     }
   }
 }
@@ -198,9 +200,9 @@ request parse_request(const std::string& line) {
   return req;
 }
 
-std::string serialize(const design_response& resp) {
+std::string serialize(const design_response& resp, const std::string& id) {
   json::object o;
-  if (!resp.id.empty()) o.emplace_back("id", resp.id);
+  if (!id.empty()) o.emplace_back("id", id);
   o.emplace_back("ok", resp.ok);
   if (!resp.ok) {
     o.emplace_back("error", resp.error);
@@ -228,6 +230,10 @@ std::string serialize(const design_response& resp) {
     o.emplace_back("artifacts", std::move(arts));
   }
   return json::dump_compact(json::value(std::move(o)));
+}
+
+std::string serialize(const design_response& resp) {
+  return serialize(resp, resp.id);
 }
 
 design_response parse_response(const std::string& line) {

@@ -65,8 +65,9 @@ struct request {
 
 /// Parses one request line. Malformed JSON, an unknown op, unknown
 /// fields, out-of-range values (including flow knobs
-/// xbar::flow_options::validate rejects), or an app/scenario conflict
-/// throw stx::invalid_argument_error with a message fit for the error
+/// xbar::flow_options::validate rejects), an artifact name that is not
+/// one of gen::backend_names(), or an app/scenario conflict throw
+/// stx::invalid_argument_error with a message fit for the error
 /// response, before the request reaches admission.
 request parse_request(const std::string& line);
 
@@ -87,8 +88,13 @@ struct design_response {
   std::vector<gen::artifact> artifacts;
 };
 
-/// One response line (no trailing newline). The report is embedded as
-/// the stx-crossbar-design/v1 document.
+/// One response line (no trailing newline) echoing `id` in place of
+/// resp.id. The report is embedded as the stx-crossbar-design/v1
+/// document. The server passes each request's own id, because
+/// coalesced requests share one response object.
+std::string serialize(const design_response& resp, const std::string& id);
+
+/// serialize(resp, resp.id).
 std::string serialize(const design_response& resp);
 
 /// Parses a serialize() line back (client side). The embedded report is

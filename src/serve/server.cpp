@@ -32,6 +32,19 @@ sockaddr_un unix_address(const std::string& path) {
   return addr;
 }
 
+/// The string "id" of a request line parse_request rejected, so the
+/// error response still names the request; "" when there is none.
+std::string rejected_request_id(const std::string& line) {
+  try {
+    const auto doc = gen::json::parse(line);
+    if (doc.contains("id") && doc.at("id").is_string()) {
+      return doc.at("id").as_string();
+    }
+  } catch (const std::exception&) {
+  }
+  return "";
+}
+
 /// Writes all of `data` (+ '\n') to `fd`; false on any error. Sent with
 /// MSG_NOSIGNAL: a client that disconnected mid-response must surface as
 /// EPIPE on this connection's thread, not as a SIGPIPE that kills the
@@ -198,11 +211,11 @@ std::string server::dispatch(const std::string& line, bool* shutdown) {
     req = parse_request(line);
   } catch (const std::exception& e) {
     obs::add_counter("serve.errors", 1);
-    return serialize_error("", e.what());
+    return serialize_error(rejected_request_id(line), e.what());
   }
   switch (req.op) {
     case request_op::design:
-      return serialize(svc_.submit(req.design).get());
+      return serialize(svc_.submit(req.design).get(), req.id);
     case request_op::ping:
       return serialize_simple(req.id, request_op::ping);
     case request_op::metrics: {

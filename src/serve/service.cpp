@@ -76,8 +76,8 @@ service::service(const options& opts) : opts_(opts) {
   if (opts_.cache_dir.empty()) {
     store_ = std::make_shared<explore::memory_store>();
   } else {
-    store_ = std::make_shared<explore::disk_store>(
-        opts_.cache_dir, opts_.cache_max_bytes, opts_.cache_sweep_ms);
+    store_ = std::make_shared<explore::disk_store>(opts_.cache_dir,
+                                                   opts_.cache_max_bytes);
   }
   cache_ = std::make_unique<explore::trace_cache>(store_);
   workers_.reserve(static_cast<std::size_t>(opts_.workers));

@@ -61,13 +61,9 @@ class service {
     int queue_depth = 64;
     /// Persistent store directory; empty = in-process store only.
     std::string cache_dir;
-    /// Store size cap enforced at open (0 = unlimited): oldest-accessed
-    /// objects are evicted until the directory fits.
+    /// Store size cap (0 = unlimited), held at open and on every put:
+    /// oldest-accessed objects are evicted until the directory fits.
     std::uint64_t cache_max_bytes = 0;
-    /// Re-run the eviction sweep every this many milliseconds so a
-    /// long-running daemon honors cache_max_bytes between opens
-    /// (0 = at open only). Ignored without a cache_dir / byte cap.
-    int cache_sweep_ms = 0;
   };
 
   struct stats_t {

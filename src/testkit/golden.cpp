@@ -1,8 +1,8 @@
 #include "testkit/golden.h"
 
 #include "gen/artifact.h"
+#include "gen/backends.h"
 #include "gen/json.h"
-#include "gen/json_backend.h"
 #include "util/error.h"
 #include "workloads/mpsoc_apps.h"
 
@@ -33,8 +33,7 @@ xbar::flow_report golden_report(const std::string& app_name) {
 }
 
 std::string golden_json(const xbar::flow_report& report) {
-  return gen::json_backend{}.emit(report,
-                                  gen::sanitize_basename(report.app_name));
+  return gen::emit_json(report);
 }
 
 std::string golden_filename(const std::string& app_name) {

@@ -26,8 +26,8 @@ xbar::flow_options golden_options();
 /// Unknown names throw stx::invalid_argument_error.
 xbar::flow_report golden_report(const std::string& app_name);
 
-/// Canonical JSON snapshot text of a report (the gen "json" backend,
-/// basename = sanitised app name; round-trips via gen::parse_design).
+/// Canonical JSON snapshot text of a report (gen::emit_json; round-trips
+/// via gen::parse_design).
 std::string golden_json(const xbar::flow_report& report);
 
 /// Leaf filename of one app's snapshot, e.g. "mat2.json".

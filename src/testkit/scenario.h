@@ -16,7 +16,6 @@
 #include "traffic/trace.h"
 #include "util/random.h"
 #include "workloads/app.h"
-#include "workloads/big_fabric.h"
 #include "xbar/flow.h"
 
 namespace stx::testkit {
@@ -70,17 +69,6 @@ struct scenario {
 /// seed, are drawn from the generator, so a fuzzing campaign is fully
 /// reproducible from its master seed.
 scenario sample_scenario(rng& r);
-
-/// A sampled solver-scaling case: a big_fabric geometry (16-64
-/// initiators/targets, asymmetric duty, hot shared targets) plus flow
-/// options to design it with. The fuzz hook for the large-model family
-/// that bench/ablation_solver and the parallel branch & bound tests
-/// stress — sample_scenario stays the small-model generator.
-struct big_fabric_case {
-  workloads::big_fabric_params params;
-  xbar::flow_options opts;
-};
-big_fabric_case sample_big_fabric_case(rng& r);
 
 /// One-line reproduction string, e.g.
 /// "stxfuzz/v1 seed=42 ini=4 tgt=6 burst=400 ... horizon=30000".

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "util/error.h"
+#include "util/random.h"
 
 namespace stx::workloads {
 
@@ -128,24 +129,6 @@ app_spec make_big_fabric_64() {
   p.hot_targets = 6;
   p.seed = 2;
   return make_big_fabric(p);
-}
-
-big_fabric_params sample_big_fabric_params(rng& r) {
-  big_fabric_params p;
-  p.num_initiators = static_cast<int>(r.uniform_int(16, 64));
-  p.num_targets = static_cast<int>(r.uniform_int(16, 64));
-  p.hot_targets = static_cast<int>(
-      r.uniform_int(0, std::min(8, p.num_targets / 2)));
-  p.hot_fraction = p.hot_targets == 0 ? 0.0 : r.uniform(0.05, 0.35);
-  p.burst_cycles = r.uniform_int(200, 1200);
-  p.packet_cells = static_cast<int>(r.uniform_int(4, 32));
-  p.gap_cycles = r.uniform_int(600, 4000);
-  p.phase_spread = r.uniform(0.0, 0.6);
-  p.read_fraction = r.uniform(0.0, 0.5);
-  p.duty_spread = r.uniform(0.0, 0.8);
-  p.seed = r.next_u64();
-  p.validate();
-  return p;
 }
 
 }  // namespace stx::workloads

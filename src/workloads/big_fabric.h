@@ -1,5 +1,5 @@
-// Large synthetic fabrics for solver scaling (bench/ablation_solver and
-// the parallel branch & bound stress tests).
+// Large synthetic fabrics for solver scaling (bench/ablation_solver's
+// big_fabric_32 and big_fabric_64 feasibility instances).
 //
 // The paper's case studies top out at 15 targets; the wave-parallel
 // solver only shows its scaling on models an order of magnitude larger.
@@ -13,14 +13,11 @@
 
 #include <cstdint>
 
-#include "util/random.h"
 #include "workloads/app.h"
 
 namespace stx::workloads {
 
-/// Geometry and traffic knobs. Every field participates in the app name,
-/// and the whole record is sampleable (sample_big_fabric_params) so the
-/// family is fuzzable end-to-end.
+/// Geometry and traffic knobs. Every field participates in the app name.
 struct big_fabric_params {
   int num_initiators = 32;
   int num_targets = 32;
@@ -53,10 +50,5 @@ app_spec make_big_fabric(const big_fabric_params& params = {});
 /// traffic knobs.
 app_spec make_big_fabric_32();
 app_spec make_big_fabric_64();
-
-/// Samples a valid geometry from `r`: initiator/target counts in
-/// [16, 64], hot-set size, duty spread, burst shape and seed all drawn
-/// from the generator. The fuzz hook for the family.
-big_fabric_params sample_big_fabric_params(rng& r);
 
 }  // namespace stx::workloads

@@ -4,7 +4,7 @@
 #include <optional>
 #include <string>
 
-#include "gen/registry.h"
+#include "gen/backends.h"
 #include "obs/obs.h"
 #include "util/error.h"
 
@@ -207,7 +207,7 @@ flow_report run_design_flow(const workloads::app_spec& app,
 std::vector<gen::artifact> generate_artifacts(
     const flow_report& report, const gen::generate_options& opts) {
   obs::span sp("flow.generate", {{"app", report.app_name}});
-  auto artifacts = gen::registry::instance().generate(report, opts);
+  auto artifacts = gen::generate(report, opts);
   obs::add_counter("gen.artifacts",
                    static_cast<std::int64_t>(artifacts.size()));
   return artifacts;

@@ -169,8 +169,8 @@ void validate_design(const workloads::app_spec& app, const flow_options& opts,
                      flow_report& report);
 
 /// Phase 5, "Generation" (the step Fig. 3 feeds into): renders `report`
-/// into deployable artifacts through the gen backend registry. Backend
-/// names are resolved via gen::registry; unknown names throw. Pure — use
+/// into deployable artifacts with gen::generate (the sv, dot, json and
+/// report backends); unknown backend names throw. Pure — use
 /// gen::write_artifacts to put the results on disk.
 std::vector<gen::artifact> generate_artifacts(const flow_report& report,
                                               const gen::generate_options& opts);

@@ -230,6 +230,52 @@ TEST(DiskStore, EvictedEntriesAreRecomputableMisses) {
   fs::remove_all(dir);
 }
 
+TEST(DiskStore, SizeCapHoldsOnEveryPut) {
+  // A capped store evicts on the put that takes it past the cap, oldest
+  // access first and never the object that put just wrote.
+  const auto dir = test_dir("evict-put");
+  const auto opts = fast_options();
+  const std::string value(100, 'x');
+  std::vector<cache_key> keys;
+  for (char c = 'a'; c <= 'h'; ++c) {
+    keys.push_back(trace_key(std::string("app-") + c, opts));
+  }
+  const auto object = [&](const cache_key& k) {
+    return dir / "objects" / (hash_hex(k) + ".stx");
+  };
+  const auto stored_bytes = [&] {
+    std::uint64_t total = 0;
+    for (const auto& e : fs::directory_iterator(dir / "objects")) {
+      total += e.file_size();
+    }
+    return total;
+  };
+  std::uint64_t one = 0;
+  {
+    disk_store probe(dir.string());
+    probe.put(keys[0], value);
+    one = fs::file_size(object(keys[0]));
+  }
+  fs::remove_all(dir);
+
+  // Room for three objects, not four.
+  const std::uint64_t cap = 3 * one + one / 2;
+  disk_store store(dir.string(), cap);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    store.put(keys[i], value);
+    EXPECT_LE(stored_bytes(), cap) << "after put " << i;
+    EXPECT_EQ(store.get(keys[i]).value(), value) << "put " << i;
+    // Earlier puts are older accesses, so later puts evict them first.
+    age_access_time(object(keys[i]), 100 - static_cast<int>(i));
+  }
+  EXPECT_EQ(store.stats().evicted,
+            static_cast<std::int64_t>(keys.size()) - 3);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(store.contains(keys[i]), i + 3 >= keys.size()) << i;
+  }
+  fs::remove_all(dir);
+}
+
 TEST(PersistentCache, SecondCacheInstanceServesWithoutSimulating) {
   const auto dir = test_dir("reuse");
   const auto app = small_app();

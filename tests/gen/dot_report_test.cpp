@@ -4,8 +4,7 @@
 
 #include <string>
 
-#include "gen/dot_backend.h"
-#include "gen/report_backend.h"
+#include "gen/backends.h"
 #include "gen_test_util.h"
 #include "util/error.h"
 
@@ -24,7 +23,7 @@ std::size_t count_occurrences(const std::string& text,
 
 TEST(DotBackend, DeclaresEveryEndpointAndBus) {
   const auto report = testutil::small_report();
-  const auto dot = dot_backend().emit(report, "unit_app_1");
+  const auto dot = emit_dot(report, "unit_app_1");
 
   EXPECT_NE(dot.find("digraph unit_app_1_xbar {"), std::string::npos);
   // Node declarations sit indented inside their cluster ("\n    name ["),
@@ -55,7 +54,7 @@ TEST(DotBackend, DeclaresEveryEndpointAndBus) {
 
 TEST(DotBackend, BindingEdgesMatchTheDesign) {
   const auto report = testutil::small_report();
-  const auto dot = dot_backend().emit(report, "unit_app_1");
+  const auto dot = emit_dot(report, "unit_app_1");
 
   // One bus->receiver edge per receiving endpoint, to the bound bus.
   for (int t = 0; t < report.num_targets; ++t) {
@@ -78,7 +77,7 @@ TEST(DotBackend, BindingEdgesMatchTheDesign) {
 
 TEST(DotBackend, TrafficWeightsBecomeEdgeLabels) {
   const auto report = testutil::small_report();
-  const auto dot = dot_backend().emit(report, "unit_app_1");
+  const auto dot = emit_dot(report, "unit_app_1");
   // core2 pushes 400 cycles to IntDev (bus 2): the sender->bus edge must
   // carry that weight.
   EXPECT_NE(dot.find("ini2 -> req_bus2 [label=\"400\""), std::string::npos);
@@ -87,13 +86,13 @@ TEST(DotBackend, TrafficWeightsBecomeEdgeLabels) {
 }
 
 TEST(DotBackend, RealMat2DesignRenders) {
-  const auto dot = dot_backend().emit(testutil::mat2_report(), "mat2");
+  const auto dot = emit_dot(testutil::mat2_report(), "mat2");
   EXPECT_NE(dot.find("digraph mat2_xbar"), std::string::npos);
   EXPECT_EQ(count_occurrences(dot, "subgraph cluster_"), 4u);
 }
 
 TEST(DotBackend, BasenameNamesTheGraph) {
-  const auto dot = dot_backend().emit(testutil::small_report(), "soc_a");
+  const auto dot = emit_dot(testutil::small_report(), "soc_a");
   EXPECT_NE(dot.find("digraph soc_a_xbar {"), std::string::npos);
 }
 
@@ -102,17 +101,15 @@ TEST(DotBackend, RejectsMalformedReports) {
   // through parse_design) must throw, not index out of bounds.
   auto report = testutil::small_report();
   report.request_design.binding[0] = 99;
-  EXPECT_THROW(dot_backend().emit(report, "x"),
-               stx::invalid_argument_error);
+  EXPECT_THROW(emit_dot(report, "x"), stx::invalid_argument_error);
   auto negative = testutil::small_report();
   negative.response_design.binding[0] = -1;
-  EXPECT_THROW(dot_backend().emit(negative, "x"),
-               stx::invalid_argument_error);
+  EXPECT_THROW(emit_dot(negative, "x"), stx::invalid_argument_error);
 }
 
 TEST(ReportBackend, CarriesTable1StyleNumbers) {
   const auto report = testutil::small_report();
-  const auto md = report_backend().emit(report, "unit_app_1");
+  const auto md = emit_report(report);
 
   EXPECT_NE(md.find("# Crossbar design report — Unit App-1"),
             std::string::npos);
@@ -132,7 +129,7 @@ TEST(ReportBackend, CarriesTable1StyleNumbers) {
 }
 
 TEST(ReportBackend, RealMat2DesignRenders) {
-  const auto md = report_backend().emit(testutil::mat2_report(), "mat2");
+  const auto md = emit_report(testutil::mat2_report());
   EXPECT_NE(md.find("# Crossbar design report — Mat2"), std::string::npos);
   EXPECT_NE(md.find("## Crossbar cost"), std::string::npos);
   EXPECT_NE(md.find("## Validation latency"), std::string::npos);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gen/backends.h"
 #include "gen/json.h"
 #include "gen_test_util.h"
 #include "util/error.h"
@@ -14,7 +15,7 @@ namespace {
 
 TEST(JsonRoundTrip, SmallReportRoundTripsExactly) {
   const auto report = testutil::small_report();
-  const auto text = json_backend().emit(report, "unit_app_1");
+  const auto text = emit_json(report);
   const auto back = parse_design(text);
   EXPECT_TRUE(back == report);
 
@@ -27,13 +28,13 @@ TEST(JsonRoundTrip, SmallReportRoundTripsExactly) {
 
 TEST(JsonRoundTrip, EmitIsStableThroughOneCycle) {
   const auto report = testutil::small_report();
-  const auto text = json_backend().emit(report, "unit_app_1");
-  EXPECT_EQ(json_backend().emit(parse_design(text), "unit_app_1"), text);
+  const auto text = emit_json(report);
+  EXPECT_EQ(emit_json(parse_design(text)), text);
 }
 
 TEST(JsonRoundTrip, RealMat2DesignRoundTrips) {
   const auto& report = testutil::mat2_report();
-  const auto back = parse_design(json_backend().emit(report, "unit_app_1"));
+  const auto back = parse_design(emit_json(report));
   EXPECT_TRUE(back == report);
   EXPECT_EQ(back.request_design.binding, report.request_design.binding);
   EXPECT_EQ(back.designed.avg_latency, report.designed.avg_latency);
@@ -46,8 +47,8 @@ TEST(JsonRoundTrip, DocumentIsWhatTheTextParsesTo) {
   for (const auto& report :
        {testutil::small_report(), testutil::mat2_report()}) {
     const auto doc = design_document(report);
-    EXPECT_EQ(json::parse(json_backend().emit(report, "x")), doc);
-    EXPECT_EQ(json::dump(doc), json_backend().emit(report, "x"));
+    EXPECT_EQ(json::parse(emit_json(report)), doc);
+    EXPECT_EQ(json::dump(doc), emit_json(report));
     EXPECT_TRUE(design_from_document(doc) == report);
   }
   EXPECT_THROW(design_from_document(json::parse("{}")),
@@ -56,13 +57,13 @@ TEST(JsonRoundTrip, DocumentIsWhatTheTextParsesTo) {
 
 TEST(JsonRoundTrip, MutationsBreakEquality) {
   const auto report = testutil::small_report();
-  auto changed = parse_design(json_backend().emit(report, "unit_app_1"));
+  auto changed = parse_design(emit_json(report));
   changed.request_design.binding[0] ^= 1;
   EXPECT_FALSE(changed == report);
 }
 
 TEST(JsonRoundTrip, DocumentCarriesConflictAndCostSummaries) {
-  const auto doc = json::parse(json_backend().emit(testutil::small_report(), "unit_app_1"));
+  const auto doc = json::parse(emit_json(testutil::small_report()));
   EXPECT_EQ(doc.at("schema").as_string(), "stx-crossbar-design/v1");
   EXPECT_EQ(doc.at("request").at("num_conflicts").as_int(), 2);
   EXPECT_EQ(doc.at("cost").at("designed_buses").as_int(), 5);

@@ -1,6 +1,6 @@
-// Backend registry: selection, ordering, errors, custom registration and
+// The fixed backend table: name order, selection, errors, basenames and
 // artifact writing.
-#include "gen/registry.h"
+#include "gen/backends.h"
 
 #include <gtest/gtest.h>
 
@@ -14,8 +14,8 @@
 namespace stx::gen {
 namespace {
 
-TEST(Registry, BuiltinsAreRegisteredInOrder) {
-  const auto names = registry::instance().names();
+TEST(Registry, BackendNamesAreInTableOrder) {
+  const auto& names = backend_names();
   ASSERT_EQ(names.size(), 4u);
   EXPECT_EQ(names[0], "sv");
   EXPECT_EQ(names[1], "dot");
@@ -23,45 +23,47 @@ TEST(Registry, BuiltinsAreRegisteredInOrder) {
   EXPECT_EQ(names[3], "report");
 }
 
-TEST(Registry, FindResolvesEveryBuiltin) {
-  for (const auto& name : registry::instance().names()) {
-    const auto* b = registry::instance().find(name);
-    ASSERT_NE(b, nullptr) << name;
-    EXPECT_EQ(b->name(), name);
-    EXPECT_FALSE(b->extension().empty());
-    EXPECT_EQ(b->extension().front(), '.');
-    EXPECT_FALSE(b->description().empty());
+TEST(Registry, CheckBackendNameAcceptsOnlyTheTable) {
+  for (const auto& name : backend_names()) {
+    EXPECT_NO_THROW(check_backend_name(name)) << name;
   }
-  EXPECT_EQ(registry::instance().find("vhdl"), nullptr);
+  EXPECT_THROW(check_backend_name("vhdl"), invalid_argument_error);
+  EXPECT_THROW(check_backend_name(""), invalid_argument_error);
 }
 
 TEST(Registry, GenerateSelectsRequestedBackends) {
   const auto report = testutil::small_report();
   generate_options opts;
   opts.backends = {"json", "sv"};
-  const auto arts = registry::instance().generate(report, opts);
+  const auto arts = generate(report, opts);
   ASSERT_EQ(arts.size(), 2u);
   EXPECT_EQ(arts[0].backend, "json");
   EXPECT_EQ(arts[0].filename, "unit_app_1.json");
+  EXPECT_EQ(arts[0].content, emit_json(report));
   EXPECT_EQ(arts[1].backend, "sv");
   EXPECT_EQ(arts[1].filename, "unit_app_1.sv");
-  EXPECT_FALSE(arts[0].content.empty());
-  EXPECT_FALSE(arts[1].content.empty());
+  EXPECT_EQ(arts[1].content, emit_sv(report, "unit_app_1"));
 }
 
 TEST(Registry, EmptySelectionRunsEverything) {
-  const auto arts =
-      registry::instance().generate(testutil::small_report(), {});
+  const auto report = testutil::small_report();
+  const auto arts = generate(report, {});
   ASSERT_EQ(arts.size(), 4u);
+  for (std::size_t i = 0; i < arts.size(); ++i) {
+    EXPECT_EQ(arts[i].backend, backend_names()[i]);
+  }
   EXPECT_EQ(arts[0].filename, "unit_app_1.sv");
+  EXPECT_EQ(arts[1].filename, "unit_app_1.dot");
+  EXPECT_EQ(arts[2].filename, "unit_app_1.json");
   EXPECT_EQ(arts[3].filename, "unit_app_1.md");
+  EXPECT_EQ(arts[3].content, emit_report(report));
 }
 
 TEST(Registry, UnknownBackendThrowsListingAvailable) {
   generate_options opts;
   opts.backends = {"verilog"};
   try {
-    registry::instance().generate(testutil::small_report(), opts);
+    generate(testutil::small_report(), opts);
     FAIL() << "expected invalid_argument_error";
   } catch (const invalid_argument_error& e) {
     const std::string what = e.what();
@@ -75,33 +77,22 @@ TEST(Registry, ExplicitBasenameOverridesAppName) {
   generate_options opts;
   opts.backends = {"dot"};
   opts.basename = "custom";
-  const auto arts =
-      registry::instance().generate(testutil::small_report(), opts);
+  const auto arts = generate(testutil::small_report(), opts);
   ASSERT_EQ(arts.size(), 1u);
   EXPECT_EQ(arts[0].filename, "custom.dot");
+  EXPECT_NE(arts[0].content.find("digraph custom_xbar {"), std::string::npos);
 }
 
-// A trivial backend to prove third-party registration works.
-class echo_backend : public backend {
- public:
-  std::string name() const override { return "echo"; }
-  std::string extension() const override { return ".txt"; }
-  std::string description() const override { return "test backend"; }
-  std::string emit(const xbar::flow_report& r,
-                   const std::string& basename) const override {
-    return r.app_name + " as " + basename + "\n";
-  }
-};
-
-TEST(Registry, CustomBackendOnOwnRegistry) {
-  registry r;
-  r.add(std::make_unique<echo_backend>());
-  EXPECT_THROW(r.add(std::make_unique<echo_backend>()),
-               invalid_argument_error);  // duplicate name
-  const auto arts = r.generate(testutil::small_report(), {});
-  ASSERT_EQ(arts.size(), 1u);
-  // The registry hands backends the sanitised stem it names files with.
-  EXPECT_EQ(arts[0].content, "Unit App-1 as unit_app_1\n");
+TEST(Registry, EmittersGetTheSanitisedStem) {
+  // The file name and the identifiers inside it come from one stem.
+  generate_options opts;
+  opts.backends = {"sv", "dot"};
+  const auto arts = generate(testutil::small_report(), opts);
+  ASSERT_EQ(arts.size(), 2u);
+  EXPECT_NE(arts[0].content.find("module unit_app_1_xbar "),
+            std::string::npos);
+  EXPECT_NE(arts[1].content.find("digraph unit_app_1_xbar {"),
+            std::string::npos);
 }
 
 TEST(Artifact, SanitizeBasename) {
@@ -116,8 +107,7 @@ TEST(Artifact, WriteArtifactsCreatesDirectoryAndFiles) {
                    "stx_gen_registry_test" / "nested";
   std::filesystem::remove_all(dir.parent_path());
 
-  const auto arts =
-      registry::instance().generate(testutil::small_report(), {});
+  const auto arts = generate(testutil::small_report(), {});
   const auto paths = write_artifacts(arts, dir.string());
   ASSERT_EQ(paths.size(), arts.size());
   for (std::size_t i = 0; i < paths.size(); ++i) {

@@ -1,7 +1,7 @@
 // Structural invariants of the generated SystemVerilog: one arbiter per
 // bus, every receiving endpoint decoded exactly once and demuxed exactly
 // once, in both the hand-built and a real synthesised design.
-#include "gen/rtl_backend.h"
+#include "gen/backends.h"
 
 #include <gtest/gtest.h>
 
@@ -80,7 +80,7 @@ void check_direction_module(const std::string& sv, const std::string& name,
 
 TEST(RtlBackend, SmallReportStructure) {
   const auto report = testutil::small_report();
-  const auto sv = rtl_backend().emit(report, "unit_app_1");
+  const auto sv = emit_sv(report, "unit_app_1");
 
   // All four modules present, exactly once each.
   EXPECT_EQ(count_occurrences(sv, "module unit_app_1_rr_arbiter"), 1u);
@@ -108,7 +108,7 @@ TEST(RtlBackend, SmallReportStructure) {
 
 TEST(RtlBackend, RealMat2DesignStructure) {
   const auto& report = testutil::mat2_report();
-  const auto sv = rtl_backend().emit(report, "mat2");
+  const auto sv = emit_sv(report, "mat2");
   check_direction_module(sv, "mat2_req_xbar",
                          report.request_design.num_buses,
                          report.request_design.binding);
@@ -119,14 +119,14 @@ TEST(RtlBackend, RealMat2DesignStructure) {
 
 TEST(RtlBackend, DeterministicEmission) {
   const auto report = testutil::small_report();
-  EXPECT_EQ(rtl_backend().emit(report, "unit_app_1"),
-            rtl_backend().emit(report, "unit_app_1"));
+  EXPECT_EQ(emit_sv(report, "unit_app_1"),
+            emit_sv(report, "unit_app_1"));
 }
 
 TEST(RtlBackend, BasenameBecomesTheModulePrefix) {
   // A custom generate_options::basename must rename the modules too, so
   // the file stem and its contents never disagree.
-  const auto sv = rtl_backend().emit(testutil::small_report(), "soc_a");
+  const auto sv = emit_sv(testutil::small_report(), "soc_a");
   EXPECT_EQ(count_occurrences(sv, "module soc_a_rr_arbiter"), 1u);
   EXPECT_EQ(count_occurrences(sv, "module soc_a_req_xbar"), 1u);
   EXPECT_EQ(count_occurrences(sv, "module soc_a_resp_xbar"), 1u);
@@ -137,10 +137,10 @@ TEST(RtlBackend, BasenameBecomesTheModulePrefix) {
 TEST(RtlBackend, RejectsMalformedReports) {
   auto report = testutil::small_report();
   report.request_design.binding[0] = 99;  // bus id out of range
-  EXPECT_THROW(rtl_backend().emit(report, "unit_app_1"), invalid_argument_error);
+  EXPECT_THROW(emit_sv(report, "unit_app_1"), invalid_argument_error);
 
   auto empty = xbar::flow_report{};
-  EXPECT_THROW(rtl_backend().emit(empty, "x"), invalid_argument_error);
+  EXPECT_THROW(emit_sv(empty, "x"), invalid_argument_error);
 }
 
 }  // namespace

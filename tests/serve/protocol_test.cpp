@@ -116,6 +116,25 @@ TEST(Protocol, RejectsMalformedRequests) {
                invalid_argument_error);
 }
 
+TEST(Protocol, RejectsUnknownArtifactBackends) {
+  // Checked against gen's backend list at parse time, before the request
+  // is admitted, so it never costs a simulation or a store write.
+  try {
+    parse_request(R"({"op":"design","app":"qsort","horizon":8000,)"
+                  R"("artifacts":["sv","vhdl"]})");
+    FAIL() << "expected invalid_argument_error";
+  } catch (const invalid_argument_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'vhdl'"), std::string::npos)
+        << e.what();
+  }
+  // Every listed backend parses.
+  const auto req =
+      parse_request(R"({"op":"design","app":"qsort",)"
+                    R"("artifacts":["sv","dot","json","report"]})");
+  EXPECT_EQ(req.design.artifacts,
+            (std::vector<std::string>{"sv", "dot", "json", "report"}));
+}
+
 TEST(Protocol, RejectsFlowKnobsNoFlowCanRun) {
   // flow_options::validate runs at parse time, so these are error
   // responses before admission, not simulations that fail (or, for

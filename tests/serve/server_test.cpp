@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/obs.h"
+#include "util/failpoint.h"
 
 namespace stx::serve {
 namespace {
@@ -62,6 +64,7 @@ TEST(Server, AnswersTheCoreOpsInOrder) {
        R"({"op":"ping","id":"p2"})"});
   EXPECT_NE(errs[0].find("\"ok\":false"), std::string::npos);
   EXPECT_NE(errs[1].find("unknown request field"), std::string::npos);
+  EXPECT_NE(errs[1].find("\"id\":\"e2\""), std::string::npos);
   EXPECT_NE(errs[2].find("\"op\":\"ping\""), std::string::npos);
 
   srv.stop();
@@ -102,6 +105,43 @@ TEST(Server, ShutdownOpUnblocksWait) {
   srv.stop();
   // The socket file is gone once the server stopped.
   EXPECT_FALSE(fs::exists(srv.socket_path()));
+}
+
+TEST(Server, CoalescedRequestsEchoTheirOwnIds) {
+  // Each execution stalls, so the first request is still pending when
+  // the identical second one arrives on another connection and joins
+  // its execution.
+  failpoint::arm("serve.worker.execute", "delay(500)");
+  service::options sopts;
+  sopts.workers = 1;
+  service svc(sopts);
+  server srv(svc, socket_path("coalesce"));
+  srv.start();
+
+  const std::string body = R"(","app":"qsort","horizon":8000})";
+  std::string first;
+  std::thread client([&] {
+    first = request_line(srv.socket_path(),
+                         R"({"op":"design","id":"first)" + body);
+  });
+  while (svc.stats().submitted == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto second = request_line(srv.socket_path(),
+                                   R"({"op":"design","id":"second)" + body);
+  client.join();
+  failpoint::disarm_all();
+
+  EXPECT_EQ(svc.stats().coalesced, 1);
+  const auto r1 = parse_response(first);
+  const auto r2 = parse_response(second);
+  ASSERT_TRUE(r1.ok) << r1.error;
+  ASSERT_TRUE(r2.ok) << r2.error;
+  EXPECT_EQ(r1.id, "first");
+  EXPECT_EQ(r2.id, "second");
+  ASSERT_TRUE(r1.report.has_value() && r2.report.has_value());
+  EXPECT_EQ(*r1.report, *r2.report);
+  srv.stop();
 }
 
 TEST(Server, ConcurrentConnectionsShareTheWorkerPool) {

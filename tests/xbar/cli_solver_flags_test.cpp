@@ -5,7 +5,7 @@
 // a starved node budget on the generic-MILP path fails the run (exit 1,
 // runtime error), proving the plumbing is live. The flow knobs
 // flow_options::validate rejects (horizon, window, threshold, burst
-// window) exit 2 the same way.
+// window) exit 2 the same way, and so does an unknown --emit backend.
 //
 // The binaries are exercised through std::system; their paths are
 // injected by CMake. Output is routed to /dev/null so failures stay
@@ -57,6 +57,14 @@ TEST(CliSolverFlags, InvalidFlowKnobsExit2BeforeSimulating) {
   EXPECT_EQ(run(kXbarSweep + " --grid win=200 --horizon=0"), 2);
   EXPECT_EQ(run(kXbarSweep + " --grid thr=inf"), 2);
   EXPECT_EQ(run(kXbarSweep + " --grid burstwin=-1"), 2);
+}
+
+TEST(CliSolverFlags, XbargenRejectsUnknownEmitBackendsWithExit2) {
+  EXPECT_EQ(run(kXbargen + " --app=qsort --emit=vhdl"), 2);
+  EXPECT_EQ(run(kXbargen + " --app=qsort --emit=sv,vhdl"), 2);
+  // "all" selects every backend; it does not excuse a typo beside it.
+  EXPECT_EQ(run(kXbargen + " --app=qsort --emit=all,vhdl"), 2);
+  EXPECT_EQ(run(kXbargen + " --app=qsort --emit=vhdl,all"), 2);
 }
 
 TEST(CliSolverFlags, ValidBudgetsRunAndStarvedBudgetsFailAtRuntime) {
