@@ -1,6 +1,8 @@
 // Design-service throughput: designs/second through a live xbar-serve
-// worker pool at client concurrency 1 / 4 / 16, cold cache vs warm
-// cache (BENCH_serve.json, schema stx-bench-serve/v1).
+// server at client concurrency 1 / 4 / 16, cold cache vs warm cache
+// (BENCH_serve.json, schema stx-bench-serve/v1). Each client connection
+// runs its requests on its own server thread; --workers bounds how many
+// of them compute a design at once.
 //
 //   $ ./serve_throughput [--horizon=20000] [--requests=48]
 //                        [--workers=4] [--json=BENCH_serve.json]

@@ -1,4 +1,5 @@
-// Helpers shared by the xbargen / xbar-sweep CLI drivers.
+// Helpers shared by the xbargen / xbar-sweep / xbar-fuzz / xbar-serve CLI
+// drivers.
 #pragma once
 
 #include <cstdint>

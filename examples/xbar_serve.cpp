@@ -27,10 +27,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_common.h"
 #include "gen/json.h"
 #include "obs/export.h"
 #include "obs/obs.h"
@@ -49,8 +51,10 @@ void print_usage(std::FILE* to) {
       "usage: xbar-serve --socket=PATH [options]\n"
       "  --socket=PATH     unix socket to listen on (or connect to,\n"
       "                    with --client); default ./xbar-serve.sock\n"
-      "  --workers=N       design worker threads (2)\n"
-      "  --queue=N         admission queue depth (64)\n"
+      "  --workers=N       designs computed at once, each on its\n"
+      "                    connection's thread (2)\n"
+      "  --queue=N         requests that may wait for a slot; more\n"
+      "                    are refused with a retry hint (64)\n"
       "  --cache-dir=DIR   persistent result store shared with the\n"
       "                    other CLIs (default: in-memory only)\n"
       "  --cache-max-bytes=N  evict oldest-accessed store entries over\n"
@@ -105,23 +109,38 @@ extern "C" void on_terminate_signal(int) {
   [[maybe_unused]] const auto n = ::write(g_signal_pipe[1], &byte, 1);
 }
 
+/// --name=N as an int from 1 to INT_MAX; throws on anything else.
+int positive_int_flag(const flag_set& flags, const char* name, int fallback) {
+  constexpr int kMax = std::numeric_limits<int>::max();
+  const auto v = flags.get_int(name, fallback);
+  if (v < 1 || v > kMax) {
+    throw invalid_argument_error(std::string("--") + name +
+                                 " must be from 1 to " + std::to_string(kMax));
+  }
+  return static_cast<int>(v);
+}
+
 int run_daemon(const flag_set& flags, const std::string& socket_path) {
+  // Every flag is read before anything is constructed: a malformed or
+  // out-of-range value is bad usage (exit 2), not a runtime failure.
   serve::service::options sopts;
-  sopts.workers = static_cast<int>(flags.get_int("workers", 2));
-  sopts.queue_depth = static_cast<int>(flags.get_int("queue", 64));
-  sopts.cache_dir = flags.get_string("cache-dir", "");
-  const std::int64_t cache_cap = flags.get_int("cache-max-bytes", 0);
-  if (cache_cap < 0) {
-    std::fprintf(stderr, "xbar-serve: --cache-max-bytes must be >= 0\n");
+  serve::server::options wopts;
+  int drain_ms = 0;
+  try {
+    sopts.workers = positive_int_flag(flags, "workers", 2);
+    sopts.queue_depth = positive_int_flag(flags, "queue", 64);
+    sopts.cache_max_bytes = cli::cache_max_bytes_flag(flags);
+    wopts.io_timeout_ms =
+        static_cast<int>(flags.get_int("io-timeout-ms", 30000));
+    wopts.idle_timeout_ms =
+        static_cast<int>(flags.get_int("idle-timeout-ms", 300000));
+    drain_ms = static_cast<int>(flags.get_int("drain-ms", 5000));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "xbar-serve: %s\n", e.what());
+    print_usage(stderr);
     return 2;
   }
-  sopts.cache_max_bytes = static_cast<std::uint64_t>(cache_cap);
-
-  serve::server::options wopts;
-  wopts.io_timeout_ms = static_cast<int>(flags.get_int("io-timeout-ms", 30000));
-  wopts.idle_timeout_ms =
-      static_cast<int>(flags.get_int("idle-timeout-ms", 300000));
-  const int drain_ms = static_cast<int>(flags.get_int("drain-ms", 5000));
+  sopts.cache_dir = flags.get_string("cache-dir", "");
   const auto metrics_out = flags.get_string("metrics-out", "");
 
   // The daemon always collects counters: the "metrics" op is the

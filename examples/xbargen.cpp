@@ -94,10 +94,13 @@ const std::vector<std::string> kKnownFlags = {
     "cache-dir", "cache-max-bytes", "trace-out", "metrics-out",
 };
 
-/// Solver budget flags; malformed/out-of-range values exit 2 with usage.
-void pick_solver_limits(const flag_set& flags, xbar::solver_options* limits) {
+/// --solver (the grid's solver names) and the solver budget flags;
+/// unknown, malformed or out-of-range values exit 2 with usage.
+void pick_solver(const flag_set& flags, xbar::synthesis_options* so) {
   try {
-    cli::apply_solver_budget_flags(flags, limits);
+    so->solver =
+        explore::parse_solver(flags.get_string("solver", "specialized"));
+    cli::apply_solver_budget_flags(flags, &so->limits);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "xbargen: %s\n", e.what());
     print_usage(stderr);
@@ -151,10 +154,7 @@ xbar::synthesis_options synth_options(const flag_set& flags) {
       static_cast<int>(flags.get_int("maxtb", 4));
   so.params.use_overlap_conflicts = flags.get_bool("conflicts", true);
   so.params.separate_critical = flags.get_bool("critical", true);
-  if (flags.get_string("solver", "specialized") == "milp") {
-    so.solver = xbar::solver_kind::generic_milp;
-  }
-  pick_solver_limits(flags, &so.limits);
+  pick_solver(flags, &so);
   return so;
 }
 

@@ -34,13 +34,6 @@ sim::arbitration parse_policy(const std::string& v) {
                                "' (fixed|rr|lrg)");
 }
 
-xbar::solver_kind parse_solver(const std::string& v) {
-  if (v == "specialized") return xbar::solver_kind::specialized;
-  if (v == "milp") return xbar::solver_kind::generic_milp;
-  throw invalid_argument_error("unknown solver '" + v +
-                               "' (specialized|milp)");
-}
-
 cycle_t parse_cycles(const std::string& key, const std::string& v,
                      cycle_t min_value = 0) {
   char* end = nullptr;
@@ -72,6 +65,13 @@ void each(const std::vector<T>& axis, const T& fallback, Fn&& fn) {
 }
 
 }  // namespace
+
+xbar::solver_kind parse_solver(const std::string& v) {
+  if (v == "specialized") return xbar::solver_kind::specialized;
+  if (v == "milp") return xbar::solver_kind::generic_milp;
+  throw invalid_argument_error("unknown solver '" + v +
+                               "' (specialized|milp)");
+}
 
 std::string sweep_point::to_string() const {
   std::ostringstream out;

@@ -75,6 +75,11 @@ const std::vector<std::string>& grid_keys();
 /// a sweep must never silently run zero points.
 void parse_grid_axis(const std::string& spec, sweep_grid& grid);
 
+/// A solver name as the CLIs spell it, in the `solver=` axis and
+/// xbargen's --solver: "specialized" or "milp". Throws
+/// stx::invalid_argument_error on any other value.
+xbar::solver_kind parse_solver(const std::string& v);
+
 /// parse_grid_axis over every spec in order.
 sweep_grid parse_grid(const std::vector<std::string>& specs);
 

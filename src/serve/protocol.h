@@ -52,8 +52,8 @@ struct design_request {
   bool validate = true;       ///< run phase 4 (full reference + designed)
   std::vector<std::string> artifacts;  ///< gen backend names to render
   /// Per-request deadline in milliseconds since admission (0 = none). A
-  /// request still queued when its deadline passes is answered with a
-  /// "deadline exceeded" error instead of being executed late.
+  /// request whose turn comes after its deadline passed is answered with
+  /// a "deadline exceeded" error instead of being executed late.
   std::int64_t deadline_ms = 0;
 };
 
@@ -113,7 +113,7 @@ std::string serialize_simple(const std::string& id, request_op op,
 /// operators watch these to see saturation building before the admission
 /// queue starts shedding.
 struct live_gauges {
-  std::int64_t admission_queue_depth = 0;  ///< requests queued, not running
+  std::int64_t admission_queue_depth = 0;  ///< requests waiting for a slot
   std::int64_t in_flight = 0;      ///< admitted and not yet completed
   std::int64_t connections = 0;    ///< open client connections
   std::int64_t idle_connections = 0;  ///< connections waiting in read

@@ -32,6 +32,9 @@ sockaddr_un unix_address(const std::string& path) {
   return addr;
 }
 
+/// request_lines' backoff jitter seed: fixed, so retries reproduce.
+constexpr std::uint64_t kJitterSeed = 0x5eed;
+
 /// The string "id" of a request line parse_request rejected, so the
 /// error response still names the request; "" when there is none.
 std::string rejected_request_id(const std::string& line) {
@@ -215,7 +218,7 @@ std::string server::dispatch(const std::string& line, bool* shutdown) {
   }
   switch (req.op) {
     case request_op::design:
-      return serialize(svc_.submit(req.design).get(), req.id);
+      return serialize(svc_.run(req.design), req.id);
     case request_op::ping:
       return serialize_simple(req.id, request_op::ping);
     case request_op::metrics: {
@@ -416,7 +419,7 @@ std::vector<std::string> request_lines(const std::string& socket_path,
                                        const std::vector<std::string>& lines,
                                        const retry_options& retry) {
   const int attempts = retry.attempts < 1 ? 1 : retry.attempts;
-  rng jitter(retry.jitter_seed);
+  rng jitter(kJitterSeed);
   std::vector<std::string> responses;
   int fd = -1;
   std::string buf, line;

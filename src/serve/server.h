@@ -1,10 +1,10 @@
 // Local stream-socket transport for the design service: an AF_UNIX
 // listener speaking the line-delimited JSON protocol of
-// serve/protocol.h. One thread per connection; each connection's
-// requests are answered in order, and concurrency comes from concurrent
-// connections feeding the shared service worker pool. The accept loop
-// joins the threads of finished connections, so callers that reconnect
-// per request do not pile up thread stacks.
+// serve/protocol.h. One thread per connection, which runs each of its
+// requests itself (service::run) and answers them in order; concurrency
+// comes from concurrent connections, bounded by the service's admission
+// gate. The accept loop joins the threads of finished connections, so
+// callers that reconnect per request do not pile up thread stacks.
 #pragma once
 
 #include <condition_variable>
@@ -108,15 +108,15 @@ class server {
 /// connect failure, a connection dropped mid-request (daemon restart),
 /// and overload responses carrying a retry_after_ms hint. The wait
 /// before attempt k is max(hint, base << k) * jitter in [0.5, 1.5),
-/// capped at max_backoff_ms — exponential backoff with deterministic
-/// (seeded) jitter so stampedes decorrelate but tests stay reproducible.
+/// capped at max_backoff_ms — exponential backoff with a fixed-seed
+/// jitter, so a retry schedule is reproducible (and the same in every
+/// client).
 /// Design requests are idempotent and responses arrive strictly in
 /// order, so resending the in-flight line after a reconnect is safe.
 struct retry_options {
   int attempts = 1;         ///< total tries per line (1 = no retry)
   int base_backoff_ms = 50;
   int max_backoff_ms = 2'000;
-  std::uint64_t jitter_seed = 0x5eed;
 };
 
 /// Client side, used by the CLI --client mode, tests and the throughput

@@ -80,34 +80,18 @@ service::service(const options& opts) : opts_(opts) {
                                                    opts_.cache_max_bytes);
   }
   cache_ = std::make_unique<explore::trace_cache>(store_);
-  workers_.reserve(static_cast<std::size_t>(opts_.workers));
-  for (int i = 0; i < opts_.workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
 }
 
-service::~service() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-std::shared_future<design_response> service::submit(
-    const design_request& req) {
+design_response service::run(const design_request& req) {
   obs::add_counter("serve.requests", 1);
-  const auto ready_error = [&](const std::string& what,
-                               std::int64_t retry_after_ms = 0) {
+  const auto error = [&](const std::string& what,
+                         std::int64_t retry_after_ms = 0) {
     design_response resp;
     resp.id = req.id;
     resp.ok = false;
     resp.error = what;
     resp.retry_after_ms = retry_after_ms;
-    std::promise<design_response> p;
-    p.set_value(std::move(resp));
-    return p.get_future().share();
+    return resp;
   };
 
   // The canonical report key (plus the artifact selection, which alters
@@ -128,45 +112,86 @@ std::shared_future<design_response> service::submit(
     ++stats_.submitted;
     ++stats_.errors;
     obs::add_counter("serve.errors", 1);
-    return ready_error(e.what());
+    return error(e.what());
   }
 
-  job j;
-  j.req = req;
-  j.dedup_key = dedup_key;
-  j.admitted = std::chrono::steady_clock::now();
-  std::shared_future<design_response> future;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.submitted;
-    const auto it = in_flight_.find(dedup_key);
-    if (it != in_flight_.end()) {
-      ++stats_.coalesced;
-      obs::add_counter("serve.coalesced", 1);
-      return it->second;
+  const auto admitted = std::chrono::steady_clock::now();
+  std::unique_lock<std::mutex> lock(mu_);
+  ++stats_.submitted;
+  if (const auto it = in_flight_.find(dedup_key); it != in_flight_.end()) {
+    ++stats_.coalesced;
+    obs::add_counter("serve.coalesced", 1);
+    auto& leader = it->second;
+    if (!leader.shared.valid()) {
+      leader.shared = leader.answer.get_future().share();
     }
-    if (queue_.size() >= static_cast<std::size_t>(opts_.queue_depth)) {
-      ++stats_.rejected;
-      obs::add_counter("serve.rejected", 1);
-      // Back-off hint: proportional to how much work each worker has
-      // queued ahead (deterministic in the configuration, so the client
-      // jitter is the only randomness in the retry schedule).
-      const auto hint = std::clamp<std::int64_t>(
-          50 * (opts_.queue_depth / opts_.workers + 1), 50, 5000);
-      return ready_error("admission queue full (" +
-                             std::to_string(opts_.queue_depth) + " pending)",
-                         hint);
-    }
-    future = j.promise.get_future().share();
-    in_flight_.emplace(dedup_key, future);
-    queue_.push_back(std::move(j));
-    obs::gauge_max("serve.queue_depth_max",
-                   static_cast<std::int64_t>(queue_.size()));
-    obs::gauge_max("serve.in_flight_max",
-                   static_cast<std::int64_t>(in_flight_.size()));
+    const auto shared = leader.shared;
+    lock.unlock();
+    return shared.get();
   }
-  cv_.notify_one();
-  return future;
+  const auto waiting = static_cast<std::int64_t>(next_ticket_ - next_start_);
+  if (waiting >= opts_.queue_depth) {
+    ++stats_.rejected;
+    obs::add_counter("serve.rejected", 1);
+    // Back-off hint: proportional to how much work each slot has waiting
+    // behind it (deterministic in the configuration, so the client
+    // jitter is the only randomness in the retry schedule).
+    const auto hint = std::clamp<std::int64_t>(
+        50 * (opts_.queue_depth / opts_.workers + 1), 50, 5000);
+    return error("admission queue full (" +
+                     std::to_string(opts_.queue_depth) + " pending)",
+                 hint);
+  }
+  const bool waits = waiting > 0 || running_ >= opts_.workers;
+  obs::gauge_max("serve.queue_depth_max", waiting + (waits ? 1 : 0));
+  obs::gauge_max("serve.in_flight_max",
+                 static_cast<std::int64_t>(in_flight_.size()) + 1);
+  in_flight_.try_emplace(dedup_key);
+
+  // Waiters start in ticket (arrival) order, each once a slot is free.
+  const auto ticket = next_ticket_++;
+  turn_.wait(lock, [&] {
+    return ticket == next_start_ && running_ < opts_.workers;
+  });
+  ++next_start_;
+  // A request that already waited past its deadline is answered with an
+  // error instead of taking a slot for a result nobody is waiting for.
+  const auto waited_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - admitted)
+          .count();
+  const bool expired = req.deadline_ms > 0 && waited_ms > req.deadline_ms;
+  if (!expired) ++running_;
+  lock.unlock();
+  turn_.notify_all();  // the next ticket may start too, if a slot is free
+
+  design_response resp;
+  try {  // however it ends, the request frees its slot and answers twins
+    resp = expired ? error("deadline exceeded (" +
+                           std::to_string(waited_ms) + "ms queued > " +
+                           std::to_string(req.deadline_ms) +
+                           "ms deadline)")
+                   : handle(req);
+  } catch (const std::exception& e) {
+    resp = error(e.what());
+  }
+
+  lock.lock();
+  if (!expired) --running_;
+  ++stats_.completed;
+  if (!resp.ok) ++stats_.errors;
+  if (expired) ++stats_.deadline_exceeded;
+  if (resp.source == "store") ++stats_.store_hits;
+  auto node = in_flight_.extract(dedup_key);
+  lock.unlock();
+  turn_.notify_all();
+  if (auto& flight = node.mapped(); flight.shared.valid()) {
+    flight.answer.set_value(std::move(resp));  // twins joined: all copy
+    resp = flight.shared.get();
+  }
+  if (!resp.ok) obs::add_counter("serve.errors", 1);
+  if (expired) obs::add_counter("serve.deadline_exceeded", 1);
+  return resp;
 }
 
 design_response service::handle(const design_request& req) {
@@ -201,59 +226,6 @@ design_response service::handle(const design_request& req) {
   return resp;
 }
 
-void service::worker_loop() {
-  while (true) {
-    job j;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and drained
-      j = std::move(queue_.front());
-      queue_.erase(queue_.begin());
-    }
-    // Deadline enforcement happens worker-side, at dequeue: a request
-    // that already waited past its deadline is answered with an error
-    // instead of burning a worker on a result nobody is waiting for.
-    if (j.req.deadline_ms > 0) {
-      const auto waited_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              std::chrono::steady_clock::now() - j.admitted)
-              .count();
-      if (waited_ms > j.req.deadline_ms) {
-        design_response resp;
-        resp.id = j.req.id;
-        resp.ok = false;
-        resp.error = "deadline exceeded (" + std::to_string(waited_ms) +
-                     "ms queued > " + std::to_string(j.req.deadline_ms) +
-                     "ms deadline)";
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.completed;
-          ++stats_.errors;
-          ++stats_.deadline_exceeded;
-          in_flight_.erase(j.dedup_key);
-        }
-        obs::add_counter("serve.errors", 1);
-        obs::add_counter("serve.deadline_exceeded", 1);
-        j.promise.set_value(std::move(resp));
-        continue;
-      }
-    }
-    auto resp = handle(j.req);
-    const bool ok = resp.ok;
-    const bool from_store = resp.source == "store";
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.completed;
-      if (!ok) ++stats_.errors;
-      if (from_store) ++stats_.store_hits;
-      in_flight_.erase(j.dedup_key);
-    }
-    if (!ok) obs::add_counter("serve.errors", 1);
-    j.promise.set_value(std::move(resp));
-  }
-}
-
 service::stats_t service::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
@@ -262,7 +234,7 @@ service::stats_t service::stats() const {
 service::live_t service::live() const {
   std::lock_guard<std::mutex> lock(mu_);
   live_t l;
-  l.queue_depth = static_cast<std::int64_t>(queue_.size());
+  l.queue_depth = static_cast<std::int64_t>(next_ticket_ - next_start_);
   l.in_flight = static_cast<std::int64_t>(in_flight_.size());
   return l;
 }

@@ -1,21 +1,20 @@
-// The design service engine: a sharded worker pool executing design
-// requests against the staged flow, with a bounded admission queue,
-// in-flight dedup of identical requests, and the content-addressed
-// result store (explore::kv_store) underneath. Transport-free — the
-// socket server (serve/server.h), tests and benches all drive this same
-// class; xbargen's --cache-dir path shares cached_design().
+// The design service engine: runs design requests against the staged
+// flow on the caller's thread, behind an admission gate (at most
+// `workers` designs run at once, at most `queue_depth` wait, and waiters
+// start in arrival order), with in-flight dedup of identical requests
+// and the content-addressed result store (explore::kv_store) underneath.
+// Transport-free and thread-free — the socket server (serve/server.h)
+// calls run() on each connection's thread, tests and benches drive the
+// same class; xbargen's --cache-dir path shares cached_design().
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <map>
-#include <mutex>
 #include <memory>
+#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "explore/trace_cache.h"
 #include "serve/protocol.h"
@@ -24,7 +23,7 @@
 namespace stx::serve {
 
 /// One staged, store-backed design-flow invocation — the unit of work a
-/// service worker executes, shared verbatim by the CLI --cache-dir
+/// service request executes, shared verbatim by the CLI --cache-dir
 /// paths so a design computed by xbargen is a warm hit for the daemon
 /// and vice versa.
 ///
@@ -53,11 +52,11 @@ cached_design_result cached_design(const workloads::app_spec& app,
 class service {
  public:
   struct options {
-    /// Worker threads executing design requests.
+    /// Designs executing at once; further requests wait for a slot.
     int workers = 2;
-    /// Admission bound: requests queued beyond the workers. A submit
-    /// past this limit is rejected immediately ("admission queue full")
-    /// instead of accumulating unbounded latency.
+    /// Admission bound: requests waiting for a slot. A request past this
+    /// limit is rejected immediately ("admission queue full") instead of
+    /// accumulating unbounded latency.
     int queue_depth = 64;
     /// Persistent store directory; empty = in-process store only.
     std::string cache_dir;
@@ -73,32 +72,34 @@ class service {
     std::int64_t coalesced = 0;  ///< deduped onto an in-flight twin
     std::int64_t rejected = 0;   ///< bounced by the admission bound
     std::int64_t store_hits = 0; ///< whole-report store hits
-    std::int64_t deadline_exceeded = 0;  ///< expired while queued
+    std::int64_t deadline_exceeded = 0;  ///< expired while waiting
   };
 
   /// Instantaneous saturation view (for the metrics op's live gauges):
-  /// requests queued behind the workers, and requests admitted but not
-  /// yet completed (queued + executing).
+  /// requests waiting for a slot, and requests admitted but not yet
+  /// completed (waiting + executing; coalesced twins not counted).
   struct live_t {
     std::int64_t queue_depth = 0;
     std::int64_t in_flight = 0;
   };
 
   explicit service(const options& opts);
-  ~service();  ///< drains the queue, joins the workers
 
   service(const service&) = delete;
   service& operator=(const service&) = delete;
 
-  /// Submits one design request. Identical in-flight requests (same
-  /// canonical report key and artifact list) share one execution and one
-  /// future. A request past the admission bound resolves immediately
-  /// with an error response carrying a retry_after_ms backoff hint; a
-  /// malformed application identity likewise (without the hint).
-  /// Never throws and never blocks on flow work.
-  std::shared_future<design_response> submit(const design_request& req);
+  /// Runs one design request on the caller's thread and returns its
+  /// response. A malformed application identity is answered at once; an
+  /// identical request already in flight (same canonical report key and
+  /// artifact list) is joined, and its leader's response returned, without
+  /// taking a slot or a waiting place; a request past the admission bound
+  /// is answered at once with a retry_after_ms backoff hint. Otherwise
+  /// the request waits for its turn, is answered with an error if it
+  /// waited past its deadline_ms, and runs handle(). Never throws on a
+  /// flow error (that is an error response).
+  design_response run(const design_request& req);
 
-  /// Executes one request synchronously on the caller (the worker body).
+  /// Executes one request on the caller, without admission or dedup.
   design_response handle(const design_request& req);
 
   stats_t stats() const;
@@ -107,28 +108,27 @@ class service {
   explore::trace_cache& cache() { return *cache_; }
 
  private:
-  struct job {
-    design_request req;
-    std::string dedup_key;
-    std::promise<design_response> promise;
-    /// Admission time; the worker enforces req.deadline_ms against it.
-    std::chrono::steady_clock::time_point admitted;
+  /// A leader's execution, waiting or running. Its twins wait on
+  /// `shared`, which the first twin makes, so a leader nobody joined
+  /// never copies its response.
+  struct flight {
+    std::promise<design_response> answer;
+    std::shared_future<design_response> shared;
   };
-
-  void worker_loop();
 
   options opts_;
   std::shared_ptr<explore::kv_store> store_;
   std::unique_ptr<explore::trace_cache> cache_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool stopping_ = false;
-  std::vector<job> queue_;
-  /// Canonical dedup key -> the future every identical submit shares.
-  std::map<std::string, std::shared_future<design_response>> in_flight_;
+  /// Notified when a slot frees or a turn passes.
+  std::condition_variable turn_;
+  /// Canonical dedup key -> its leader's flight.
+  std::map<std::string, flight> in_flight_;
+  int running_ = 0;                ///< designs executing (<= workers)
+  std::uint64_t next_ticket_ = 0;  ///< handed to the next admitted leader
+  std::uint64_t next_start_ = 0;   ///< the ticket whose turn is next
   stats_t stats_;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace stx::serve

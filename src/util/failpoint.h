@@ -31,7 +31,7 @@
 //                               synced
 //   store.get.read              disk_store::get (error => read treated
 //                               as corrupt-as-miss)
-//   serve.admission             service::submit, before queueing
+//   serve.admission             service::run, before dedup and admission
 //   serve.worker.execute        service::handle, before the flow runs
 //   serve.conn.read             server connection, before reading a line
 //                               (error => connection dropped)

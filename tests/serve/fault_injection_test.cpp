@@ -1,6 +1,6 @@
 // Fault injection across the serving stack, driven by the failpoint
-// registry (util/failpoint.h): injected worker faults become error
-// responses, admission overload carries a retry_after_ms hint, queued
+// registry (util/failpoint.h): injected execution faults become error
+// responses, admission overload carries a retry_after_ms hint, waiting
 // requests past their deadline are answered instead of executed, a
 // store that cannot persist degrades to computing (never to failing),
 // and — the headline — a daemon that crashes mid-request can be
@@ -21,6 +21,7 @@
 #include "obs/obs.h"
 #include "serve/server.h"
 #include "serve/service.h"
+#include "serve_test_util.h"
 #include "util/error.h"
 #include "util/failpoint.h"
 
@@ -35,14 +36,9 @@ struct FaultInjection : ::testing::Test {
   void TearDown() override { failpoint::disarm_all(); }
 };
 
-design_request quick_request(const std::string& id,
-                             std::int64_t horizon = 8'000) {
-  design_request req;
-  req.id = id;
-  req.app = "qsort";
-  req.opts.horizon = horizon;
-  return req;
-}
+using testutil::eventually;
+using testutil::hold_a_slot;
+using testutil::quick_request;
 
 TEST_F(FaultInjection, FailpointSpecGrammarAndHitAccounting) {
   failpoint::arm_from_spec(
@@ -71,68 +67,63 @@ TEST_F(FaultInjection, WorkerExecuteErrorBecomesErrorResponse) {
   service::options opts;
   opts.workers = 1;
   service svc(opts);
-  const auto resp = svc.submit(quick_request("a")).get();
+  const auto resp = svc.run(quick_request("a"));
   EXPECT_FALSE(resp.ok);
   EXPECT_NE(resp.error.find("serve.worker.execute"), std::string::npos);
   EXPECT_EQ(svc.stats().errors, 1);
   // The fault is injected, not sticky: disarmed, the same request works.
   failpoint::disarm_all();
-  const auto ok = svc.submit(quick_request("b")).get();
+  const auto ok = svc.run(quick_request("b"));
   EXPECT_TRUE(ok.ok) << ok.error;
 }
 
 TEST_F(FaultInjection, AdmissionErrorResolvesImmediately) {
-  failpoint::arm("serve.admission", "error");
   service::options opts;
   opts.workers = 1;
   service svc(opts);
-  auto fut = svc.submit(quick_request("a"));
-  ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  const auto resp = fut.get();
+  auto slow = hold_a_slot(svc, 500);
+  failpoint::arm("serve.admission", "error");
+  // Answered without waiting for the busy slot.
+  const auto resp = svc.run(quick_request("a"));
+  EXPECT_EQ(svc.live().in_flight, 1);  // "slow" still holds the slot
   EXPECT_FALSE(resp.ok);
   EXPECT_NE(resp.error.find("serve.admission"), std::string::npos);
 }
 
 TEST_F(FaultInjection, OverloadRejectionCarriesRetryAfterHint) {
-  // A 200ms injected delay holds the only worker busy while distinct
-  // requests pile past the 1-deep queue.
-  failpoint::arm("serve.worker.execute", "delay(200)");
+  // A 200ms injected delay holds the only slot busy and "q0" takes the
+  // 1-deep waiting line, so the next distinct request is shed.
   service::options opts;
   opts.workers = 1;
   opts.queue_depth = 1;
   service svc(opts);
-  std::vector<std::shared_future<design_response>> futures;
-  for (int i = 0; i < 32 && svc.stats().rejected == 0; ++i) {
-    futures.push_back(
-        svc.submit(quick_request("q" + std::to_string(i), 8'000 + i)));
-  }
+  auto slow = hold_a_slot(svc, 200);
+  std::jthread q0([&] { (void)svc.run(quick_request("q0", 9'000)); });
+  ASSERT_TRUE(eventually([&] { return svc.live().queue_depth == 1; }));
+  const auto rejected = svc.run(quick_request("q1", 10'000));
   ASSERT_GT(svc.stats().rejected, 0);
-  const auto rejected = futures.back().get();
   EXPECT_FALSE(rejected.ok);
   EXPECT_NE(rejected.error.find("admission queue full"), std::string::npos);
   EXPECT_GT(rejected.retry_after_ms, 0);
   // The hint survives the wire protocol round trip.
   const auto reparsed = parse_response(serialize(rejected));
   EXPECT_EQ(reparsed.retry_after_ms, rejected.retry_after_ms);
-  for (auto& f : futures) (void)f.get();
 }
 
 TEST_F(FaultInjection, QueuedPastDeadlineIsAnsweredNotExecuted) {
-  // The first request sleeps 250ms in the worker; the second carries a
-  // 50ms deadline and must expire in the queue behind it.
-  failpoint::arm("serve.worker.execute", "delay(250)");
+  // "slow" sleeps 250ms in its slot; "late" carries a 50ms deadline and
+  // must expire waiting behind it.
   service::options opts;
   opts.workers = 1;
   service svc(opts);
-  auto slow = svc.submit(quick_request("slow", 8'000));
+  auto slow = hold_a_slot(svc, 250);
   auto req = quick_request("late", 9'000);
   req.deadline_ms = 50;
-  const auto late = svc.submit(req).get();
+  const auto late = svc.run(req);
   EXPECT_FALSE(late.ok);
   EXPECT_NE(late.error.find("deadline exceeded"), std::string::npos);
   EXPECT_EQ(svc.stats().deadline_exceeded, 1);
-  (void)slow.get();
+  slow.join();
   // The expired request never reached the worker failpoint: only the
   // slow request fired it.
   EXPECT_EQ(failpoint::hits("serve.worker.execute"), 1);
@@ -148,19 +139,19 @@ TEST_F(FaultInjection, StorePutFailureDegradesToComputedNeverToError) {
   service svc(opts);
   // Every write-through (traces, full reference, report) fails — the
   // request must still succeed, served as freshly computed.
-  const auto resp = svc.submit(quick_request("a")).get();
+  const auto resp = svc.run(quick_request("a"));
   EXPECT_TRUE(resp.ok) << resp.error;
   EXPECT_EQ(resp.source, "computed");
   EXPECT_GT(svc.store().stats().put_failures, 0);
   // Nothing was published, so the identical request recomputes (no
   // store hit) — and still succeeds.
-  const auto again = svc.submit(quick_request("b")).get();
+  const auto again = svc.run(quick_request("b"));
   EXPECT_TRUE(again.ok) << again.error;
   EXPECT_EQ(again.source, "computed");
   // Disarmed, persistence heals without intervention.
   failpoint::disarm_all();
-  (void)svc.submit(quick_request("c")).get();
-  const auto warm = svc.submit(quick_request("d")).get();
+  (void)svc.run(quick_request("c"));
+  const auto warm = svc.run(quick_request("d"));
   EXPECT_EQ(warm.source, "store");
 }
 
@@ -188,7 +179,7 @@ TEST_F(FaultInjection, DaemonCrashRestartServesByteIdenticalWarmReport) {
     opts.workers = 1;
     opts.cache_dir = dir.string();
     service svc(opts);
-    const auto cold = svc.submit(quick_request("cold")).get();
+    const auto cold = svc.run(quick_request("cold"));
     ASSERT_TRUE(cold.ok) << cold.error;
     ASSERT_TRUE(cold.report.has_value());
     cold_bytes = explore::encode_report(*cold.report);
@@ -196,7 +187,7 @@ TEST_F(FaultInjection, DaemonCrashRestartServesByteIdenticalWarmReport) {
   EXPECT_GT(obs::snapshot().counter("sim.runs"), 0);
 
   // Phase 2: a forked daemon on the same store, armed to crash (_Exit,
-  // as kill -9) the moment a worker picks up a request.
+  // as kill -9) the moment a request starts executing.
   const pid_t pid = ::fork();
   if (pid == 0) {
     try {

@@ -144,7 +144,7 @@ TEST(Server, CoalescedRequestsEchoTheirOwnIds) {
   srv.stop();
 }
 
-TEST(Server, ConcurrentConnectionsShareTheWorkerPool) {
+TEST(Server, ConcurrentConnectionsShareTheService) {
   service::options sopts;
   sopts.workers = 4;
   sopts.queue_depth = 64;

@@ -5,7 +5,8 @@
 // a starved node budget on the generic-MILP path fails the run (exit 1,
 // runtime error), proving the plumbing is live. The flow knobs
 // flow_options::validate rejects (horizon, window, threshold, burst
-// window) exit 2 the same way, and so does an unknown --emit backend.
+// window) exit 2 the same way, and so do an unknown --emit backend, an
+// unknown --solver and xbar-serve's malformed pool flags.
 //
 // The binaries are exercised through std::system; their paths are
 // injected by CMake. Output is routed to /dev/null so failures stay
@@ -29,6 +30,7 @@ int run(const std::string& cmd) {
 
 const std::string kXbargen = STX_XBARGEN_BIN;
 const std::string kXbarSweep = STX_XBAR_SWEEP_BIN;
+const std::string kXbarServe = STX_XBAR_SERVE_BIN;
 
 TEST(CliSolverFlags, XbargenRejectsInvalidBudgetsWithExit2) {
   EXPECT_EQ(run(kXbargen + " --app=qsort --solver-node-limit=0"), 2);
@@ -65,6 +67,33 @@ TEST(CliSolverFlags, XbargenRejectsUnknownEmitBackendsWithExit2) {
   // "all" selects every backend; it does not excuse a typo beside it.
   EXPECT_EQ(run(kXbargen + " --app=qsort --emit=all,vhdl"), 2);
   EXPECT_EQ(run(kXbargen + " --app=qsort --emit=vhdl,all"), 2);
+}
+
+TEST(CliSolverFlags, XbargenRejectsUnknownSolversWithExit2) {
+  // Any value but the grid's solver names used to run the specialised
+  // engine and exit 0; the serve protocol's "generic_milp" is not a
+  // CLI spelling either.
+  EXPECT_EQ(run(kXbargen + " --app=qsort --solver=milpp"), 2);
+  EXPECT_EQ(run(kXbargen + " --app=qsort --solver=generic_milp"), 2);
+  EXPECT_EQ(run(kXbargen + " --app=qsort --solver="), 2);
+  EXPECT_EQ(run(kXbargen + " --app=qsort --grid thr=0.3 --solver=x"), 2);
+  EXPECT_EQ(run(kXbargen + " --app=qsort --horizon=3000 --solver=specialized"),
+            0);
+}
+
+TEST(CliSolverFlags, XbarServeRejectsInvalidPoolFlagsWithExit2) {
+  // Each of these is refused before the service or the server exists.
+  // The socket's directory does not exist, so a daemon that did start
+  // would fail to bind (exit 1) instead of serving forever.
+  const std::string serve = kXbarServe + " --socket=/nonexistent/x.sock";
+  EXPECT_EQ(run(serve + " --workers=0"), 2);
+  EXPECT_EQ(run(serve + " --workers=-1"), 2);
+  EXPECT_EQ(run(serve + " --workers=abc"), 2);
+  EXPECT_EQ(run(serve + " --workers=4294967297"), 2);
+  EXPECT_EQ(run(serve + " --queue=0"), 2);
+  EXPECT_EQ(run(serve + " --queue=2x"), 2);
+  EXPECT_EQ(run(serve + " --cache-max-bytes=-1"), 2);
+  EXPECT_EQ(run(serve + " --workers=1"), 1);  // valid flags: bind fails
 }
 
 TEST(CliSolverFlags, ValidBudgetsRunAndStarvedBudgetsFailAtRuntime) {
