@@ -49,17 +49,11 @@ obs::latency_accumulator time_reps(int repeats, Fn&& fn) {
   return acc;
 }
 
-/// Default flow settings used by every paper-reproduction bench: one
-/// uniform window size (~2-4x the apps' characteristic burst length),
-/// 30% overlap threshold, maxtb 4, 120k-cycle simulations.
-inline xbar::flow_options default_flow() {
-  xbar::flow_options opts;
-  opts.horizon = 120'000;
-  opts.synth.params.window_size = 400;
-  opts.synth.params.overlap_threshold = 0.30;
-  opts.synth.params.max_targets_per_bus = 4;
-  return opts;
-}
+/// Flow settings of the paper-reproduction benches: the library's
+/// defaults, the design point the CLIs and the serve daemon start from
+/// (window 400, ~2-4x the apps' characteristic burst length; 30% overlap
+/// threshold; maxtb 4; 120k-cycle simulations).
+inline xbar::flow_options default_flow() { return xbar::flow_options{}; }
 
 /// Prints the standard bench header: what artefact is being reproduced
 /// and which knobs are in force.

@@ -3,50 +3,62 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "obs/export.h"
 #include "obs/obs.h"
+#include "serve/protocol.h"
 #include "util/error.h"
 #include "util/flags.h"
-#include "xbar/bb_solver.h"
+#include "xbar/flow.h"
 
 namespace stx::cli {
 
-/// Parses the solver knobs (--solver-node-limit, --solver-time-ms,
-/// --solver-threads, --solver-cuts, --solver-portfolio) into `limits`.
-/// Throws invalid_argument_error on a malformed or out-of-range value
-/// (node limit < 1, negative time, threads < 1) — each driver catches,
-/// prints its usage and exits 2: a typo'd budget must never silently run
-/// with the default. One definition serves all the CLIs so the
-/// validation contract cannot drift between them.
-inline void apply_solver_budget_flags(const flag_set& flags,
-                                      xbar::solver_options* limits) {
-  const std::int64_t nodes =
-      flags.get_int("solver-node-limit", limits->max_nodes);
-  if (nodes < 1) {
-    throw invalid_argument_error("--solver-node-limit must be >= 1");
+/// Usage lines of the flow knobs both xbargen and xbar-sweep take.
+inline constexpr const char* kSharedKnobUsage =
+    "  --horizon=N         simulation cycles (120000)\n"
+    "  --conflicts=BOOL    overlap-conflict pre-processing (true)\n"
+    "  --critical=BOOL     separate critical streams (true)\n"
+    "  --solver-node-limit=N  branch & bound node budget per solve "
+    "(> 0; default 20000000)\n"
+    "  --solver-time-ms=N  solver wall-clock budget per solve in "
+    "milliseconds (>= 0, 0 = unlimited; default 60000)\n"
+    "  --solver-threads=N  branch & bound worker threads per solve (1;\n"
+    "                      results are bit-identical at every count)\n"
+    "  --solver-cuts=BOOL  root cover/clique cut layer (true)\n"
+    "  --solver-portfolio=BOOL  race the specialized solver against\n"
+    "                      the MILP on feasibility probes (false)\n";
+
+/// A CLI's base flow options: its knob flags read by the serve
+/// protocol's reader (serve::read_flow_options; a flag is its request
+/// field with dashes) over xbar::flow_options{}, then
+/// flow_options::validate. Throws invalid_argument_error on a malformed
+/// or out-of-range value; the CLIs read every flag before any work and
+/// answer that with usage and exit 2. A CLI's known-flag list names the
+/// knobs it takes, so no other field reaches the reader.
+inline xbar::flow_options flow_options_from_flags(const flag_set& flags) {
+  auto opts = serve::read_flow_options(flags);
+  opts.validate();
+  return opts;
+}
+
+/// --name=N as an int from `min` to INT_MAX (`fallback` when absent);
+/// throws invalid_argument_error on anything else, never narrows.
+inline int int_flag(const flag_set& flags, const char* name, int fallback,
+                    int min) {
+  constexpr int kMax = std::numeric_limits<int>::max();
+  const auto v = flags.get_int(name, fallback);
+  if (v < min || v > kMax) {
+    throw invalid_argument_error(std::string("--") + name + " must be from " +
+                                 std::to_string(min) + " to " +
+                                 std::to_string(kMax));
   }
-  const std::int64_t time_ms = flags.get_int(
-      "solver-time-ms",
-      static_cast<std::int64_t>(limits->time_limit_sec * 1000.0));
-  if (time_ms < 0) {
-    throw invalid_argument_error("--solver-time-ms must be >= 0");
-  }
-  const std::int64_t threads =
-      flags.get_int("solver-threads", limits->threads);
-  if (threads < 1) {
-    throw invalid_argument_error("--solver-threads must be >= 1");
-  }
-  limits->max_nodes = nodes;
-  limits->time_limit_sec = static_cast<double>(time_ms) / 1000.0;
-  limits->threads = static_cast<int>(threads);
-  limits->cuts = flags.get_bool("solver-cuts", limits->cuts);
-  limits->portfolio = flags.get_bool("solver-portfolio", limits->portfolio);
+  return static_cast<int>(v);
 }
 
 /// Parses --cache-max-bytes (the disk_store eviction cap; 0 = unlimited)
-/// with the same reject-don't-default contract as the solver knobs.
+/// with the same reject-don't-default contract as the flow knobs.
 inline std::uint64_t cache_max_bytes_flag(const flag_set& flags) {
   const std::int64_t cap = flags.get_int("cache-max-bytes", 0);
   if (cap < 0) {

@@ -1,6 +1,7 @@
 // Quickstart: design an application-specific STbus crossbar in ~40 lines.
 //
-//   $ ./quickstart [--horizon=120000] [--window=2000]
+//   $ ./quickstart [--horizon=120000] [--window=400] [--threshold=0.30]
+//                  [--maxtb=4]
 //
 // Runs the paper's 4-phase flow (Fig. 3) on the Mat2 benchmark: simulate
 // with full crossbars, analyse the traffic in windows, synthesise the

@@ -21,13 +21,14 @@
 // printing the final stats (and writing --metrics-out, when asked).
 //
 // Exit codes: 0 clean shutdown (daemon) or ok:true response (client),
-// 1 runtime/protocol failure, 2 bad usage.
+// 1 runtime/protocol failure, 2 bad usage (an unknown flag, or a
+// malformed or out-of-range value, refused before anything connects or
+// binds).
 #include <signal.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,20 +62,24 @@ void print_usage(std::FILE* to) {
       "                    this cap, at open and on every put\n"
       "                    (0 = unlimited)\n"
       "  --io-timeout-ms=N    per-connection socket read/write timeout\n"
-      "                    (30000)\n"
+      "                    (30000; 0 = none, which also stops the\n"
+      "                    idle reaper: it checks on that timeout)\n"
       "  --idle-timeout-ms=N  reap connections idle this long (300000;\n"
       "                    0 = never)\n"
       "  --drain-ms=N      graceful-drain budget on SIGTERM/SIGINT:\n"
       "                    in-flight requests get this long to finish\n"
-      "                    (5000)\n"
+      "                    (5000; 0 = cut them at once)\n"
       "  --metrics-out=FILE   write the final stx-metrics/v1 snapshot\n"
       "                    here on shutdown\n"
       "  --client=REQUEST  send one JSON request line and print the\n"
       "                    response instead of serving\n"
       "  --retries=N       client mode: total attempts per request,\n"
       "                    with exponential backoff + jitter between\n"
-      "                    them (1 = no retry)\n"
-      "  --retry-backoff-ms=N  client mode: base backoff (50)\n");
+      "                    them (default 1 = no retry)\n"
+      "  --retry-backoff-ms=N  client mode: base backoff (50; 0 = retry\n"
+      "                    at once unless the daemon sends a hint)\n"
+      "Every count and time above must fit an int. A malformed or\n"
+      "out-of-range value exits 2 before anything connects or binds.\n");
 }
 
 const std::vector<std::string> kKnownFlags = {
@@ -85,12 +90,8 @@ const std::vector<std::string> kKnownFlags = {
     "help",
 };
 
-int run_client(const flag_set& flags, const std::string& socket_path,
-               const std::string& line) {
-  serve::retry_options retry;
-  retry.attempts = static_cast<int>(flags.get_int("retries", 1));
-  retry.base_backoff_ms =
-      static_cast<int>(flags.get_int("retry-backoff-ms", 50));
+int run_client(const std::string& socket_path, const std::string& line,
+               const serve::retry_options& retry) {
   const auto resp = serve::request_line(socket_path, line, retry);
   std::printf("%s\n", resp.c_str());
   const auto doc = gen::json::parse(resp);
@@ -109,38 +110,35 @@ extern "C" void on_terminate_signal(int) {
   [[maybe_unused]] const auto n = ::write(g_signal_pipe[1], &byte, 1);
 }
 
-/// --name=N as an int from 1 to INT_MAX; throws on anything else.
-int positive_int_flag(const flag_set& flags, const char* name, int fallback) {
-  constexpr int kMax = std::numeric_limits<int>::max();
-  const auto v = flags.get_int(name, fallback);
-  if (v < 1 || v > kMax) {
-    throw invalid_argument_error(std::string("--") + name +
-                                 " must be from 1 to " + std::to_string(kMax));
-  }
-  return static_cast<int>(v);
+/// Every setting of either mode, read from the flags before anything
+/// connects or binds.
+struct serve_config {
+  serve::service::options service;
+  serve::server::options server;
+  int drain_ms = 0;
+  serve::retry_options retry;  ///< client mode
+};
+
+/// Counts from 1, times from 0, each up to INT_MAX; throws on a
+/// malformed or out-of-range value.
+serve_config read_config(const flag_set& flags) {
+  serve_config c;
+  c.service.workers = cli::int_flag(flags, "workers", 2, 1);
+  c.service.queue_depth = cli::int_flag(flags, "queue", 64, 1);
+  c.service.cache_max_bytes = cli::cache_max_bytes_flag(flags);
+  c.service.cache_dir = flags.get_string("cache-dir", "");
+  c.server.io_timeout_ms = cli::int_flag(flags, "io-timeout-ms", 30000, 0);
+  c.server.idle_timeout_ms =
+      cli::int_flag(flags, "idle-timeout-ms", 300000, 0);
+  c.drain_ms = cli::int_flag(flags, "drain-ms", 5000, 0);
+  c.retry.attempts = cli::int_flag(flags, "retries", 1, 1);
+  c.retry.base_backoff_ms = cli::int_flag(flags, "retry-backoff-ms", 50, 0);
+  return c;
 }
 
-int run_daemon(const flag_set& flags, const std::string& socket_path) {
-  // Every flag is read before anything is constructed: a malformed or
-  // out-of-range value is bad usage (exit 2), not a runtime failure.
-  serve::service::options sopts;
-  serve::server::options wopts;
-  int drain_ms = 0;
-  try {
-    sopts.workers = positive_int_flag(flags, "workers", 2);
-    sopts.queue_depth = positive_int_flag(flags, "queue", 64);
-    sopts.cache_max_bytes = cli::cache_max_bytes_flag(flags);
-    wopts.io_timeout_ms =
-        static_cast<int>(flags.get_int("io-timeout-ms", 30000));
-    wopts.idle_timeout_ms =
-        static_cast<int>(flags.get_int("idle-timeout-ms", 300000));
-    drain_ms = static_cast<int>(flags.get_int("drain-ms", 5000));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "xbar-serve: %s\n", e.what());
-    print_usage(stderr);
-    return 2;
-  }
-  sopts.cache_dir = flags.get_string("cache-dir", "");
+int run_daemon(const flag_set& flags, const std::string& socket_path,
+               const serve_config& config) {
+  const auto& sopts = config.service;
   const auto metrics_out = flags.get_string("metrics-out", "");
 
   // The daemon always collects counters: the "metrics" op is the
@@ -149,7 +147,7 @@ int run_daemon(const flag_set& flags, const std::string& socket_path) {
   obs::enable();
 
   serve::service svc(sopts);
-  serve::server srv(svc, socket_path, wopts);
+  serve::server srv(svc, socket_path, config.server);
   srv.start();
 
   // Graceful SIGTERM/SIGINT: handler -> self-pipe -> watcher thread ->
@@ -169,7 +167,7 @@ int run_daemon(const flag_set& flags, const std::string& socket_path) {
     while (::read(g_signal_pipe[0], &byte, 1) == 1) {
       if (byte != 's') return;  // main asked the watcher to exit
       signalled = true;
-      const bool drained = srv.drain(drain_ms);
+      const bool drained = srv.drain(config.drain_ms);
       std::fprintf(stderr, "xbar-serve: %s drain on signal\n",
                    drained ? "clean" : "timed-out");
       srv.stop();  // unblocks wait()
@@ -223,11 +221,20 @@ int main(int argc, char** argv) {
     return 2;
   }
   const auto socket_path = flags.get_string("socket", "./xbar-serve.sock");
+  serve_config config;
+  try {
+    config = read_config(flags);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "xbar-serve: %s\n", e.what());
+    print_usage(stderr);
+    return 2;
+  }
   try {
     if (flags.has("client")) {
-      return run_client(flags, socket_path, flags.get_string("client", ""));
+      return run_client(socket_path, flags.get_string("client", ""),
+                        config.retry);
     }
-    return run_daemon(flags, socket_path);
+    return run_daemon(flags, socket_path, config);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "xbar-serve: %s\n", e.what());
     return 1;

@@ -7,11 +7,14 @@
 // Evaluates the cross product of every --grid axis on each application,
 // sharing the phase-1 full-crossbar trace per app through the trace
 // cache, prints the result table with its Pareto front, and (with
-// --out-dir) writes sweep.json / sweep.csv / sweep.md.
+// --out-dir) writes sweep.json / sweep.csv / sweep.md. The knobs no axis
+// covers (--horizon, --seed, --conflicts, --critical, the solver
+// budgets) are read by the serve protocol's reader, like xbargen's.
 //
-// Exit code 0 on success, 1 on runtime error, 2 on bad usage — including
-// an empty grid or an unknown --grid key: a sweep never silently runs
-// zero points.
+// Every flag is read before any work: exit code 0 on success, 2 on bad
+// usage — an unknown flag, a malformed or out-of-range value, an empty
+// grid or an unknown --grid key (a sweep never silently runs zero
+// points) — and 1 when the work fails.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -26,15 +29,13 @@
 #include "util/flags.h"
 #include "util/strings.h"
 #include "workloads/mpsoc_apps.h"
-#include "workloads/synthetic.h"
 
 namespace {
 
 using namespace stx;
 
 void print_usage(std::FILE* to) {
-  std::fprintf(
-      to,
+  std::fputs(
       "usage: xbar-sweep --app=LIST --grid KEY=V1,V2,... [options]\n"
       "  --app=LIST          comma list of apps, or 'all' "
       "(mat1|mat2|mat2-critical|fft|qsort|des|synthetic)\n"
@@ -44,17 +45,10 @@ void print_usage(std::FILE* to) {
       "reqwin respwin\n"
       "  --threads=N         worker threads (default: hardware "
       "concurrency)\n"
-      "  --horizon=N         simulation cycles (120000)\n"
-      "  --seed=N            simulator seed (1)\n"
-      "  --solver-node-limit=N  branch & bound node budget per solve "
-      "(> 0; default 20000000)\n"
-      "  --solver-time-ms=N  solver wall-clock budget per solve in "
-      "milliseconds (>= 0, 0 = unlimited; default 60000)\n"
-      "  --solver-threads=N  branch & bound worker threads per solve (1;\n"
-      "                      results are bit-identical at every count)\n"
-      "  --solver-cuts=BOOL  root cover/clique cut layer (true)\n"
-      "  --solver-portfolio=BOOL  race the specialized solver against\n"
-      "                      the MILP on feasibility probes (false)\n"
+      "  --seed=N            simulator seed (1)\n",
+      to);
+  std::fputs(cli::kSharedKnobUsage, to);
+  std::fputs(
       "  --validate=BOOL     per-point validation simulation (true)\n"
       "  --cache-dir=DIR     persistent phase-1 result store shared with\n"
       "                      xbargen / xbar-fuzz / xbar-serve\n"
@@ -66,43 +60,17 @@ void print_usage(std::FILE* to) {
       "  --compare-serial    also time the equivalent per-point "
       "run_design_flow loop\n"
       "  --trace-out=FILE    write a Chrome/Perfetto trace of the run\n"
-      "  --metrics-out=FILE  write an stx-metrics/v1 counter snapshot\n");
+      "  --metrics-out=FILE  write an stx-metrics/v1 counter snapshot\n",
+      to);
 }
 
 const std::vector<std::string> kKnownFlags = {
     "app",      "grid",     "threads",  "horizon",      "seed",
-    "solver-node-limit",    "solver-time-ms",
+    "conflicts", "critical", "solver-node-limit",    "solver-time-ms",
     "solver-threads", "solver-cuts", "solver-portfolio",
     "validate", "out-dir",  "basename", "compare-serial", "help",
     "cache-dir", "cache-max-bytes", "trace-out", "metrics-out",
 };
-
-/// Solver budget flags; malformed/out-of-range values exit 2 with usage.
-void pick_solver_limits(const flag_set& flags, xbar::solver_options* limits) {
-  try {
-    cli::apply_solver_budget_flags(flags, limits);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "xbar-sweep: %s\n", e.what());
-    print_usage(stderr);
-    std::exit(2);
-  }
-}
-
-int reject_unknown_flags(const flag_set& flags) {
-  const int bad = report_unknown_flags(flags, kKnownFlags, "xbar-sweep");
-  if (bad > 0) print_usage(stderr);
-  return bad;
-}
-
-workloads::app_spec pick_app(const std::string& name) {
-  auto app = workloads::make_app_by_name(name);
-  if (!app.has_value()) {
-    std::fprintf(stderr, "xbar-sweep: unknown app '%s' (%s)\n", name.c_str(),
-                 workloads::app_name_list().c_str());
-    std::exit(2);
-  }
-  return *std::move(app);
-}
 
 std::vector<workloads::app_spec> pick_apps(const std::string& list) {
   // "all" expands in place to the full inventory; duplicates anywhere in
@@ -116,20 +84,46 @@ std::vector<workloads::app_spec> pick_apps(const std::string& list) {
       names.push_back(item);
     }
   }
-  if (names.empty()) {
-    std::fprintf(stderr, "xbar-sweep: --app list is empty\n");
-    std::exit(2);
-  }
+  if (names.empty()) throw invalid_argument_error("--app list is empty");
   std::vector<workloads::app_spec> apps;
   for (const auto& name : names) {
     if (std::count(names.begin(), names.end(), name) > 1) {
-      std::fprintf(stderr, "xbar-sweep: duplicate app '%s' in --app list\n",
-                   name.c_str());
-      std::exit(2);
+      throw invalid_argument_error("duplicate app '" + name +
+                                   "' in --app list");
     }
-    apps.push_back(pick_app(name));
+    auto app = workloads::make_app_by_name(name);
+    if (!app.has_value()) {
+      throw invalid_argument_error("unknown app '" + name + "' (" +
+                                   workloads::app_name_list() + ")");
+    }
+    apps.push_back(*std::move(app));
   }
   return apps;
+}
+
+/// The sweep every flag describes. Throws invalid_argument_error on a
+/// malformed or out-of-range value, an empty grid, or a point no flow
+/// can run (run_sweep would refuse it too, but as a runtime error).
+explore::sweep_spec read_spec(const flag_set& flags) {
+  explore::sweep_spec spec;
+  spec.grid = explore::parse_grid(flags.get_list("grid"));
+  if (spec.grid.empty()) {
+    throw invalid_argument_error(
+        "empty grid — pass at least one --grid KEY=V1,V2,... axis");
+  }
+  spec.apps = pick_apps(flags.get_string("app", "mat2"));
+  const auto base = cli::flow_options_from_flags(flags);
+  spec.horizon = base.horizon;
+  spec.seed = base.seed;
+  spec.synth_base = base.synth;
+  spec.validate = flags.get_bool("validate", true);
+  const int hw = static_cast<int>(
+      std::max(1u, std::thread::hardware_concurrency()));
+  spec.threads = cli::int_flag(flags, "threads", hw, 1);
+  for (const auto& p : explore::sweep_points(spec)) {
+    explore::options_for(spec, p).validate();
+  }
+  return spec;
 }
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -145,32 +139,16 @@ int main(int argc, char** argv) {
     print_usage(stdout);
     return 0;
   }
-  if (reject_unknown_flags(flags) > 0) return 2;
+  if (report_unknown_flags(flags, kKnownFlags, "xbar-sweep") > 0) {
+    print_usage(stderr);
+    return 2;
+  }
 
   explore::sweep_spec spec;
-  // Grid validation happens before anything expensive: an unknown key or
-  // an empty axis is a usage error, mirroring the unknown-flag rejection.
+  std::uint64_t cache_max_bytes = 0;
   try {
-    spec.grid = explore::parse_grid(flags.get_list("grid"));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "xbar-sweep: %s\n", e.what());
-    print_usage(stderr);
-    return 2;
-  }
-  if (spec.grid.empty()) {
-    std::fprintf(stderr,
-                 "xbar-sweep: empty grid — pass at least one "
-                 "--grid KEY=V1,V2,... axis\n");
-    print_usage(stderr);
-    return 2;
-  }
-  // So is a point no flow can run (e.g. --horizon=0): run_sweep would
-  // reject it too, but as a runtime error.
-  try {
-    spec.horizon = flags.get_int("horizon", 120'000);
-    for (const auto& p : explore::sweep_points(spec)) {
-      explore::options_for(spec, p).validate();
-    }
+    spec = read_spec(flags);
+    cache_max_bytes = cli::cache_max_bytes_flag(flags);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "xbar-sweep: %s\n", e.what());
     print_usage(stderr);
@@ -179,14 +157,6 @@ int main(int argc, char** argv) {
 
   try {
     const cli::obs_output obs_out(flags);
-    spec.apps = pick_apps(flags.get_string("app", "mat2"));
-    spec.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-    pick_solver_limits(flags, &spec.synth_base.limits);
-    spec.validate = flags.get_bool("validate", true);
-    const int hw =
-        std::max(1u, std::thread::hardware_concurrency());
-    spec.threads = static_cast<int>(flags.get_int("threads", hw));
-
     const auto points = explore::sweep_points(spec);
     std::printf("sweeping %zu point(s) x %zu app(s) on %d thread(s)\n",
                 points.size(), spec.apps.size(), spec.threads);
@@ -197,8 +167,8 @@ int main(int argc, char** argv) {
     std::shared_ptr<explore::kv_store> store;
     const auto cache_dir = flags.get_string("cache-dir", "");
     if (!cache_dir.empty()) {
-      store = std::make_shared<explore::disk_store>(
-          cache_dir, cli::cache_max_bytes_flag(flags));
+      store = std::make_shared<explore::disk_store>(cache_dir,
+                                                    cache_max_bytes);
     }
     explore::trace_cache cache(store);
 

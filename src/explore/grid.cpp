@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "util/error.h"
@@ -22,25 +23,14 @@ const char* policy_short_name(sim::arbitration p) {
   return "?";
 }
 
-sim::arbitration parse_policy(const std::string& v) {
-  if (v == "fixed" || v == "fixed_priority") {
-    return sim::arbitration::fixed_priority;
-  }
-  if (v == "rr" || v == "round_robin") return sim::arbitration::round_robin;
-  if (v == "lrg" || v == "least_recently_granted") {
-    return sim::arbitration::least_recently_granted;
-  }
-  throw invalid_argument_error("unknown arbitration policy '" + v +
-                               "' (fixed|rr|lrg)");
-}
-
 cycle_t parse_cycles(const std::string& key, const std::string& v,
-                     cycle_t min_value = 0) {
+                     cycle_t min_value = 0,
+                     cycle_t max_value = std::numeric_limits<cycle_t>::max()) {
   char* end = nullptr;
   errno = 0;
   const auto n = std::strtoll(v.c_str(), &end, 10);
   STX_REQUIRE(end != v.c_str() && *end == '\0' && errno != ERANGE &&
-                  n >= min_value,
+                  n >= min_value && n <= max_value,
               "grid axis " + key + ": bad value '" + v + "'");
   return n;
 }
@@ -65,6 +55,18 @@ void each(const std::vector<T>& axis, const T& fallback, Fn&& fn) {
 }
 
 }  // namespace
+
+sim::arbitration parse_policy(const std::string& v) {
+  if (v == "fixed" || v == "fixed_priority") {
+    return sim::arbitration::fixed_priority;
+  }
+  if (v == "rr" || v == "round_robin") return sim::arbitration::round_robin;
+  if (v == "lrg" || v == "least_recently_granted") {
+    return sim::arbitration::least_recently_granted;
+  }
+  throw invalid_argument_error("unknown arbitration policy '" + v +
+                               "' (fixed|rr|lrg)");
+}
 
 xbar::solver_kind parse_solver(const std::string& v) {
   if (v == "specialized") return xbar::solver_kind::specialized;
@@ -178,8 +180,9 @@ void parse_grid_axis(const std::string& spec, sweep_grid& grid) {
     } else if (key == "thr") {
       grid.overlap_thresholds.push_back(parse_fraction(key, v));
     } else if (key == "maxtb") {
-      grid.max_targets_per_bus.push_back(
-          static_cast<int>(parse_cycles(key, v)));
+      // An `int` knob: a wider value is refused, never narrowed.
+      grid.max_targets_per_bus.push_back(static_cast<int>(
+          parse_cycles(key, v, 0, std::numeric_limits<int>::max())));
     } else if (key == "burstwin") {
       grid.burst_windows.push_back(parse_cycles(key, v));
     } else if (key == "policy") {

@@ -17,9 +17,9 @@ namespace stx::explore {
 using cycle_t = traffic::cycle_t;
 
 /// One concrete parameter assignment of the design methodology: every
-/// knob the flow exposes per evaluation. Defaults match the xbargen CLI
-/// defaults, so an axis left off a grid sweeps nothing and keeps the
-/// standard value.
+/// knob the flow exposes per evaluation. Defaults match
+/// xbar::flow_options{}, so an axis left off a grid sweeps nothing and
+/// keeps the standard value.
 struct sweep_point {
   cycle_t window_size = 400;          ///< analysis window WS (cycles)
   double overlap_threshold = 0.30;    ///< Eq. 2 threshold (fraction of WS)
@@ -75,9 +75,16 @@ const std::vector<std::string>& grid_keys();
 /// a sweep must never silently run zero points.
 void parse_grid_axis(const std::string& spec, sweep_grid& grid);
 
-/// A solver name as the CLIs spell it, in the `solver=` axis and
-/// xbargen's --solver: "specialized" or "milp". Throws
-/// stx::invalid_argument_error on any other value.
+/// An arbitration policy name, in the `policy=` axis and the flow
+/// knob reader (serve::read_flow_options): "fixed", "rr" or "lrg", or
+/// the long names "fixed_priority", "round_robin",
+/// "least_recently_granted". Throws stx::invalid_argument_error on any
+/// other value.
+sim::arbitration parse_policy(const std::string& v);
+
+/// A solver name, in the `solver=` axis and the flow knob reader:
+/// "specialized" or "milp". Throws stx::invalid_argument_error on any
+/// other value.
 xbar::solver_kind parse_solver(const std::string& v);
 
 /// parse_grid_axis over every spec in order.

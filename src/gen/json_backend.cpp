@@ -49,6 +49,8 @@ json::value design_to_json(const xbar::crossbar_design& d) {
                       static_cast<std::int64_t>(d.params.window_size));
   params.emplace_back("overlap_threshold", d.params.overlap_threshold);
   params.emplace_back("max_targets_per_bus", d.params.max_targets_per_bus);
+  params.emplace_back("burst_window",
+                      static_cast<std::int64_t>(d.params.burst_window));
   params.emplace_back("use_overlap_conflicts",
                       d.params.use_overlap_conflicts);
   params.emplace_back("separate_critical", d.params.separate_critical);
@@ -84,6 +86,7 @@ xbar::crossbar_design design_from_json(const json::value& v) {
   d.params.overlap_threshold = p.at("overlap_threshold").as_double();
   d.params.max_targets_per_bus =
       static_cast<int>(p.at("max_targets_per_bus").as_int());
+  d.params.burst_window = static_cast<cycle_t>(p.at("burst_window").as_int());
   d.params.use_overlap_conflicts = p.at("use_overlap_conflicts").as_bool();
   d.params.separate_critical = p.at("separate_critical").as_bool();
   const auto& t = v.at("telemetry");

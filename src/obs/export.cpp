@@ -51,7 +51,7 @@ void write_file(const std::string& path, const std::string& content,
 
 }  // namespace
 
-std::string render_trace_json(const std::vector<trace_event>& events) {
+json::value trace_document(const std::vector<trace_event>& events) {
   // Sort by start time (then thread, then deeper-first so a parent
   // precedes its same-start children) — viewers accept any order, but a
   // time-sorted file diffs and greps sanely.
@@ -80,16 +80,15 @@ std::string render_trace_json(const std::vector<trace_event>& events) {
         {"args", args_json(*ev)},
     });
   }
-  const json::value doc = json::object{
-      {"traceEvents", std::move(trace)},
-      {"displayTimeUnit", "ms"},
-  };
-  return json::dump(doc);
+  json::object doc;
+  doc.emplace_back("traceEvents", std::move(trace));
+  doc.emplace_back("displayTimeUnit", "ms");
+  return json::value(std::move(doc));
 }
 
-std::string render_trace_json() { return render_trace_json(trace_events()); }
+json::value trace_document() { return trace_document(trace_events()); }
 
-std::string render_metrics_json(const metrics_snapshot& snap) {
+json::value metrics_document(const metrics_snapshot& snap) {
   json::object counters;
   counters.reserve(snap.counters.size());
   for (const auto& c : snap.counters) counters.emplace_back(c.name, c.value);
@@ -111,16 +110,27 @@ std::string render_metrics_json(const metrics_snapshot& snap) {
                          : 0.0},
         });
   }
-  const json::value doc = json::object{
-      {"schema", "stx-metrics/v1"},
-      {"counters", std::move(counters)},
-      {"gauges", std::move(gauges)},
-      {"wall_nondeterministic", std::move(wall)},
-  };
-  return json::dump(doc);
+  json::object doc;
+  doc.emplace_back("schema", "stx-metrics/v1");
+  doc.emplace_back("counters", std::move(counters));
+  doc.emplace_back("gauges", std::move(gauges));
+  doc.emplace_back("wall_nondeterministic", std::move(wall));
+  return json::value(std::move(doc));
 }
 
-std::string render_metrics_json() { return render_metrics_json(snapshot()); }
+json::value metrics_document() { return metrics_document(snapshot()); }
+
+std::string render_trace_json(const std::vector<trace_event>& events) {
+  return json::dump(trace_document(events));
+}
+
+std::string render_trace_json() { return json::dump(trace_document()); }
+
+std::string render_metrics_json(const metrics_snapshot& snap) {
+  return json::dump(metrics_document(snap));
+}
+
+std::string render_metrics_json() { return json::dump(metrics_document()); }
 
 void write_trace_json(const std::string& path) {
   write_file(path, render_trace_json(), "trace");

@@ -25,16 +25,27 @@
 #include <string>
 #include <vector>
 
+#include "gen/json.h"
 #include "obs/obs.h"
 
 namespace stx::obs {
 
-/// Renders `events` as a Chrome-trace-event JSON document.
+/// The Chrome-trace-event document of `events`.
+gen::json::value trace_document(const std::vector<trace_event>& events);
+/// The document of the current global trace buffer.
+gen::json::value trace_document();
+
+/// The `stx-metrics/v1` document of `snap`.
+gen::json::value metrics_document(const metrics_snapshot& snap);
+/// The document of the current registry contents.
+gen::json::value metrics_document();
+
+/// gen::json::dump of trace_document(events).
 std::string render_trace_json(const std::vector<trace_event>& events);
 /// Renders the current global trace buffer.
 std::string render_trace_json();
 
-/// Renders `snap` as an `stx-metrics/v1` document.
+/// gen::json::dump of metrics_document(snap).
 std::string render_metrics_json(const metrics_snapshot& snap);
 /// Renders the current registry contents.
 std::string render_metrics_json();

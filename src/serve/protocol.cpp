@@ -1,12 +1,13 @@
 #include "serve/protocol.h"
 
+#include <algorithm>
 #include <limits>
 #include <set>
 
+#include "explore/grid.h"
 #include "gen/backends.h"
 #include "gen/json.h"
 #include "gen/json_backend.h"
-#include "sim/config.h"
 #include "testkit/scenario.h"
 #include "util/error.h"
 
@@ -36,112 +37,83 @@ request_op parse_op(const std::string& s) {
   throw invalid_argument_error("unknown op '" + s + "'");
 }
 
-sim::arbitration parse_policy(const std::string& s) {
-  if (s == "fixed_priority") return sim::arbitration::fixed_priority;
-  if (s == "round_robin") return sim::arbitration::round_robin;
-  if (s == "least_recently_granted") {
-    return sim::arbitration::least_recently_granted;
-  }
-  throw invalid_argument_error("unknown policy '" + s + "'");
+/// A field's flag spelling without the leading dashes: "solver_node_limit"
+/// is the flag solver-node-limit.
+std::string dashed(std::string_view field) {
+  std::string out(field);
+  std::replace(out.begin(), out.end(), '_', '-');
+  return out;
 }
 
-xbar::solver_kind parse_solver(const std::string& s) {
-  if (s == "specialized") return xbar::solver_kind::specialized;
-  if (s == "milp" || s == "generic_milp") {
-    return xbar::solver_kind::generic_milp;
+/// Where read_flow_options reads the fields from: a request's JSON
+/// object, or a CLI's flags. The getters read a present field.
+class field_source {
+ public:
+  explicit field_source(const json::value& request) : request_(&request) {}
+  explicit field_source(const flag_set& flags) : flags_(&flags) {}
+
+  /// The field as this source spells it, for error messages.
+  std::string name(std::string_view field) const {
+    return flags_ != nullptr ? "--" + dashed(field) : std::string(field);
   }
-  throw invalid_argument_error("unknown solver '" + s + "'");
+  bool has(std::string_view field) const {
+    return flags_ != nullptr ? flags_->has(dashed(field))
+                             : request_->contains(field);
+  }
+  std::int64_t as_int(std::string_view field) const {
+    return flags_ != nullptr ? flags_->get_int(dashed(field), 0)
+                             : request_->at(field).as_int();
+  }
+  double as_double(std::string_view field) const {
+    return flags_ != nullptr ? flags_->get_double(dashed(field), 0.0)
+                             : request_->at(field).as_double();
+  }
+  bool as_bool(std::string_view field) const {
+    return flags_ != nullptr ? flags_->get_bool(dashed(field), false)
+                             : request_->at(field).as_bool();
+  }
+  std::string as_string(std::string_view field) const {
+    return flags_ != nullptr ? flags_->get_string(dashed(field), "")
+                             : request_->at(field).as_string();
+  }
+
+ private:
+  const json::value* request_ = nullptr;
+  const flag_set* flags_ = nullptr;
+};
+
+void read(const field_source& src, std::string_view field,
+          std::int64_t& out) {
+  if (src.has(field)) out = src.as_int(field);
 }
 
-/// An integer field stored in an `int`: out-of-range values are rejected,
-/// never narrowed.
-int as_int32(const json::value& v, const std::string& field) {
-  const auto x = v.as_int();
-  STX_REQUIRE(x >= std::numeric_limits<int>::min() &&
-                  x <= std::numeric_limits<int>::max(),
-              field + " is out of range");
-  return static_cast<int>(x);
+void read(const field_source& src, std::string_view field, double& out) {
+  if (src.has(field)) out = src.as_double(field);
 }
 
-/// The design-request option fields, applied over whatever defaults the
-/// application identity established (flow defaults for built-in apps,
-/// the scenario's own options for stxfuzz requests).
-void apply_option_fields(const json::value& doc, design_request& req) {
-  auto& opts = req.opts;
-  if (doc.contains("horizon")) opts.horizon = doc.at("horizon").as_int();
-  if (doc.contains("seed")) {
-    opts.seed = static_cast<std::uint64_t>(doc.at("seed").as_int());
+void read(const field_source& src, std::string_view field, bool& out) {
+  if (src.has(field)) out = src.as_bool(field);
+}
+
+/// A present integer field, refused below `min` or above `max`.
+std::int64_t bounded(
+    const field_source& src, std::string_view field, std::int64_t min,
+    std::int64_t max = std::numeric_limits<std::int64_t>::max()) {
+  const auto v = src.as_int(field);
+  if (v >= min && v <= max) return v;
+  std::string range = " must be >= " + std::to_string(min);
+  if (max < std::numeric_limits<std::int64_t>::max()) {
+    range = " must be from " + std::to_string(min) + " to " +
+            std::to_string(max);
   }
-  if (doc.contains("policy")) {
-    opts.policy = parse_policy(doc.at("policy").as_string());
-  }
-  if (doc.contains("transfer_overhead")) {
-    opts.transfer_overhead = doc.at("transfer_overhead").as_int();
-  }
-  auto& params = opts.synth.params;
-  if (doc.contains("window")) params.window_size = doc.at("window").as_int();
-  if (doc.contains("threshold")) {
-    params.overlap_threshold = doc.at("threshold").as_double();
-  }
-  if (doc.contains("maxtb")) {
-    params.max_targets_per_bus = as_int32(doc.at("maxtb"), "maxtb");
-  }
-  if (doc.contains("burst_window")) {
-    params.burst_window = doc.at("burst_window").as_int();
-  }
-  if (doc.contains("conflicts")) {
-    params.use_overlap_conflicts = doc.at("conflicts").as_bool();
-  }
-  if (doc.contains("critical")) {
-    params.separate_critical = doc.at("critical").as_bool();
-  }
-  if (doc.contains("request_window")) {
-    opts.request_window_override = doc.at("request_window").as_int();
-  }
-  if (doc.contains("response_window")) {
-    opts.response_window_override = doc.at("response_window").as_int();
-  }
-  if (doc.contains("solver")) {
-    opts.synth.solver = parse_solver(doc.at("solver").as_string());
-  }
-  if (doc.contains("optimize_binding")) {
-    opts.synth.optimize_binding = doc.at("optimize_binding").as_bool();
-  }
-  if (doc.contains("solver_node_limit")) {
-    const auto nodes = doc.at("solver_node_limit").as_int();
-    STX_REQUIRE(nodes >= 1, "solver_node_limit must be >= 1");
-    opts.synth.limits.max_nodes = nodes;
-  }
-  if (doc.contains("solver_time_ms")) {
-    const auto ms = doc.at("solver_time_ms").as_int();
-    STX_REQUIRE(ms >= 0, "solver_time_ms must be >= 0");
-    opts.synth.limits.time_limit_sec = static_cast<double>(ms) / 1000.0;
-  }
-  if (doc.contains("solver_threads")) {
-    const int threads = as_int32(doc.at("solver_threads"), "solver_threads");
-    STX_REQUIRE(threads >= 1, "solver_threads must be >= 1");
-    opts.synth.limits.threads = threads;
-  }
-  if (doc.contains("solver_cuts")) {
-    opts.synth.limits.cuts = doc.at("solver_cuts").as_bool();
-  }
-  if (doc.contains("solver_portfolio")) {
-    opts.synth.limits.portfolio = doc.at("solver_portfolio").as_bool();
-  }
-  if (doc.contains("validate")) {
-    req.validate = doc.at("validate").as_bool();
-  }
-  if (doc.contains("deadline_ms")) {
-    const auto ms = doc.at("deadline_ms").as_int();
-    STX_REQUIRE(ms >= 1, "deadline_ms must be >= 1");
-    req.deadline_ms = ms;
-  }
-  if (doc.contains("artifacts")) {
-    for (const auto& a : doc.at("artifacts").as_array()) {
-      req.artifacts.push_back(a.as_string());
-      gen::check_backend_name(req.artifacts.back());
-    }
-  }
+  throw invalid_argument_error(src.name(field) + range);
+}
+
+/// A present field stored in an `int`, from `min` up: a value that does
+/// not fit is refused, never narrowed (2^32 + 1 would read as 1).
+int as_int32(const field_source& src, std::string_view field, int min) {
+  return static_cast<int>(
+      bounded(src, field, min, std::numeric_limits<int>::max()));
 }
 
 const std::set<std::string>& known_fields() {
@@ -163,7 +135,61 @@ const std::set<std::string>& known_fields() {
   return fields;
 }
 
+/// The reader behind both read_flow_options overloads.
+xbar::flow_options read_fields(const field_source& src,
+                               xbar::flow_options opts) {
+  auto& synth = opts.synth;
+  auto& params = synth.params;
+  auto& limits = synth.limits;
+  read(src, "horizon", opts.horizon);
+  if (src.has("seed")) {
+    opts.seed = static_cast<std::uint64_t>(src.as_int("seed"));
+  }
+  if (src.has("policy")) {
+    opts.policy = explore::parse_policy(src.as_string("policy"));
+  }
+  read(src, "transfer_overhead", opts.transfer_overhead);
+  read(src, "window", params.window_size);
+  read(src, "threshold", params.overlap_threshold);
+  if (src.has("maxtb")) {
+    params.max_targets_per_bus =
+        as_int32(src, "maxtb", std::numeric_limits<int>::min());
+  }
+  read(src, "burst_window", params.burst_window);
+  read(src, "conflicts", params.use_overlap_conflicts);
+  read(src, "critical", params.separate_critical);
+  read(src, "request_window", opts.request_window_override);
+  read(src, "response_window", opts.response_window_override);
+  if (src.has("solver")) {
+    synth.solver = explore::parse_solver(src.as_string("solver"));
+  }
+  read(src, "optimize_binding", synth.optimize_binding);
+  if (src.has("solver_node_limit")) {
+    limits.max_nodes = bounded(src, "solver_node_limit", 1);
+  }
+  if (src.has("solver_time_ms")) {
+    limits.time_limit_sec =
+        static_cast<double>(bounded(src, "solver_time_ms", 0)) / 1000.0;
+  }
+  if (src.has("solver_threads")) {
+    limits.threads = as_int32(src, "solver_threads", 1);
+  }
+  read(src, "solver_cuts", limits.cuts);
+  read(src, "solver_portfolio", limits.portfolio);
+  return opts;
+}
+
 }  // namespace
+
+xbar::flow_options read_flow_options(const json::value& request,
+                                     xbar::flow_options opts) {
+  return read_fields(field_source(request), std::move(opts));
+}
+
+xbar::flow_options read_flow_options(const flag_set& flags,
+                                     xbar::flow_options opts) {
+  return read_fields(field_source(flags), std::move(opts));
+}
 
 request parse_request(const std::string& line) {
   const auto doc = json::parse(line);
@@ -195,7 +221,19 @@ request parse_request(const std::string& line) {
     const auto s = testkit::decode(d.scenario);
     d.opts = s.make_flow_options();
   }
-  apply_option_fields(doc, d);
+  d.opts = read_flow_options(doc, d.opts);
+  if (doc.contains("validate")) d.validate = doc.at("validate").as_bool();
+  if (doc.contains("deadline_ms")) {
+    const auto ms = doc.at("deadline_ms").as_int();
+    STX_REQUIRE(ms >= 1, "deadline_ms must be >= 1");
+    d.deadline_ms = ms;
+  }
+  if (doc.contains("artifacts")) {
+    for (const auto& a : doc.at("artifacts").as_array()) {
+      d.artifacts.push_back(a.as_string());
+      gen::check_backend_name(d.artifacts.back());
+    }
+  }
   d.opts.validate();
   return req;
 }
@@ -267,26 +305,22 @@ design_response parse_response(const std::string& line) {
 }
 
 std::string serialize_simple(const std::string& id, request_op op,
-                             const std::string& embedded_json) {
+                             json::value embedded) {
   json::object o;
   if (!id.empty()) o.emplace_back("id", id);
   o.emplace_back("ok", true);
   o.emplace_back("op", to_string(op));
-  if (!embedded_json.empty()) {
-    const char* key = op == request_op::metrics ? "metrics" : "trace";
-    o.emplace_back(key, json::parse(embedded_json));
-  }
+  if (!embedded.is_null()) o.emplace_back(to_string(op), std::move(embedded));
   return json::dump_compact(json::value(std::move(o)));
 }
 
-std::string serialize_metrics(const std::string& id,
-                              const std::string& metrics_json,
+std::string serialize_metrics(const std::string& id, json::value metrics,
                               const live_gauges& live) {
   json::object o;
   if (!id.empty()) o.emplace_back("id", id);
   o.emplace_back("ok", true);
   o.emplace_back("op", to_string(request_op::metrics));
-  o.emplace_back("metrics", json::parse(metrics_json));
+  o.emplace_back("metrics", std::move(metrics));
   o.emplace_back("live",
                  json::object{
                      {"admission_queue_depth", live.admission_queue_depth},

@@ -9,10 +9,13 @@
 // or, for a generated application, the canonical stxfuzz/v1 scenario
 // token instead of a built-in name:
 //   {"op":"design","scenario":"stxfuzz/v1 seed=42 ini=4 tgt=6 ...","..."}
-// Exactly one of "app" / "scenario" must be present. Scenario requests
-// default every flow option from the scenario itself; explicitly present
-// fields override on top (same rule as app requests over the flow
-// defaults).
+// Exactly one of "app" / "scenario" must be present. App requests start
+// from xbar::flow_options{}, scenario requests from the scenario's own
+// options; explicitly present fields override on top. The option fields
+// are read by read_flow_options, the same reader the CLIs use for their
+// knob flags (a flag is its field with dashes: "solver_node_limit" is
+// --solver-node-limit), so a request and a command line that name the
+// same knobs design the same point.
 //
 // Other ops: "ping" (liveness), "metrics" (stx-metrics/v1 snapshot of
 // the server's obs registry), "trace" (Chrome-trace-event batch of the
@@ -34,6 +37,8 @@
 #include <vector>
 
 #include "gen/artifact.h"
+#include "gen/json.h"
+#include "util/flags.h"
 #include "xbar/flow.h"
 
 namespace stx::serve {
@@ -62,6 +67,24 @@ struct request {
   std::string id;
   design_request design;  ///< populated when op == design
 };
+
+/// The one reader of the flow knobs: every xbar::flow_options field
+/// present (horizon, seed, policy, transfer_overhead, window, threshold,
+/// maxtb, burst_window, conflicts, critical, request_window,
+/// response_window, solver, optimize_binding, solver_node_limit,
+/// solver_time_ms, solver_threads, solver_cuts, solver_portfolio),
+/// applied over `opts`, from a request's JSON object or from a CLI's
+/// flags, where a field is spelled with dashes ("solver_node_limit" is
+/// --solver-node-limit). Throws stx::invalid_argument_error, naming the
+/// field as its source spells it, on a value of the wrong type, a node
+/// limit below 1, a negative time, threads below 1, a maxtb or
+/// solver_threads that does not fit an `int`, or a policy or solver name
+/// explore::parse_policy / explore::parse_solver refuse. It does not
+/// call flow_options::validate; its callers do.
+xbar::flow_options read_flow_options(const gen::json::value& request,
+                                     xbar::flow_options opts = {});
+xbar::flow_options read_flow_options(const flag_set& flags,
+                                     xbar::flow_options opts = {});
 
 /// Parses one request line. Malformed JSON, an unknown op, unknown
 /// fields, out-of-range values (including flow knobs
@@ -103,10 +126,10 @@ std::string serialize(const design_response& resp);
 design_response parse_response(const std::string& line);
 
 /// Non-design response lines, kept trivial: {"id":...,"ok":true,
-/// "op":"pong"} and friends, with an embedded document for
-/// metrics/trace.
+/// "op":"ping"} and friends; a non-null `embedded` document (the trace
+/// op's obs::trace_document) goes under the op's name.
 std::string serialize_simple(const std::string& id, request_op op,
-                             const std::string& embedded_json = "");
+                             gen::json::value embedded = nullptr);
 
 /// Instantaneous saturation gauges the "metrics" op reports next to the
 /// cumulative stx-metrics/v1 snapshot, under a top-level "live" object —
@@ -120,9 +143,10 @@ struct live_gauges {
 };
 
 /// The metrics-op response line: {"id",...,"ok":true,"op":"metrics",
-/// "metrics":{...stx-metrics/v1...},"live":{...}}.
+/// "metrics":{...stx-metrics/v1...},"live":{...}}, embedding `metrics`
+/// (obs::metrics_document) as it is.
 std::string serialize_metrics(const std::string& id,
-                              const std::string& metrics_json,
+                              gen::json::value metrics,
                               const live_gauges& live);
 
 /// One-line error response for any op.

@@ -232,11 +232,11 @@ std::string server::dispatch(const std::string& line, bool* shutdown) {
       gauges.in_flight = svc_live.in_flight;
       gauges.connections = conn_live.connections;
       gauges.idle_connections = conn_live.idle;
-      return serialize_metrics(req.id, obs::render_metrics_json(), gauges);
+      return serialize_metrics(req.id, obs::metrics_document(), gauges);
     }
     case request_op::trace:
       return serialize_simple(req.id, request_op::trace,
-                              obs::render_trace_json());
+                              obs::trace_document());
     case request_op::shutdown:
       *shutdown = true;
       return serialize_simple(req.id, request_op::shutdown);

@@ -5,7 +5,10 @@
 // and the content-addressed result store (explore::kv_store) underneath.
 // Transport-free and thread-free — the socket server (serve/server.h)
 // calls run() on each connection's thread, tests and benches drive the
-// same class; xbargen's --cache-dir path shares cached_design().
+// same class; xbargen's --cache-dir path shares cached_design(). Requests
+// and the CLIs' knob flags are read by one reader (read_flow_options)
+// over one default (xbar::flow_options{}), so a request and a command
+// line that name the same knobs share one cache key.
 #pragma once
 
 #include <condition_variable>
@@ -24,8 +27,9 @@ namespace stx::serve {
 
 /// One staged, store-backed design-flow invocation — the unit of work a
 /// service request executes, shared verbatim by the CLI --cache-dir
-/// paths so a design computed by xbargen is a warm hit for the daemon
-/// and vice versa.
+/// paths so a design computed by xbargen is a warm hit for the daemon's
+/// request that names the same knobs (none, for an xbargen run with no
+/// knob flag), and vice versa.
 ///
 /// Stages, each individually cached:
 ///   report    — `store` consulted under the stage=report key first; a

@@ -1,6 +1,7 @@
 #include "util/flags.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -68,9 +69,12 @@ std::int64_t flag_set::get_int(const std::string& name,
   const auto* s = find(name);
   if (s == nullptr) return fallback;
   char* end = nullptr;
+  errno = 0;
   const auto v = std::strtoll(s->c_str(), &end, 10);
-  STX_REQUIRE(end != s->c_str() && *end == '\0',
-              "flag --" + name + " is not an integer: " + *s);
+  if (end == s->c_str() || *end != '\0' || errno == ERANGE) {
+    throw invalid_argument_error("flag --" + name +
+                                 " is not a 64-bit integer: " + *s);
+  }
   return v;
 }
 
@@ -79,8 +83,9 @@ double flag_set::get_double(const std::string& name, double fallback) const {
   if (s == nullptr) return fallback;
   char* end = nullptr;
   const double v = std::strtod(s->c_str(), &end);
-  STX_REQUIRE(end != s->c_str() && *end == '\0',
-              "flag --" + name + " is not a number: " + *s);
+  if (end == s->c_str() || *end != '\0') {
+    throw invalid_argument_error("flag --" + name + " is not a number: " + *s);
+  }
   return v;
 }
 

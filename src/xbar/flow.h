@@ -39,6 +39,8 @@ struct flow_options {
   /// threshold, or burst_window < 0. run_design_flow, explore::run_sweep,
   /// the serve protocol and the CLIs call it before any simulation.
   void validate() const;
+
+  bool operator==(const flow_options&) const = default;
 };
 
 /// Everything the flow produced for one application. This is also the

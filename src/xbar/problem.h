@@ -17,7 +17,9 @@ using cycle_t = traffic::cycle_t;
 struct design_params {
   /// Window size WS in cycles for the traffic analysis. The paper's rule
   /// of thumb: 1-4x the typical burst size (aggressive..conservative).
-  cycle_t window_size = 2000;
+  /// 400 is ~2-4x the paper apps' burst lengths, and the design point the
+  /// CLIs, the serve daemon and the benches all start from.
+  cycle_t window_size = 400;
 
   /// Pre-processing overlap threshold (Eq. 2) as a fraction of a
   /// window's length: targets i and j are forced onto different buses

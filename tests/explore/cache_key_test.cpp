@@ -75,7 +75,7 @@ TEST(CacheKey, EveryReportKeyFieldChangesTheLine) {
 TEST(CacheKey, WireFormIsTheDocumentedLine) {
   const auto key = trace_key("mat2", xbar::flow_options{});
   const auto line = encode(key);
-  EXPECT_EQ(line.rfind("stxkey/v1 v=4 stage=trace app=mat2 ", 0), 0) << line;
+  EXPECT_EQ(line.rfind("stxkey/v1 v=5 stage=trace app=mat2 ", 0), 0) << line;
   // Phase-1 stages omit the synthesis fields entirely.
   EXPECT_EQ(line.find("win="), std::string::npos);
   EXPECT_NE(encode(report_key("mat2", xbar::flow_options{})).find("win="),
@@ -134,13 +134,13 @@ TEST(CacheKey, HashIsStableAcrossProcessesByConstruction) {
   key.seed = 1;
   key.policy = 1;
   key.transfer_overhead = 2;
-  EXPECT_EQ(encode(key), "stxkey/v1 v=4 stage=trace app=pin horizon=1000 "
+  EXPECT_EQ(encode(key), "stxkey/v1 v=5 stage=trace app=pin horizon=1000 "
                          "seed=1 policy=1 overhead=2");
   EXPECT_EQ(hash_hex(key), [] {
     // Independently computed FNV-1a of the line above.
     std::uint64_t h = 14695981039346656037ull;
     for (const char c : std::string(
-             "stxkey/v1 v=4 stage=trace app=pin horizon=1000 "
+             "stxkey/v1 v=5 stage=trace app=pin horizon=1000 "
              "seed=1 policy=1 overhead=2")) {
       h ^= static_cast<unsigned char>(c);
       h *= 1099511628211ull;

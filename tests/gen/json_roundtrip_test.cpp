@@ -41,6 +41,31 @@ TEST(JsonRoundTrip, RealMat2DesignRoundTrips) {
   EXPECT_EQ(back.request_traffic, report.request_traffic);
 }
 
+TEST(JsonRoundTrip, BurstAdaptiveDesignKeepsItsBurstWindow) {
+  // A burst-adaptive design used to come back with uniform windows
+  // (burst_window 0), so a store hit differed from the computed report.
+  xbar::flow_options opts;
+  opts.horizon = 20'000;
+  opts.synth.params.window_size = 400;
+  opts.synth.params.burst_window = 100;
+  const auto report =
+      xbar::run_design_flow(stx::workloads::make_qsort(), opts);
+  ASSERT_EQ(report.request_design.params.burst_window, 100);
+  const auto doc = design_document(report);
+  EXPECT_EQ(doc.at("request").at("params").at("burst_window").as_int(), 100);
+  const auto back = parse_design(emit_json(report));
+  EXPECT_EQ(back.request_design.params.burst_window, 100);
+  EXPECT_EQ(back.response_design.params.burst_window, 100);
+  EXPECT_TRUE(back == report);
+  // Reading requires the member: a document without it is malformed.
+  auto text = emit_json(testutil::small_report());
+  const auto at = text.find("\"burst_window\"");
+  ASSERT_NE(at, std::string::npos);
+  const auto line = text.rfind('\n', at);
+  text.erase(line, text.find('\n', at) - line);
+  EXPECT_THROW(parse_design(text), invalid_argument_error);
+}
+
 TEST(JsonRoundTrip, DocumentIsWhatTheTextParsesTo) {
   // The serve protocol embeds design_document() where it used to embed
   // parse(emit()); the two are the same value, so the wire bytes are too.

@@ -7,8 +7,10 @@
 
 #include "explore/codec.h"
 #include "gen/json.h"
+#include "obs/export.h"
 #include "testkit/scenario.h"
 #include "util/error.h"
+#include "util/flags.h"
 #include "workloads/mpsoc_apps.h"
 #include "workloads/synthetic.h"
 #include "xbar/flow.h"
@@ -25,10 +27,70 @@ TEST(Protocol, MinimalAppRequestGetsFlowDefaults) {
   EXPECT_TRUE(req.design.scenario.empty());
   EXPECT_TRUE(req.design.validate);
   EXPECT_TRUE(req.design.artifacts.empty());
-  const xbar::flow_options defaults;
-  EXPECT_EQ(req.design.opts.horizon, defaults.horizon);
-  EXPECT_EQ(req.design.opts.synth.params.window_size,
-            defaults.synth.params.window_size);
+  // Every option is the library default, which is the CLIs' design
+  // point: a request with no option field and an xbargen run with no
+  // knob flag share one cache key.
+  EXPECT_TRUE(req.design.opts == xbar::flow_options{});
+  EXPECT_EQ(req.design.opts.synth.params.window_size, 400);
+  EXPECT_DOUBLE_EQ(req.design.opts.synth.params.overlap_threshold, 0.30);
+  EXPECT_EQ(req.design.opts.synth.params.max_targets_per_bus, 4);
+}
+
+TEST(Protocol, EnumFieldsTakeTheGridSpellings) {
+  // One parser per enum: the protocol spells policies and solvers as
+  // the grid and the CLIs do.
+  const std::vector<std::pair<const char*, sim::arbitration>> policies = {
+      {"rr", sim::arbitration::round_robin},
+      {"round_robin", sim::arbitration::round_robin},
+      {"fixed", sim::arbitration::fixed_priority},
+      {"fixed_priority", sim::arbitration::fixed_priority},
+      {"lrg", sim::arbitration::least_recently_granted},
+      {"least_recently_granted", sim::arbitration::least_recently_granted},
+  };
+  for (const auto& [name, policy] : policies) {
+    const auto req = parse_request(
+        std::string(R"({"op":"design","app":"mat2","policy":")") + name +
+        R"("})");
+    EXPECT_EQ(req.design.opts.policy, policy) << name;
+  }
+  EXPECT_EQ(parse_request(R"({"op":"design","app":"mat2","solver":"milp"})")
+                .design.opts.synth.solver,
+            xbar::solver_kind::generic_milp);
+  EXPECT_THROW(
+      parse_request(
+          R"({"op":"design","app":"mat2","solver":"generic_milp"})"),
+      invalid_argument_error);
+}
+
+TEST(Protocol, FlagsAndFieldsShareOneReader) {
+  // A CLI flag is its request field with dashes, and both read to the
+  // same options.
+  const char* argv[] = {"cli",           "--horizon=9000",
+                        "--window=250",  "--maxtb=3",
+                        "--policy=fixed", "--solver-node-limit=5000",
+                        "--solver-time-ms=1500", "--conflicts=false"};
+  const flag_set flags(8, argv);
+  const auto from_flags = read_flow_options(flags);
+  const auto from_line =
+      parse_request(R"({"op":"design","app":"fft","horizon":9000,)"
+                    R"("window":250,"maxtb":3,"policy":"fixed",)"
+                    R"("solver_node_limit":5000,"solver_time_ms":1500,)"
+                    R"("conflicts":false})")
+          .design.opts;
+  EXPECT_TRUE(from_flags == from_line);
+  EXPECT_EQ(from_flags.synth.params.window_size, 250);
+  EXPECT_FALSE(from_flags.synth.params.use_overlap_conflicts);
+
+  // The range checks speak the source's spelling.
+  const char* bad[] = {"cli", "--solver-threads=4294967297"};
+  try {
+    read_flow_options(flag_set(2, bad));
+    FAIL() << "expected invalid_argument_error";
+  } catch (const invalid_argument_error& e) {
+    EXPECT_NE(std::string(e.what()).find("--solver-threads"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Protocol, OptionFieldsOverrideTheDefaults) {
@@ -274,10 +336,37 @@ TEST(Protocol, ErrorAndSimpleResponses) {
   const auto pong = serialize_simple("p1", request_op::ping);
   EXPECT_NE(pong.find("\"op\":\"ping\""), std::string::npos);
   EXPECT_NE(pong.find("\"ok\":true"), std::string::npos);
-  const auto metrics = serialize_simple(
-      "m1", request_op::metrics, R"({"schema":"stx-metrics/v1"})");
-  EXPECT_NE(metrics.find("\"metrics\":{\"schema\":\"stx-metrics/v1\"}"),
+  const auto trace = serialize_simple(
+      "t1", request_op::trace, gen::json::parse(R"({"traceEvents":[]})"));
+  EXPECT_NE(trace.find("\"trace\":{\"traceEvents\":[]}"),
             std::string::npos);
+}
+
+TEST(Protocol, ObsResponsesEmbedTheDocumentsUnchanged) {
+  // The metrics and trace ops embed the obs documents directly; their
+  // lines are byte-identical to embedding the re-parsed rendered text.
+  obs::metrics_snapshot snap;
+  snap.counters = {{"serve.requests", 7}, {"sim.runs", 2}};
+  snap.gauges = {{"serve.queue_depth_max", 3}};
+  snap.wall = {{"flow.collect", 2, 0.001 / 3.0, 0.0001, 0.0002}};
+  std::vector<obs::trace_event> events(2);
+  events[0] = {"flow.collect", 0, 0, 1'000, 2'501, {{"app", "mat2"}}};
+  events[1] = {"milp.solve", 1, 1, 333, 7, {{"nodes", 42}}};
+
+  const live_gauges live{1, 2, 3, 4};
+  const auto metrics_text =
+      gen::json::dump_compact(gen::json::parse(obs::render_metrics_json(snap)));
+  EXPECT_EQ(serialize_metrics("m1", obs::metrics_document(snap), live),
+            R"({"id":"m1","ok":true,"op":"metrics","metrics":)" +
+                metrics_text +
+                R"(,"live":{"admission_queue_depth":1,"in_flight":2,)"
+                R"("connections":3,"idle_connections":4}})");
+  const auto trace_text =
+      gen::json::dump_compact(gen::json::parse(obs::render_trace_json(events)));
+  EXPECT_EQ(serialize_simple("t1", request_op::trace,
+                             obs::trace_document(events)),
+            R"({"id":"t1","ok":true,"op":"trace","trace":)" + trace_text +
+                "}");
 }
 
 }  // namespace

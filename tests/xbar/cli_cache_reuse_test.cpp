@@ -2,7 +2,10 @@
 // run with the same --cache-dir emits byte-identical artifacts without
 // re-running the simulator or the solver (its metrics snapshot contains
 // no sim.* / milp.* counters at all), proving the persistent store is
-// shared across processes, not just across calls.
+// shared across processes, not just across calls. And the design service
+// on the same directory answers the request that names the same knobs —
+// none, since the CLI and the protocol start from one default — from the
+// store.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -12,6 +15,9 @@
 #include <string>
 
 #include <sys/wait.h>
+
+#include "serve/protocol.h"
+#include "serve/service.h"
 
 namespace {
 
@@ -93,6 +99,30 @@ TEST(CliCacheReuse, SecondRunIsBitIdenticalWithoutSimulatingOrSolving) {
   EXPECT_EQ(warm_metrics.find("milp."), std::string::npos);
   EXPECT_EQ(warm_metrics.find("xbar.synth.runs"), std::string::npos);
 
+  fs::remove_all(root);
+}
+
+TEST(CliCacheReuse, DaemonRequestWithNoKnobsHitsTheCliDesign) {
+  const auto root = fs::temp_directory_path() / "stx-cli-serve-share-test";
+  fs::remove_all(root);
+  fs::create_directories(root);
+  const auto cache = (root / "cache").string();
+  const auto log = (root / "run.log").string();
+  // No knob flag: xbargen designs at the library defaults.
+  ASSERT_EQ(run(kXbargen + " --app=qsort --horizon=6000 --cache-dir=" +
+                cache + " > " + log + " 2>&1"),
+            0)
+      << slurp(log);
+
+  stx::serve::service::options opts;
+  opts.workers = 1;
+  opts.cache_dir = cache;
+  stx::serve::service svc(opts);
+  const auto req = stx::serve::parse_request(
+      R"({"op":"design","app":"qsort","horizon":6000})");
+  const auto resp = svc.run(req.design);
+  ASSERT_TRUE(resp.ok) << resp.error;
+  EXPECT_EQ(resp.source, "store");
   fs::remove_all(root);
 }
 
